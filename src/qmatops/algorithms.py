@@ -1,15 +1,18 @@
-"""The four staged circuits: row addition, row swapping, trace, transpose.
+"""The staged circuits: row addition, row swapping, trace, transpose.
 
-Each runner encodes the matrix next to its auxiliary registers, applies the
-labeled gate stages, and reads the result back out of the post-selected
-state.  State labels phi_0, phi_1, ... mark the boundaries between stages,
-starting from the prepared product state.
+Each routine is built as a matrix-free ``Circuit``; ``simulate`` loads a
+matrix into it, applies the labeled gate stages, tallies the gates and
+reads the result back out of the post-selected state, while the scaling
+measurements tally the same circuits without simulating them.  State
+labels phi_0, phi_1, ... mark the boundaries between stages, starting from
+the prepared product state.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -40,7 +43,15 @@ __all__ = [
     "PostSelection",
     "StepState",
     "RunReport",
+    "Circuit",
+    "Simulation",
     "post_select",
+    "simulate",
+    "row_add_circuit",
+    "row_swap_circuit",
+    "trace_circuit",
+    "transpose_circuit",
+    "transpose_square_circuit",
     "run_row_add",
     "run_row_swap",
     "run_trace",
@@ -108,7 +119,33 @@ class RunReport:
     step_states: list[StepState] | None = None
 
 
+# (stage label, [(tally label, gate), ...]); a stage may split its gates
+# over several tally labels
 Step = tuple[str, list[tuple[str, Gate]]]
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """One routine's circuit, independent of the matrix it runs on.
+
+    The matrix is loaded into ``matrix_registers`` (row register, column
+    register) and each ``ancillas`` table into its run of registers; every
+    other register starts in |0>.  ``accept`` is the measurement pattern a
+    run is post-selected on, or None when the circuit discards nothing.
+    ``decode`` is the (row register, column register, pinned values) the
+    output matrix is read from, or None when the output is not a matrix.
+    """
+
+    layout: RegisterLayout
+    matrix_registers: tuple[str, str]
+    ancillas: tuple[tuple[tuple[str, ...], AncillaVector], ...]
+    steps: tuple[Step, ...]
+    accept: dict[str, int] | None
+    decode: tuple[str, str, dict[str, int]] | None
+
+    def gates(self) -> list[tuple[str, Gate]]:
+        """Every (tally label, gate) pair in application order."""
+        return [pair for _, gates in self.steps for pair in gates]
 
 
 def _plain_step(label: str, *gates: Gate) -> Step:
@@ -119,118 +156,47 @@ def _snapshot(label: str, state: StateVector) -> StepState:
     return StepState(label, state.norm_squared, state.checksum(), state)
 
 
-def _run_circuit(
-    initial: StateVector,
-    steps: Sequence[Step],
-    record_steps: bool,
-    after_step: Callable[[str, StateVector], None] | None = None,
-):
-    state = initial
-    records: list[StepState] | None = [_snapshot("phi_0", initial)] if record_steps else None
-    trace: list[tuple[str, Gate]] = []
-    for position, (label, gates) in enumerate(steps, start=1):
-        for tally_label, gate in gates:
-            state = apply_gate(state, gate)
-            trace.append((tally_label, gate))
-        if after_step is not None:
-            after_step(label, state)
-        if records is not None:
-            records.append(_snapshot(f"phi_{position}", state))
-    tally = tally_gates(trace, initial.layout)
-    return state, tally, records
+# --- circuit builders ----------------------------------------------------------
 
-
-def _check_rows(num_rows: int, k: int, l: int) -> None:
-    for value in (k, l):
-        if not 0 <= value < num_rows:
-            raise ValueError(f"row index {value} out of range for {num_rows} rows")
-    if k == l:
-        raise ValueError("row indices k and l must be distinct")
-
-
-# --- row addition ------------------------------------------------------------
-
-def _row_add_steps(k: int, l: int) -> list[Step]:
-    return [
-        _plain_step(
-            "step2-mark-source-branch",
-            ControlledOp(Projector(register_values=(("R2", k),)), FlipQubit("B1", 0)),
+def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
+    """Add row k into row l of a 2^n x 2^m matrix."""
+    return Circuit(
+        layout=RegisterLayout(
+            (("R1", n), ("C1", m), ("R2", n), ("B1", 1), ("B2", 1), ("B3", 1))
         ),
-        _plain_step(
-            "step3-mark-target-row",
-            ControlledOp(
-                Projector(register_values=(("R1", k), ("B1", 0))), FlipQubit("B2", 0)
+        matrix_registers=("R1", "C1"),
+        ancillas=((("R2",), AncillaVector("row-add", k, l, n)),),
+        steps=(
+            _plain_step(
+                "step2-mark-source-branch",
+                ControlledOp(Projector(register_values=(("R2", k),)), FlipQubit("B1", 0)),
             ),
-        ),
-        _plain_step(
-            "step4-cswap-rows",
-            ControlledOp(Projector(register_values=(("B2", 1),)), SwapRegisters("R1", "R2")),
-        ),
-        _plain_step(
-            "step5-mark-useful",
-            ControlledOp(
-                Projector(register_values=(("B1", 0), ("B2", 0))), FlipQubit("B3", 0)
+            _plain_step(
+                "step3-mark-target-row",
+                ControlledOp(
+                    Projector(register_values=(("R1", k), ("B1", 0))), FlipQubit("B2", 0)
+                ),
             ),
+            _plain_step(
+                "step4-cswap-rows",
+                ControlledOp(Projector(register_values=(("B2", 1),)), SwapRegisters("R1", "R2")),
+            ),
+            _plain_step(
+                "step5-mark-useful",
+                ControlledOp(
+                    Projector(register_values=(("B1", 0), ("B2", 0))), FlipQubit("B3", 0)
+                ),
+            ),
+            _plain_step("step6-hadamard-mix", HadamardLayer(("B1", "B2"))),
         ),
-        _plain_step("step6-hadamard-mix", HadamardLayer(("B1", "B2"))),
-    ]
-
-
-def run_row_add(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = False) -> RunReport:
-    """Add row k into row l of the encoded matrix.
-
-    Succeeds with probability G^2/8 where G is the norm of the classical
-    result over the normalized entries; the decoded output is the classical
-    row-added matrix divided by G.
-    """
-    _check_rows(matrix.rows, k, l)
-    n, m = matrix.row_qubits, matrix.col_qubits
-    layout = RegisterLayout(
-        (("R1", n), ("C1", m), ("R2", n), ("B1", 1), ("B2", 1), ("B3", 1))
-    )
-    auxiliary = AncillaVector("row-add", k, l, n)
-    initial = prepare_product_state(
-        layout,
-        ((("R1", "C1"), matrix.entries.ravel()), (("R2",), auxiliary.amplitudes())),
-    )
-    steps = _row_add_steps(k, l)
-    state, tally, records = _run_circuit(initial, steps, record_steps)
-    selection = post_select(state, {"B1": 0, "B2": 0, "B3": 0})
-
-    entries = matrix.entries
-    g_squared = float(
-        np.sum(np.abs(np.delete(entries, l, axis=0)) ** 2)
-        + np.sum(np.abs(entries[k] + entries[l]) ** 2)
-    )
-
-    output = None
-    if selection.renormalized_state is not None:
-        output = decode_matrix(
-            selection.renormalized_state,
-            "R1",
-            "C1",
-            {"R2": k, "B1": 0, "B2": 0, "B3": 0},
-        )
-        if records is not None:
-            records.append(_snapshot(f"phi_{len(steps) + 1}", selection.renormalized_state))
-
-    return RunReport(
-        algorithm="row-add",
-        success_probability=selection.probability,
-        predicted_probability=g_squared / 8.0,
-        gate_tally=tally,
-        frobenius_scale=matrix.frobenius_scale,
-        output_matrix=output,
-        output_unpadded_shape=(matrix.original_rows, matrix.original_cols),
-        normalization=math.sqrt(g_squared),
-        post_selection=selection,
-        step_states=records,
+        accept={"B1": 0, "B2": 0, "B3": 0},
+        decode=("R1", "C1", {"R2": k, "B1": 0, "B2": 0, "B3": 0}),
     )
 
 
-# --- row swapping ------------------------------------------------------------
-
-def _row_swap_steps(k: int, l: int) -> list[Step]:
+def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
+    """Exchange rows k and l of a 2^n x 2^m matrix."""
+    ancilla = AncillaVector("row-swap", k, l, n)
     mark_distinct = ControlledOp(
         Projector(register_values=(("R2", l), ("C2", k))), FlipQubit("B1", 0)
     )
@@ -249,75 +215,33 @@ def _row_swap_steps(k: int, l: int) -> list[Step]:
     # ancilla patterns (B1, B2) that hold a wanted branch after the swaps
     relabel = [
         ControlledOp(
-            Projector(register_values=(("B1", 0), ("B2", 0b10))), FlipQubit("B3", 0)
-        ),
-        ControlledOp(
-            Projector(register_values=(("B1", 0), ("B2", 0b01))), FlipQubit("B3", 0)
-        ),
-        ControlledOp(
-            Projector(register_values=(("B1", 1), ("B2", 0b00))), FlipQubit("B3", 0)
-        ),
-    ]
-    return [
-        _plain_step("step2-mark-distinct-pair", mark_distinct),
-        _plain_step("step3-mark-swap-rows", tag_source, tag_target),
-        (
-            "step4-cswap-rows",
-            [("step4-cswap-via-c2", swap_via_c2), ("step4-cswap-via-r2", swap_via_r2)],
-        ),
-        _plain_step("step5-mark-useful", *relabel),
-        _plain_step("step6-hadamard-mix", HadamardLayer(("B1", "B2"))),
-    ]
-
-
-def run_row_swap(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = False) -> RunReport:
-    """Exchange rows k and l of the encoded matrix.
-
-    Succeeds with probability exactly 1/24 regardless of the entries, and
-    the decoded output is the swapped matrix itself (unit proportionality).
-    """
-    _check_rows(matrix.rows, k, l)
-    n, m = matrix.row_qubits, matrix.col_qubits
-    layout = RegisterLayout(
-        (("R1", n), ("C1", m), ("R2", n), ("C2", n), ("B1", 1), ("B2", 2), ("B3", 1))
-    )
-    auxiliary = AncillaVector("row-swap", k, l, n)
-    initial = prepare_product_state(
-        layout,
-        ((("R1", "C1"), matrix.entries.ravel()), (("R2", "C2"), auxiliary.amplitudes())),
-    )
-    steps = _row_swap_steps(k, l)
-    state, tally, records = _run_circuit(initial, steps, record_steps)
-    selection = post_select(state, {"B1": 0, "B2": 0, "B3": 1})
-
-    output = None
-    if selection.renormalized_state is not None:
-        output = decode_matrix(
-            selection.renormalized_state,
-            "R1",
-            "C1",
-            {"R2": l, "C2": k, "B1": 0, "B2": 0, "B3": 1},
+            Projector(register_values=(("B1", b1), ("B2", b2))), FlipQubit("B3", 0)
         )
-        if records is not None:
-            records.append(_snapshot(f"phi_{len(steps) + 1}", selection.renormalized_state))
-
-    return RunReport(
-        algorithm="row-swap",
-        success_probability=selection.probability,
-        predicted_probability=1.0 / 24.0,
-        gate_tally=tally,
-        frobenius_scale=matrix.frobenius_scale,
-        output_matrix=output,
-        output_unpadded_shape=(matrix.original_rows, matrix.original_cols),
-        normalization=1.0,
-        post_selection=selection,
-        step_states=records,
+        for b1, b2 in ((0, 0b10), (0, 0b01), (1, 0b00))
+    ]
+    return Circuit(
+        layout=RegisterLayout(
+            (("R1", n), ("C1", m), ("R2", n), ("C2", n), ("B1", 1), ("B2", 2), ("B3", 1))
+        ),
+        matrix_registers=("R1", "C1"),
+        ancillas=((("R2", "C2"), ancilla),),
+        steps=(
+            _plain_step("step2-mark-distinct-pair", mark_distinct),
+            _plain_step("step3-mark-swap-rows", tag_source, tag_target),
+            (
+                "step4-cswap-rows",
+                [("step4-cswap-via-c2", swap_via_c2), ("step4-cswap-via-r2", swap_via_r2)],
+            ),
+            _plain_step("step5-mark-useful", *relabel),
+            _plain_step("step6-hadamard-mix", HadamardLayer(("B1", "B2"))),
+        ),
+        accept={"B1": 0, "B2": 0, "B3": 1},
+        decode=("R1", "C1", {"R2": l, "C2": k, "B1": 0, "B2": 0, "B3": 1}),
     )
 
 
-# --- trace ---------------------------------------------------------------
-
-def _trace_steps(n: int) -> list[Step]:
+def trace_circuit(n: int) -> Circuit:
+    """Move the trace of a 2^n x 2^n matrix into one amplitude."""
     marks = [
         ControlledOp(
             Projector(qubit_bits=(("R", j, bit), ("C", j, bit))), FlipQubit("A", j)
@@ -326,21 +250,185 @@ def _trace_steps(n: int) -> list[Step]:
         for bit in (0, 1)
     ]
     full = (1 << n) - 1
-    return [
-        ("step2-mark-diagonal", [("step2-mark-diagonal", g) for g in marks]),
-        _plain_step(
-            "step3-mark-useful",
-            ControlledOp(Projector(register_values=(("A", full),)), FlipQubit("B1", 0)),
-        ),
-        _plain_step("step4-hadamard-sum", HadamardLayer(("R", "C", "A"))),
-        _plain_step(
-            "step5-remark-useful",
-            ControlledOp(
-                Projector(register_values=(("R", 0), ("C", 0), ("A", 0), ("B1", 1))),
-                FlipQubit("B2", 0),
+    return Circuit(
+        layout=RegisterLayout((("R", n), ("C", n), ("A", n), ("B1", 1), ("B2", 1))),
+        matrix_registers=("R", "C"),
+        ancillas=(),
+        steps=(
+            ("step2-mark-diagonal", [("step2-mark-diagonal", g) for g in marks]),
+            _plain_step(
+                "step3-mark-useful",
+                ControlledOp(Projector(register_values=(("A", full),)), FlipQubit("B1", 0)),
+            ),
+            _plain_step("step4-hadamard-sum", HadamardLayer(("R", "C", "A"))),
+            _plain_step(
+                "step5-remark-useful",
+                ControlledOp(
+                    Projector(register_values=(("R", 0), ("C", 0), ("A", 0), ("B1", 1))),
+                    FlipQubit("B2", 0),
+                ),
             ),
         ),
-    ]
+        accept={"B2": 1},
+        decode=None,
+    )
+
+
+def transpose_circuit(n: int, m: int) -> Circuit:
+    """Transpose a 2^n x 2^m matrix by exchanging its column register with a
+    destination register."""
+    return Circuit(
+        layout=RegisterLayout((("D", m), ("R", n), ("C", m))),
+        matrix_registers=("R", "C"),
+        ancillas=(),
+        steps=(_plain_step("step2-swap-registers", RegisterSwapGate("D", "C")),),
+        accept=None,
+        decode=("D", "R", {"C": 0}),
+    )
+
+
+def transpose_square_circuit(side_qubits: int) -> Circuit:
+    """Transpose a 2^s x 2^s matrix by exchanging its two registers."""
+    return Circuit(
+        layout=RegisterLayout((("R", side_qubits), ("C", side_qubits))),
+        matrix_registers=("R", "C"),
+        ancillas=(),
+        steps=(_plain_step("step2-swap-registers", RegisterSwapGate("R", "C")),),
+        accept=None,
+        decode=("R", "C", {}),
+    )
+
+
+# --- simulation ----------------------------------------------------------------
+
+@dataclass
+class Simulation:
+    """One simulated circuit run, before the routine's closed form is added.
+
+    ``state`` is the final state before post-selection; ``output`` is the
+    decoded matrix, or None when nothing was accepted or the circuit has no
+    matrix output.
+    """
+
+    state: StateVector
+    gate_tally: GateTally
+    probability: float
+    selection: PostSelection | None
+    output: np.ndarray | None
+    records: list[StepState] | None
+
+    def report(
+        self, algorithm: str, predicted: float, matrix: EncodedMatrix, **extras
+    ) -> RunReport:
+        """The run's RunReport; ``extras`` set or override its other fields."""
+        fields = dict(
+            success_probability=self.probability,
+            gate_tally=self.gate_tally,
+            output_matrix=self.output,
+            post_selection=self.selection,
+            step_states=self.records,
+        )
+        fields.update(extras)
+        return RunReport(
+            algorithm=algorithm,
+            predicted_probability=predicted,
+            frobenius_scale=matrix.frobenius_scale,
+            **fields,
+        )
+
+
+def simulate(
+    circuit: Circuit,
+    entries: np.ndarray,
+    record_steps: bool = False,
+    after_step: Callable[[str, StateVector], None] | None = None,
+) -> Simulation:
+    """Load ``entries`` into the circuit's matrix registers and run it.
+
+    Prepares the product state, applies the steps, tallies the gates,
+    post-selects on the accept pattern and decodes the output.  A circuit
+    that discards nothing is a pure permutation, so its probability is
+    reported as an exact 1.0 once the mass outside the read-out subspace is
+    checked to be exactly zero.
+    """
+    layout = circuit.layout
+    # a generator, so ancilla tables are only built after the preparation's
+    # qubit-cap check has passed
+    parts = itertools.chain(
+        [(circuit.matrix_registers, entries.ravel())],
+        ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
+    )
+    state = prepare_product_state(layout, parts)
+    records = [_snapshot("phi_0", state)] if record_steps else None
+    for position, (label, gates) in enumerate(circuit.steps, start=1):
+        for _, gate in gates:
+            state = apply_gate(state, gate)
+        if after_step is not None:
+            after_step(label, state)
+        if records is not None:
+            records.append(_snapshot(f"phi_{position}", state))
+    tally = tally_gates(circuit.gates(), layout)
+
+    if circuit.accept is None:
+        selection, readout = None, state
+        mask, bits = layout.pattern(circuit.decode[2])
+        indices = np.arange(layout.size, dtype=np.int64)
+        leaked = state.amplitudes[(indices & mask) != bits]
+        probability = 1.0
+        if np.any(leaked != 0):
+            probability -= float(np.sum(np.abs(leaked) ** 2)) / state.norm_squared
+    else:
+        selection = post_select(state, circuit.accept)
+        readout, probability = selection.renormalized_state, selection.probability
+
+    output = None
+    if circuit.decode is not None and readout is not None:
+        output = decode_matrix(readout, *circuit.decode)
+    if records is not None and selection is not None and readout is not None:
+        records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", readout))
+    return Simulation(state, tally, probability, selection, output, records)
+
+
+# --- the routines --------------------------------------------------------------
+
+def run_row_add(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = False) -> RunReport:
+    """Add row k into row l of the encoded matrix.
+
+    Succeeds with probability G^2/8 where G is the norm of the classical
+    result over the normalized entries; the decoded output is the classical
+    row-added matrix divided by G.
+    """
+    circuit = row_add_circuit(matrix.row_qubits, matrix.col_qubits, k, l)
+    run = simulate(circuit, matrix.entries, record_steps)
+    entries = matrix.entries
+    g_squared = float(
+        np.sum(np.abs(np.delete(entries, l, axis=0)) ** 2)
+        + np.sum(np.abs(entries[k] + entries[l]) ** 2)
+    )
+    return run.report(
+        "row-add",
+        g_squared / 8.0,
+        matrix,
+        output_unpadded_shape=(matrix.original_rows, matrix.original_cols),
+        normalization=math.sqrt(g_squared),
+    )
+
+
+def run_row_swap(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = False) -> RunReport:
+    """Exchange rows k and l of the encoded matrix.
+
+    Succeeds with probability exactly 1/24 regardless of the entries, and
+    the decoded output is the swapped matrix itself (unit proportionality).
+    """
+    circuit = row_swap_circuit(matrix.row_qubits, matrix.col_qubits, k, l)
+    run = simulate(circuit, matrix.entries, record_steps)
+    return run.report(
+        "row-swap",
+        1.0 / 24.0,
+        matrix,
+        output_unpadded_shape=(matrix.original_rows, matrix.original_cols),
+        normalization=1.0,
+    )
 
 
 def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
@@ -354,9 +442,8 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
         raise ValueError("trace needs a square matrix")
     n = matrix.row_qubits
     dimension = matrix.rows
-    layout = RegisterLayout((("R", n), ("C", n), ("A", n), ("B1", 1), ("B2", 1)))
-    initial = prepare_product_state(layout, ((("R", "C"), matrix.entries.ravel()),))
-    steps = _trace_steps(n)
+    circuit = trace_circuit(n)
+    layout = circuit.layout
 
     def check_marking(label: str, current: StateVector) -> None:
         if label != "step2-mark-diagonal":
@@ -370,30 +457,14 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
         if np.any(occupied & (marks != expected)):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
-    state, tally, records = _run_circuit(initial, steps, record_steps, check_marking)
-
-    accepted = state.amplitude({"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1})
-    recovered = accepted * math.sqrt(2.0 ** (3 * n))
-    selection = post_select(state, {"B2": 1})
+    run = simulate(circuit, matrix.entries, record_steps, check_marking)
+    accepted = run.state.amplitude({"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1})
     trace_of_entries = complex(np.trace(matrix.entries))
     predicted = abs(trace_of_entries) ** 2 / float(2 ** (3 * n))
-
-    if records is not None and selection.renormalized_state is not None:
-        records.append(_snapshot(f"phi_{len(steps) + 1}", selection.renormalized_state))
-
-    return RunReport(
-        algorithm="trace",
-        success_probability=selection.probability,
-        predicted_probability=predicted,
-        gate_tally=tally,
-        frobenius_scale=matrix.frobenius_scale,
-        recovered_trace=recovered,
-        post_selection=selection,
-        step_states=records,
+    return run.report(
+        "trace", predicted, matrix, recovered_trace=accepted * math.sqrt(2.0 ** (3 * n))
     )
 
-
-# --- transpose -----------------------------------------------------------
 
 def run_transpose(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     """Transpose via one register exchange; succeeds with probability 1.
@@ -402,29 +473,13 @@ def run_transpose(matrix: EncodedMatrix, record_steps: bool = False) -> RunRepor
     read-out subspace is exactly zero and the probability is reported as an
     exact 1.0 only after that is checked.
     """
-    n, m = matrix.row_qubits, matrix.col_qubits
-    layout = RegisterLayout((("D", m), ("R", n), ("C", m)))
-    initial = prepare_product_state(layout, ((("R", "C"), matrix.entries.ravel()),))
-    steps = [_plain_step("step2-swap-registers", RegisterSwapGate("D", "C"))]
-    state, tally, records = _run_circuit(initial, steps, record_steps)
-
-    indices = np.arange(layout.size, dtype=np.int64)
-    leaked = state.amplitudes[layout.extract(indices, "C") != 0]
-    if leaked.size and np.any(leaked != 0):
-        success = 1.0 - float(np.sum(np.abs(leaked) ** 2)) / state.norm_squared
-    else:
-        success = 1.0
-
-    output = decode_matrix(state, "D", "R", {"C": 0})
-    return RunReport(
-        algorithm="transpose",
-        success_probability=success,
-        predicted_probability=1.0,
-        gate_tally=tally,
-        frobenius_scale=matrix.frobenius_scale,
-        output_matrix=output,
+    circuit = transpose_circuit(matrix.row_qubits, matrix.col_qubits)
+    run = simulate(circuit, matrix.entries, record_steps)
+    return run.report(
+        "transpose",
+        1.0,
+        matrix,
         output_unpadded_shape=(matrix.original_cols, matrix.original_rows),
-        step_states=records,
     )
 
 
@@ -436,23 +491,13 @@ def run_transpose_square(matrix: EncodedMatrix, record_steps: bool = False) -> R
     output matrix is cut back to the main variant's (cols x rows) shape.
     """
     side = max(matrix.rows, matrix.cols)
-    side_qubits = side.bit_length() - 1
     square = np.zeros((side, side), dtype=np.complex128)
     square[: matrix.rows, : matrix.cols] = matrix.entries
-    layout = RegisterLayout((("R", side_qubits), ("C", side_qubits)))
-    initial = prepare_product_state(layout, ((("R", "C"), square.ravel()),))
-    steps = [_plain_step("step2-swap-registers", RegisterSwapGate("R", "C"))]
-    state, tally, records = _run_circuit(initial, steps, record_steps)
-
-    full = decode_matrix(state, "R", "C", {})
-    output = full[: matrix.cols, : matrix.rows]
-    return RunReport(
-        algorithm="transpose-square",
-        success_probability=1.0,
-        predicted_probability=1.0,
-        gate_tally=tally,
-        frobenius_scale=matrix.frobenius_scale,
-        output_matrix=output,
+    run = simulate(transpose_square_circuit(side.bit_length() - 1), square, record_steps)
+    return run.report(
+        "transpose-square",
+        1.0,
+        matrix,
+        output_matrix=run.output[: matrix.cols, : matrix.rows],
         output_unpadded_shape=(matrix.original_cols, matrix.original_rows),
-        step_states=records,
     )

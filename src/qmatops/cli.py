@@ -14,7 +14,7 @@ import numpy as np
 
 from .algorithms import RunReport, run_row_add, run_row_swap, run_trace, run_transpose, run_transpose_square
 from .complexity import CLAIMS, measure_scaling
-from .golden import GOLDEN_K, GOLDEN_L, GOLDEN_MATRIX, GOLDEN_PROBABILITY, expected_branches
+from .golden import GOLDEN_K, GOLDEN_L, GOLDEN_PROBABILITY, replay_walkthrough
 from .matio import load_matrix, matrix_to_payload
 from .state import EncodedMatrix, encode_matrix
 from .verify import SCALING_WIDTHS, run_all_checks
@@ -163,17 +163,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_appendix1(args) -> int:
-    encoded = encode_matrix(GOLDEN_MATRIX)
-    report = run_row_swap(encoded, GOLDEN_K, GOLDEN_L, record_steps=True)
-    states = {record.label: record.state for record in report.step_states}
-    worst = 0.0
-    rows = []
-    for label, branches in expected_branches().items():
-        for assignment, expected in branches:
-            simulated = states[label].amplitude(assignment)
-            deviation = abs(simulated - expected)
-            worst = max(worst, deviation)
-            rows.append((label, assignment, expected, simulated, deviation))
+    report, rows = replay_walkthrough()
+    worst = max(deviation for *_, deviation in rows)
     for label, assignment, expected, simulated, deviation in rows:
         basis = " ".join(f"{name}={value}" for name, value in assignment.items())
         print(

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algorithms import run_row_add, run_row_swap, run_trace, run_transpose
-from .gates import GateCounts, GateTally
-from .state import encode_matrix
+from .algorithms import row_add_circuit, row_swap_circuit, trace_circuit, transpose_circuit
+from .gates import GateCounts, GateTally, tally_gates
 
 MAX_WIDTH = 12
 
@@ -59,17 +58,6 @@ CLAIMS: dict[str, tuple[Claim, ...]] = {
         Claim("step2-swap-registers", "O(m)", "swap"),
     ),
 }
-
-# matrix shape used when the varied width is w; the varied axis is the one
-# the claims are about (rows for the row operations and trace, columns for
-# transpose)
-_SHAPES = {
-    "row-add": lambda w: (1 << w, 2),
-    "row-swap": lambda w: (1 << w, 2),
-    "trace": lambda w: (1 << w, 1 << w),
-    "transpose": lambda w: (2, 1 << w),
-}
-
 
 @dataclass
 class StepFit:
@@ -138,16 +126,16 @@ def _linear_fit(widths: list[int], counts: list[int]) -> tuple[float, float, flo
     return slope, intercept, residual
 
 
-def _random_matrix(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
 def measure_scaling(algorithm: str, widths, seed: int = 0) -> ScalingReport:
-    """Run one seeded instance per width and judge each scaling claim.
+    """Tally one seeded instance per width and judge each scaling claim.
 
-    O(1) passes when the counts are identical across widths; O(n)/O(m)
-    passes when the counts sit on a line with positive slope and zero
-    residual.
+    The varied width is the one the claims are about: the row register of
+    a 2^w x 2 matrix for the row operations, both registers of a 2^w x 2^w
+    matrix for trace and the column register of a 2 x 2^w matrix for
+    transpose.  Circuits are only tallied, never simulated, so no width is
+    limited by the simulator's qubit cap.  O(1) passes when the counts are
+    identical across widths; O(n)/O(m) passes when the counts sit on a line
+    with positive slope and zero residual.
     """
     if algorithm not in CLAIMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(CLAIMS)}")
@@ -160,16 +148,19 @@ def measure_scaling(algorithm: str, widths, seed: int = 0) -> ScalingReport:
     rng = np.random.default_rng(seed)
     tallies: list[GateTally] = []
     for width in widths:
-        matrix = encode_matrix(_random_matrix(rng, _SHAPES[algorithm](width)))
         if algorithm in ("row-add", "row-swap"):
+            # skip one complex 2^w x 2 matrix's worth of normals before each
+            # (k, l), so a seed picks the same pairs as when every width was
+            # simulated on a random matrix
+            rng.standard_normal(4 << width)
             k, l = (int(v) for v in rng.choice(1 << width, size=2, replace=False))
-            runner = run_row_add if algorithm == "row-add" else run_row_swap
-            report = runner(matrix, k, l)
+            build = row_add_circuit if algorithm == "row-add" else row_swap_circuit
+            circuit = build(width, 1, k, l)
         elif algorithm == "trace":
-            report = run_trace(matrix)
+            circuit = trace_circuit(width)
         else:
-            report = run_transpose(matrix)
-        tallies.append(report.gate_tally)
+            circuit = transpose_circuit(1, width)
+        tallies.append(tally_gates(circuit.gates(), circuit.layout))
 
     step_labels: list[str] = []
     for tally in tallies:

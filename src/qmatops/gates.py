@@ -15,8 +15,6 @@ from .state import RegisterLayout, StateVector
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-MAX_MCX_CONTROLS = 24
-
 __all__ = [
     "Projector",
     "FlipQubit",
@@ -270,10 +268,8 @@ def decompose_mcx(num_controls: int, control_polarity=None) -> McxNetwork:
     what the per-step scaling checks rely on.  Zero-polarity controls are
     conjugated by X.
     """
-    if not 1 <= num_controls <= MAX_MCX_CONTROLS:
-        raise ValueError(
-            f"num_controls must be in [1, {MAX_MCX_CONTROLS}], got {num_controls}"
-        )
+    if num_controls < 1:
+        raise ValueError(f"num_controls must be >= 1, got {num_controls}")
     if control_polarity is None:
         control_polarity = (1,) * num_controls
     polarity = tuple(int(b) for b in control_polarity)

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 
+from .algorithms import RunReport, run_row_swap
+from .state import encode_matrix
+
 GOLDEN_MATRIX: list[list[float]] = [
     [1 / 4, 1 / 16, 3 / 16, 3 / 16],
     [0.0, 1 / 2, 1 / 8, 1 / 8],
@@ -105,3 +108,24 @@ def expected_branches() -> dict[str, list[Branch]]:
         for j in range(4)
     ]
     return branches
+
+
+# (stage label, basis assignment, expected amplitude, simulated amplitude, |difference|)
+ReplayRow = tuple[str, dict[str, int], complex, complex, float]
+
+
+def replay_walkthrough() -> tuple[RunReport, list[ReplayRow]]:
+    """Run the worked example with every stage recorded and compare it with
+    ``expected_branches``.
+
+    Returns the run's report and one ReplayRow per tracked branch, in table
+    order.
+    """
+    report = run_row_swap(encode_matrix(GOLDEN_MATRIX), GOLDEN_K, GOLDEN_L, record_steps=True)
+    states = {record.label: record.state for record in report.step_states}
+    rows = []
+    for label, branch_list in expected_branches().items():
+        for assignment, expected in branch_list:
+            simulated = states[label].amplitude(assignment)
+            rows.append((label, assignment, expected, simulated, abs(simulated - expected)))
+    return report, rows

@@ -55,7 +55,10 @@ def matrix_to_payload(matrix) -> dict:
 
 
 def load_matrix(path) -> np.ndarray:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise ValueError(f"{path}: cannot read ({err})") from err
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:

@@ -11,14 +11,21 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# widest layout that may be simulated; layouts themselves are unbounded, so
+# gate tallies reach any width
 MAX_QUBITS = 26
 
 PART_NORM_TOL = 1e-9
 DECODE_MASS_TOL = 1e-9
+
+# range of the largest matrix component in which encode_matrix takes the
+# Frobenius norm directly: inside it the squared entries of any matrix that
+# fits in memory neither overflow nor lose precision to underflow
+NORM_SAFE_RANGE = (2.0**-480, 2.0**480)
 
 __all__ = [
     "MAX_QUBITS",
@@ -66,9 +73,6 @@ class RegisterLayout:
         for name, width in regs:
             if width < 1:
                 raise ValueError(f"register {name!r} must have width >= 1, got {width}")
-        total = sum(width for _, width in regs)
-        if total > MAX_QUBITS:
-            raise ValueError(f"{total} qubits exceeds the dense-array cap of {MAX_QUBITS}")
 
     @cached_property
     def _fields(self) -> dict[str, tuple[int, int]]:
@@ -246,13 +250,29 @@ def encode_matrix(matrix) -> EncodedMatrix:
         raise ValueError("matrix must be 2-D and nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
-    scale = float(np.linalg.norm(arr))
-    if scale == 0.0:
+    largest = float(max(np.max(np.abs(arr.real)), np.max(np.abs(arr.imag))))
+    if largest == 0.0:
         raise ValueError("all-zero matrix cannot be normalized for encoding")
+    if NORM_SAFE_RANGE[0] <= largest <= NORM_SAFE_RANGE[1]:
+        scale = float(np.linalg.norm(arr))
+        unit = arr / scale
+    else:
+        # prescale by the power of two nearest the largest component, as
+        # LAPACK's dnrm2 does, so the squares summed inside the norm neither
+        # overflow nor underflow; a power of two scales every entry exactly
+        exponent = math.frexp(largest)[1]
+        scaled = np.ldexp(np.ascontiguousarray(arr).view(np.float64), -exponent)
+        scaled = scaled.view(np.complex128)
+        norm = float(np.linalg.norm(scaled))
+        try:
+            scale = math.ldexp(norm, exponent)
+        except OverflowError:
+            raise ValueError("matrix Frobenius norm overflows float64") from None
+        unit = scaled / norm
     rows = _pow2_at_least(arr.shape[0])
     cols = _pow2_at_least(arr.shape[1])
     padded = np.zeros((rows, cols), dtype=np.complex128)
-    padded[: arr.shape[0], : arr.shape[1]] = arr / scale
+    padded[: arr.shape[0], : arr.shape[1]] = unit
     return EncodedMatrix(
         entries=padded,
         original_rows=arr.shape[0],
@@ -313,14 +333,19 @@ class AncillaVector:
 
 def prepare_product_state(
     layout: RegisterLayout,
-    parts: Sequence[tuple[Sequence[str], np.ndarray]],
+    parts: Iterable[tuple[Sequence[str], np.ndarray]],
 ) -> StateVector:
     """Tensor together amplitude tables over consecutive register groups.
 
     Each part covers one run of consecutive registers (in layout order) and
     must carry a unit-norm table of matching dimension.  Registers not
-    covered by any part start in |0>.
+    covered by any part start in |0>.  Layouts wider than MAX_QUBITS are
+    rejected before ``parts`` is read or any amplitude is allocated.
     """
+    if layout.total_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"{layout.total_qubits} qubits exceeds the dense-array cap of {MAX_QUBITS}"
+        )
     names = list(layout.names)
     spans: list[tuple[int, int, np.ndarray]] = []
     covered: set[int] = set()

@@ -13,23 +13,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import (
+    Circuit,
     post_select,
+    row_add_circuit,
+    row_swap_circuit,
     run_row_add,
     run_row_swap,
     run_trace,
     run_transpose,
     run_transpose_square,
+    trace_circuit,
 )
 from .complexity import measure_scaling
-from .gates import ControlledOp, decompose_mcx
+from .gates import ControlledOp, apply_gate, decompose_mcx
 from .golden import (
     GOLDEN_FROBENIUS_SCALE,
-    GOLDEN_K,
-    GOLDEN_L,
-    GOLDEN_MATRIX,
     GOLDEN_PROBABILITY,
-    expected_branches,
     golden_swapped,
+    replay_walkthrough,
 )
 from .oracle import (
     dense_mcx,
@@ -108,15 +109,9 @@ def _matrix_deviation(simulated: np.ndarray, reference) -> float:
 
 
 def check_golden_walkthrough() -> CheckResult:
-    encoded = encode_matrix(GOLDEN_MATRIX)
-    scale_error = abs(encoded.frobenius_scale - GOLDEN_FROBENIUS_SCALE)
-    report = run_row_swap(encoded, GOLDEN_K, GOLDEN_L, record_steps=True)
-    states = {record.label: record.state for record in report.step_states}
-    worst = scale_error
-    for label, branch_list in expected_branches().items():
-        state = states[label]
-        for assignment, expected in branch_list:
-            worst = max(worst, abs(state.amplitude(assignment) - expected))
+    report, rows = replay_walkthrough()
+    worst = max(deviation for *_, deviation in rows)
+    worst = max(worst, abs(report.frobenius_scale - GOLDEN_FROBENIUS_SCALE))
     worst = max(worst, abs(report.success_probability - GOLDEN_PROBABILITY))
     swapped = np.array(golden_swapped(), dtype=np.complex128) / GOLDEN_FROBENIUS_SCALE
     worst = max(worst, _matrix_deviation(report.output_matrix, swapped))
@@ -242,37 +237,22 @@ def check_probability_completeness(seed: int) -> CheckResult:
     )
 
 
-def _small_circuits():
+def _small_circuits() -> list[Circuit]:
     """Representative circuits small enough for dense cross-checking."""
-    from .algorithms import _row_add_steps, _row_swap_steps, _trace_steps
-
-    row_add_layout = RegisterLayout(
-        (("R1", 2), ("C1", 2), ("R2", 2), ("B1", 1), ("B2", 1), ("B3", 1))
-    )
-    row_swap_layout = RegisterLayout(
-        (("R1", 1), ("C1", 2), ("R2", 1), ("C2", 1), ("B1", 1), ("B2", 2), ("B3", 1))
-    )
-    trace_layout = RegisterLayout((("R", 2), ("C", 2), ("A", 2), ("B1", 1), ("B2", 1)))
-    collected = [
-        (row_add_layout, _row_add_steps(2, 1)),
-        (row_swap_layout, _row_swap_steps(0, 1)),
-        (trace_layout, _trace_steps(2)),
-    ]
-    return collected
+    return [row_add_circuit(2, 2, 2, 1), row_swap_circuit(1, 2, 0, 1), trace_circuit(2)]
 
 
 def check_controlled_op_unitarity() -> CheckResult:
     worst = 0.0
     counted = 0
-    for layout, steps in _small_circuits():
-        for _, gates in steps:
-            for _, gate in gates:
-                if not isinstance(gate, ControlledOp):
-                    continue
-                counted += 1
-                unitary = dense_unitary_of(gate, layout)
-                gram = unitary.conj().T @ unitary
-                worst = max(worst, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
+    for circuit in _small_circuits():
+        for _, gate in circuit.gates():
+            if not isinstance(gate, ControlledOp):
+                continue
+            counted += 1
+            unitary = dense_unitary_of(gate, circuit.layout)
+            gram = unitary.conj().T @ unitary
+            worst = max(worst, float(np.max(np.abs(gram - np.eye(gram.shape[0])))))
     return CheckResult(
         "controlled-op-unitarity",
         worst <= TOL_NORM,
@@ -283,16 +263,14 @@ def check_controlled_op_unitarity() -> CheckResult:
 def check_gate_application_matches_dense(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for layout, steps in _small_circuits():
+    for circuit in _small_circuits():
+        layout = circuit.layout
         raw = _random_complex(rng, layout.size)
         state = StateVector(layout, raw / np.linalg.norm(raw))
         dense = state.amplitudes.copy()
-        from .gates import apply_gate
-
-        for _, gates in steps:
-            for _, gate in gates:
-                state = apply_gate(state, gate)
-                dense = dense_unitary_of(gate, layout) @ dense
+        for _, gate in circuit.gates():
+            state = apply_gate(state, gate)
+            dense = dense_unitary_of(gate, layout) @ dense
         worst = max(worst, float(np.max(np.abs(state.amplitudes - dense))))
     return CheckResult(
         "gate-application-matches-dense",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qmatops import (
     run_transpose,
     run_transpose_square,
 )
+from qmatops.algorithms import row_add_circuit, row_swap_circuit
 from qmatops.golden import (
     GOLDEN_FROBENIUS_SCALE,
     GOLDEN_K,
@@ -235,6 +237,15 @@ def test_transpose_rectangular_exact():
     assert np.array_equal(report.output_matrix, np.array(reference.matrix))
 
 
+@pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+def test_transpose_exact_at_extreme_magnitudes(magnitude):
+    rng = np.random.default_rng(18)
+    encoded = encode_matrix(random_matrix(rng, (4, 2)) * magnitude)
+    report = run_transpose(encoded)
+    assert report.success_probability == 1.0
+    assert np.array_equal(report.output_matrix, np.array(oracle_transpose(encoded.entries).matrix))
+
+
 def test_transpose_symmetric_fixed_point():
     matrix = np.array([[1.0, 2.0], [2.0, 1.0]])
     encoded = encode_matrix(matrix)
@@ -290,6 +301,30 @@ def test_gate_tally_reports_expected_steps():
         "step6-hadamard-mix",
     }
     assert report.gate_tally.per_step["step6-hadamard-mix"].single_qubit == 3
+
+
+def test_qubit_cap_refuses_before_building_ancilla_tables():
+    # 4096 rows need 41 qubits for a row swap, and the (R2, C2) ancilla
+    # table alone would take 256 MiB
+    encoded = encode_matrix(np.ones((4096, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense-array cap"):
+            run_row_swap(encoded, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_builders_need_no_matrix():
+    circuit = row_swap_circuit(12, 12, 3, 7)
+    assert circuit.layout.total_qubits == 52
+    assert circuit.gates()[0][0] == "step2-mark-distinct-pair"
+    with pytest.raises(ValueError, match="distinct"):
+        row_add_circuit(2, 2, 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        row_swap_circuit(2, 2, 0, 4)
 
 
 @settings(max_examples=15, deadline=None)

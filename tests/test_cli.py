@@ -185,6 +185,23 @@ def test_malformed_file_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["row-add", "--k", "0", "--l", "1"],
+        ["row-swap", "--k", "0", "--l", "1"],
+        ["trace"],
+        ["transpose"],
+        ["transpose-square"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_file_reports_error(tmp_path, capsys, argv):
+    missing = tmp_path / "missing.json"
+    assert main(argv + ["--input", str(missing)]) == 1
+    assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
 def test_equal_rows_rejected(matrix_file, capsys):
     code = main(["row-swap", "--input", matrix_file(np.eye(2)), "--k", "1", "--l", "1"])
     assert code == 1

@@ -3,6 +3,10 @@ import pytest
 
 from qmatops import CLAIMS, SCALING_WIDTHS, encode_matrix, measure_scaling
 from qmatops import run_row_add, run_row_swap, run_trace
+from qmatops import algorithms
+from qmatops.algorithms import trace_circuit
+from qmatops.complexity import MAX_WIDTH
+from qmatops.gates import tally_gates
 
 
 def counts_by_width(algorithm, widths, step, metric):
@@ -105,3 +109,22 @@ def test_scaling_report_serializes():
     }
     for fit in document["fits"].values():
         assert len(fit["counts"]) == 2
+
+
+def test_scaling_tallies_every_width_without_simulating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure_scaling allocated a state")
+
+    monkeypatch.setattr(algorithms, "prepare_product_state", refuse)
+    for algorithm in CLAIMS:
+        report = measure_scaling(algorithm, widths=range(1, MAX_WIDTH + 1), seed=0)
+        assert report.all_passed(), algorithm
+    # 29 qubits, beyond what the simulator may allocate
+    assert measure_scaling("trace", widths=[2, 9], seed=0).all_passed()
+
+
+def test_trace_tally_past_the_old_control_cap():
+    # n = 8 is the widest simulable trace (26 qubits); step 5 has 3n+1 controls
+    circuit = trace_circuit(8)
+    tally = tally_gates(circuit.gates(), circuit.layout)
+    assert tally.per_step["step5-remark-useful"].toffoli == 48

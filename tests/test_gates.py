@@ -109,6 +109,67 @@ def test_controlled_ops_are_involutions(seed):
         np.testing.assert_array_equal(twice.amplitudes, state.amplitudes)
 
 
+@st.composite
+def random_circuits(draw):
+    """A layout of at most 8 qubits and a random gate sequence over it."""
+    widths = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda w: sum(w) <= 8)
+    )
+    registers = tuple((f"Q{i}", width) for i, width in enumerate(widths))
+    qubits = [(name, q) for name, width in registers for q in range(width)]
+
+    def projector(busy):
+        """Conditions on whole registers and single qubits outside ``busy``."""
+        free = [(n, w) for n, w in registers if not any((n, q) in busy for q in range(w))]
+        chosen = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+        values = tuple((n, draw(st.integers(0, (1 << w) - 1))) for n, w in chosen)
+        busy = busy | {(n, q) for n, w in chosen for q in range(w)}
+        loose = [pair for pair in qubits if pair not in busy]
+        picked = draw(st.lists(st.sampled_from(loose), unique=True)) if loose else []
+        bits = tuple((n, q, draw(st.integers(0, 1))) for n, q in picked)
+        return Projector(register_values=values, qubit_bits=bits)
+
+    same_width = [
+        (a, b) for a, wa in registers for b, wb in registers if a < b and wa == wb
+    ]
+    kinds = ["flip", "hadamard"] + (["cswap", "regswap"] if same_width else [])
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind == "flip":
+            target = draw(st.sampled_from(qubits))
+            gates.append(ControlledOp(projector({target}), FlipQubit(*target)))
+        elif kind == "hadamard":
+            # a whole register or a single qubit, never covering a qubit twice
+            options = [(n, {(n, q) for q in range(w)}) for n, w in registers]
+            options += [(pair, {pair}) for pair in qubits]
+            targets, covered = [], set()
+            for target, positions in draw(st.lists(st.sampled_from(options), min_size=1)):
+                if not positions & covered:
+                    covered |= positions
+                    targets.append(target)
+            gates.append(HadamardLayer(tuple(targets)))
+        else:
+            a, b = draw(st.sampled_from(same_width))
+            if kind == "regswap":
+                gates.append(RegisterSwapGate(a, b))
+            else:
+                busy = {(n, q) for n, w in registers if n in (a, b) for q in range(w)}
+                gates.append(ControlledOp(projector(busy), SwapRegisters(a, b)))
+    return RegisterLayout(registers), gates
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_gate_application_matches_dense_unitaries(circuit, seed):
+    layout, gates = circuit
+    state = random_state(layout, seed)
+    dense = state.amplitudes.copy()
+    for gate in gates:
+        state = apply_gate(state, gate)
+        dense = dense_unitary_of(gate, layout) @ dense
+    np.testing.assert_allclose(state.amplitudes, dense, rtol=0, atol=1e-12)
+
+
 def test_hadamard_layer_uniform_superposition():
     layout = RegisterLayout((("B1", 1), ("B2", 1)))
     ground = StateVector(layout, [1, 0, 0, 0])
@@ -208,11 +269,14 @@ def test_mcx_rejects_bad_arguments():
     with pytest.raises(ValueError):
         decompose_mcx(0)
     with pytest.raises(ValueError):
-        decompose_mcx(25)
-    with pytest.raises(ValueError):
         decompose_mcx(2, (1,))
     with pytest.raises(ValueError):
         decompose_mcx(2, (1, 2))
+
+
+def test_mcx_ladder_has_no_control_cap():
+    counts = decompose_mcx(37).counts()
+    assert (counts.toffoli, counts.cnot) == (72, 1)
 
 
 # --- tallying -------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_layout_rejects_duplicates_zero_width_and_overflow():
         RegisterLayout((("R", 2), ("R", 1)))
     with pytest.raises(ValueError):
         RegisterLayout((("R", 0),))
-    with pytest.raises(ValueError):
-        RegisterLayout((("R", 27),))
+    # layouts are unbounded; the qubit cap applies where a state is allocated
+    wide = RegisterLayout((("R", 27),))
+    with pytest.raises(ValueError, match="dense-array cap"):
+        prepare_product_state(wide, ())
 
 
 def test_layout_pattern_rejects_out_of_range_value():
@@ -102,6 +104,26 @@ def test_encode_rejects_zero_and_nonfinite():
         encode_matrix([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(ValueError):
         encode_matrix([1.0, 2.0])
+
+
+@pytest.mark.parametrize("exponent", [665, -565])
+def test_encode_extreme_magnitudes(exponent):
+    # 2^665 ~ 1e200 squares to overflow, 2^-565 ~ 1e-170 to underflow;
+    # scaling by a power of two is exact, so the unit matrix is known
+    rng = np.random.default_rng(11)
+    base = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    encoded = encode_matrix(np.ldexp(base.real, exponent) + 1j * np.ldexp(base.imag, exponent))
+    base_norm = np.linalg.norm(base)
+    np.testing.assert_allclose(encoded.entries[:3, :5], base / base_norm, rtol=0, atol=1e-12)
+    assert encoded.frobenius_scale == pytest.approx(math.ldexp(base_norm, exponent), rel=1e-12)
+    for value in (math.ldexp(1.0, exponent), 1e200, 1e-170):
+        flat = encode_matrix(np.full((2, 2), value))
+        np.testing.assert_allclose(flat.entries, np.full((2, 2), 0.5), rtol=0, atol=1e-12)
+
+
+def test_encode_rejects_norm_beyond_float_range():
+    with pytest.raises(ValueError, match="overflows"):
+        encode_matrix(np.full((2, 2), 1.5e308))
 
 
 def test_restored_round_trips_the_original():
