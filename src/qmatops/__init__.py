@@ -26,12 +26,8 @@ from .gates import (
     McxNetwork,
     Projector,
     RegisterSwapGate,
-    SwapQubits,
     SwapRegisters,
-    apply_controlled,
     apply_gate,
-    apply_hadamard_layer,
-    apply_register_swap,
     decompose_mcx,
     tally_gates,
 )
@@ -81,12 +77,8 @@ __all__ = [
     "SCALING_WIDTHS",
     "ScalingReport",
     "StateVector",
-    "SwapQubits",
     "SwapRegisters",
-    "apply_controlled",
     "apply_gate",
-    "apply_hadamard_layer",
-    "apply_register_swap",
     "decode_matrix",
     "decompose_mcx",
     "dense_mcx",

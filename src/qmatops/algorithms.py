@@ -35,6 +35,8 @@ from .state import (
     StateVector,
     decode_matrix,
     prepare_product_state,
+    qubit_index,
+    qubit_view,
 )
 
 ZERO_PROBABILITY_FLOOR = 1e-300
@@ -74,15 +76,17 @@ class PostSelection:
 
 
 def post_select(state: StateVector, pattern: Mapping[str, int]) -> PostSelection:
-    mask, bits = state.layout.pattern(pattern)
-    indices = np.arange(state.layout.size, dtype=np.int64)
-    selected = (indices & mask) == bits
-    amplitudes = state.amplitudes
-    probability = float(np.sum(np.abs(amplitudes[selected]) ** 2))
+    layout = state.layout
+    selected = qubit_index(layout, pattern)
+    kept = qubit_view(state.amplitudes, layout)[selected]
+    # summed flat in basis-index order, as a gather of the subspace would be
+    probability = float(np.sum(np.abs(kept).ravel() ** 2))
     renormalized = None
     if probability > ZERO_PROBABILITY_FLOOR:
-        kept = np.where(selected, amplitudes, 0.0) / math.sqrt(probability)
-        renormalized = StateVector(state.layout, kept)
+        amplitudes = np.zeros(layout.size, dtype=np.complex128)
+        np.divide(kept, math.sqrt(probability), out=qubit_view(amplitudes, layout)[selected])
+        amplitudes.setflags(write=False)
+        renormalized = StateVector(layout, amplitudes)
     return PostSelection(dict(pattern), probability, renormalized)
 
 
@@ -371,12 +375,10 @@ def simulate(
 
     if circuit.accept is None:
         selection, readout = None, state
-        mask, bits = layout.pattern(circuit.decode[2])
-        indices = np.arange(layout.size, dtype=np.int64)
-        leaked = state.amplitudes[(indices & mask) != bits]
+        inside = qubit_view(state.amplitudes, layout)[qubit_index(layout, circuit.decode[2])]
         probability = 1.0
-        if np.any(leaked != 0):
-            probability -= float(np.sum(np.abs(leaked) ** 2)) / state.norm_squared
+        if np.count_nonzero(inside) != np.count_nonzero(state.amplitudes):
+            probability = float(np.sum(np.abs(inside) ** 2)) / state.norm_squared
     else:
         selection = post_select(state, circuit.accept)
         readout, probability = selection.renormalized_state, selection.probability
@@ -448,13 +450,10 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     def check_marking(label: str, current: StateVector) -> None:
         if label != "step2-mark-diagonal":
             return
-        indices = np.arange(layout.size, dtype=np.int64)
-        occupied = current.amplitudes != 0
-        rows = layout.extract(indices, "R")
-        cols = layout.extract(indices, "C")
-        marks = layout.extract(indices, "A")
+        occupied = np.flatnonzero(current.amplitudes)
+        rows, cols, marks, _, _ = np.unravel_index(occupied, layout.shape)
         expected = ~(rows ^ cols) & (dimension - 1)
-        if np.any(occupied & (marks != expected)):
+        if np.any(marks != expected):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
     run = simulate(circuit, matrix.entries, record_steps, check_marking)

@@ -38,9 +38,9 @@ def _step_dump(report: RunReport) -> list[dict]:
         layout = state.layout
         occupied = np.nonzero(state.amplitudes)[0][:AMPLITUDE_DUMP_CAP]
         amplitudes = []
-        for index in occupied:
+        for index, *values in zip(occupied, *np.unravel_index(occupied, layout.shape)):
             value = state.amplitudes[index]
-            entry = {name: int(layout.extract(int(index), name)) for name in layout.names}
+            entry = {name: int(v) for name, v in zip(layout.names, values)}
             entry["re"] = float(value.real)
             entry["im"] = float(value.imag)
             amplitudes.append(entry)
@@ -91,8 +91,6 @@ def _algorithm_document(command: str, args, encoded: EncodedMatrix, report: RunR
     if report.normalization is not None and command == "row-add":
         doc["normalization_G"] = report.normalization
     if args.shots is not None:
-        if args.shots < 1:
-            raise ValueError("--shots must be a positive integer")
         rng = np.random.default_rng(args.seed)
         hits = rng.random(args.shots) < report.success_probability
         doc["shots"] = args.shots
@@ -103,6 +101,8 @@ def _algorithm_document(command: str, args, encoded: EncodedMatrix, report: RunR
 
 
 def _run_algorithm(command: str, args) -> int:
+    if args.shots is not None and args.shots < 1:
+        raise ValueError("--shots must be a positive integer")
     matrix = load_matrix(args.input)
     encoded = encode_matrix(matrix)
     record = bool(args.verbose)

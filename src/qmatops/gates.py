@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, StateVector
+from .state import RegisterLayout, StateVector, qubit_index, qubit_view
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -19,13 +19,9 @@ __all__ = [
     "Projector",
     "FlipQubit",
     "SwapRegisters",
-    "SwapQubits",
     "ControlledOp",
     "HadamardLayer",
     "RegisterSwapGate",
-    "apply_controlled",
-    "apply_hadamard_layer",
-    "apply_register_swap",
     "apply_gate",
     "NetworkGate",
     "McxNetwork",
@@ -51,12 +47,9 @@ class Projector:
         if len(dict(self.register_values)) != len(self.register_values):
             raise ValueError("register conditioned more than once")
         for name, qubit, bit in self.qubit_bits:
-            width = layout.width(name)
-            if not 0 <= qubit < width:
-                raise ValueError(f"qubit {qubit} out of range for register {name!r}")
+            position = _qubit_bit(layout, name, qubit)
             if bit not in (0, 1):
                 raise ValueError(f"condition bit must be 0 or 1, got {bit}")
-            position = 1 << (layout.field_shift(name) + width - 1 - qubit)
             if mask & position:
                 raise ValueError(f"qubit {qubit} of {name!r} conditioned more than once")
             mask |= position
@@ -77,13 +70,7 @@ class SwapRegisters:
     reg_b: str
 
 
-@dataclass(frozen=True)
-class SwapQubits:
-    pair_a: tuple[str, int]
-    pair_b: tuple[str, int]
-
-
-Action = Union[FlipQubit, SwapRegisters, SwapQubits]
+Action = Union[FlipQubit, SwapRegisters]
 
 
 @dataclass(frozen=True)
@@ -113,14 +100,19 @@ class RegisterSwapGate:
 Gate = Union[ControlledOp, HadamardLayer, RegisterSwapGate]
 
 
-def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
-    width = layout.width(register)
-    if not 0 <= qubit < width:
+def _qubit_axis(layout: RegisterLayout, register: str, qubit: int) -> int:
+    """Axis of one qubit in the qubit view; axis 0 is the most significant bit."""
+    if not 0 <= qubit < layout.width(register):
         raise ValueError(f"qubit {qubit} out of range for register {register!r}")
-    return 1 << (layout.field_shift(register) + width - 1 - qubit)
+    return layout.offset(register) + qubit
 
 
-def _swap_image(layout, indices, reg_a, reg_b):
+def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
+    return 1 << (layout.total_qubits - 1 - _qubit_axis(layout, register, qubit))
+
+
+def _swapped_axes(layout: RegisterLayout, reg_a: str, reg_b: str) -> list[int]:
+    """Qubit axes in layout order with the axes of two registers exchanged."""
     if layout.width(reg_a) != layout.width(reg_b):
         raise ValueError(
             f"cannot swap registers of different widths: "
@@ -128,43 +120,44 @@ def _swap_image(layout, indices, reg_a, reg_b):
         )
     if reg_a == reg_b:
         raise ValueError("cannot swap a register with itself")
-    diff = layout.extract(indices, reg_a) ^ layout.extract(indices, reg_b)
-    return indices ^ (diff << layout.field_shift(reg_a)) ^ (diff << layout.field_shift(reg_b))
+    axes = list(range(layout.total_qubits))
+    a, b, width = layout.offset(reg_a), layout.offset(reg_b), layout.width(reg_a)
+    axes[a : a + width], axes[b : b + width] = axes[b : b + width], axes[a : a + width]
+    return axes
 
 
-def apply_controlled(state: StateVector, op: ControlledOp) -> StateVector:
-    """Exact permutation application of a projector-controlled flip or swap."""
+def _apply_controlled(state: StateVector, op: ControlledOp) -> StateVector:
+    """Exact permutation application of a projector-controlled flip or swap:
+    a flip exchanges the two halves of the projector's subspace along the
+    target axis, a swap assigns the subspace from an axis-transposed view."""
     layout = state.layout
     mask, bits = op.projector.resolve(layout)
-    indices = np.arange(layout.size, dtype=np.int64)
-    selected = (indices & mask) == bits
     action = op.action
-
+    source = qubit_view(state.amplitudes, layout)
     if isinstance(action, FlipQubit):
-        target = _qubit_bit(layout, action.register, action.qubit)
-        if target & mask:
+        flip = _qubit_bit(layout, action.register, action.qubit)
+        if flip & mask:
             raise ValueError("flip target overlaps the projector's qubits")
-        image = indices ^ target
+        low = qubit_index(layout, (mask | flip, bits))
+        high = qubit_index(layout, (mask | flip, bits | flip))
+        moves = ((low, high), (high, low))
     elif isinstance(action, SwapRegisters):
         for name in (action.reg_a, action.reg_b):
             if layout.field_mask(name) & mask:
                 raise ValueError("swap target overlaps the projector's qubits")
-        image = _swap_image(layout, indices, action.reg_a, action.reg_b)
-    elif isinstance(action, SwapQubits):
-        bit_a = _qubit_bit(layout, *action.pair_a)
-        bit_b = _qubit_bit(layout, *action.pair_b)
-        if bit_a == bit_b:
-            raise ValueError("cannot swap a qubit with itself")
-        if (bit_a | bit_b) & mask:
-            raise ValueError("swap target overlaps the projector's qubits")
-        differ = ((indices & bit_a) != 0) ^ ((indices & bit_b) != 0)
-        image = np.where(differ, indices ^ (bit_a | bit_b), indices)
+        source = source.transpose(_swapped_axes(layout, action.reg_a, action.reg_b))
+        selected = qubit_index(layout, (mask, bits))
+        moves = ((selected, selected),)
     else:
         raise TypeError(f"unknown action {action!r}")
 
-    # the permutation is an involution, so a gather along it applies it
-    perm = np.where(selected, image, indices)
-    return StateVector(layout, state.amplitudes[perm])
+    # with no condition the moves write every amplitude, so nothing is copied first
+    out = np.empty_like(state.amplitudes) if mask == 0 else state.amplitudes.copy()
+    target = qubit_view(out, layout)
+    for into, read in moves:
+        target[into] = source[read]
+    out.setflags(write=False)
+    return StateVector(layout, out)
 
 
 def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
@@ -174,17 +167,13 @@ def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
             offset = layout.offset(target)
             positions.extend(range(offset, offset + layout.width(target)))
         else:
-            name, qubit = target
-            width = layout.width(name)
-            if not 0 <= qubit < width:
-                raise ValueError(f"qubit {qubit} out of range for register {name!r}")
-            positions.append(layout.offset(name) + qubit)
+            positions.append(_qubit_axis(layout, *target))
     if len(set(positions)) != len(positions):
         raise ValueError("duplicate Hadamard target")
     return positions
 
 
-def apply_hadamard_layer(state: StateVector, layer: HadamardLayer) -> StateVector:
+def _apply_hadamard_layer(state: StateVector, layer: HadamardLayer) -> StateVector:
     layout = state.layout
     positions = _hadamard_positions(layout, layer.targets)
     work = state.amplitudes.copy()
@@ -196,22 +185,19 @@ def apply_hadamard_layer(state: StateVector, layer: HadamardLayer) -> StateVecto
         difference = (upper - lower) * _INV_SQRT2
         view[:, 0, :] = total
         view[:, 1, :] = difference
+    work.setflags(write=False)
     return StateVector(layout, work)
 
 
-def apply_register_swap(state: StateVector, gate: RegisterSwapGate) -> StateVector:
-    indices = np.arange(state.layout.size, dtype=np.int64)
-    perm = _swap_image(state.layout, indices, gate.reg_a, gate.reg_b)
-    return StateVector(state.layout, state.amplitudes[perm])
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    if isinstance(gate, ControlledOp):
-        return apply_controlled(state, gate)
-    if isinstance(gate, HadamardLayer):
-        return apply_hadamard_layer(state, gate)
+    """Apply one gate to a copy of ``state``.  Every gate but a Hadamard
+    layer only copies amplitudes, so its result is exact."""
     if isinstance(gate, RegisterSwapGate):
-        return apply_register_swap(state, gate)
+        gate = ControlledOp(Projector(), SwapRegisters(gate.reg_a, gate.reg_b))
+    if isinstance(gate, ControlledOp):
+        return _apply_controlled(state, gate)
+    if isinstance(gate, HadamardLayer):
+        return _apply_hadamard_layer(state, gate)
     raise TypeError(f"unknown gate {gate!r}")
 
 
@@ -360,7 +346,7 @@ def op_counts(gate: Gate, layout: RegisterLayout) -> GateCounts:
             return GateCounts(single_qubit=1)
         return decompose_mcx(num_controls, polarity).counts()
 
-    pairs = layout.width(action.reg_a) if isinstance(action, SwapRegisters) else 1
+    pairs = layout.width(action.reg_a)
     if num_controls == 0:
         return GateCounts(swap=pairs)
     # each controlled qubit-pair swap is CNOT, (c+1)-control flip, CNOT

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ControlledOp, FlipQubit, HadamardLayer, McxNetwork, RegisterSwapGate, SwapQubits, SwapRegisters
+from .gates import ControlledOp, FlipQubit, HadamardLayer, McxNetwork, RegisterSwapGate, SwapRegisters
 from .state import RegisterLayout
 
 DENSE_QUBIT_CAP = 12
@@ -222,14 +222,6 @@ def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
                 vb = _field_value(source, ob, wb, total)
                 image = _replace_field(source, oa, wa, total, vb)
                 image = _replace_field(image, ob, wb, total, va)
-            elif isinstance(action, SwapQubits):
-                (na, qa), (nb, qb) = action.pair_a, action.pair_b
-                pa = fields[na][0] + qa
-                pb = fields[nb][0] + qb
-                ba = _field_value(source, pa, 1, total)
-                bb = _field_value(source, pb, 1, total)
-                image = _replace_field(source, pa, 1, total, bb)
-                image = _replace_field(image, pb, 1, total, ba)
             else:
                 raise TypeError(f"unknown action {action!r}")
             unitary[image, source] = 1.0

@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 # widest layout that may be simulated; layouts themselves are unbounded, so
-# gate tallies reach any width
+# gate tallies reach any width.  qubit_view gives every qubit its own array
+# dimension, so this must stay within numpy's dimension limit (32 on numpy 1.x)
 MAX_QUBITS = 26
 
 PART_NORM_TOL = 1e-9
@@ -37,6 +38,8 @@ __all__ = [
     "matrix_state",
     "prepare_product_state",
     "decode_matrix",
+    "qubit_view",
+    "qubit_index",
 ]
 
 
@@ -95,6 +98,12 @@ class RegisterLayout:
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.registers)
 
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """Dimension of each register; ``np.unravel_index`` over it splits a
+        basis index into register values."""
+        return tuple(1 << width for _, width in self.registers)
+
     def __contains__(self, name: str) -> bool:
         return name in self._fields
 
@@ -120,11 +129,6 @@ class RegisterLayout:
         offset, width = self._field(name)
         return ((1 << width) - 1) << self.field_shift(name)
 
-    def extract(self, indices, name: str):
-        """Value of register ``name`` in each basis index (scalar or array)."""
-        offset, width = self._field(name)
-        return (indices >> self.field_shift(name)) & ((1 << width) - 1)
-
     def pattern(self, values: Mapping[str, int]) -> tuple[int, int]:
         """Resolve a register->value mapping to a (mask, bits) index pattern."""
         mask = 0
@@ -147,6 +151,28 @@ class RegisterLayout:
             missing = [name for name in self.names if name not in values]
             raise ValueError(f"assignment incomplete, missing {missing}")
         return bits
+
+
+def qubit_view(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
+    """``amplitudes`` as a ``(2,) * N`` array with one axis per qubit in
+    layout order, axis 0 being the most significant bit; a view, not a copy."""
+    return amplitudes.reshape((2,) * layout.total_qubits)
+
+
+def qubit_index(
+    layout: RegisterLayout, selection: tuple[int, int] | Mapping[str, int]
+) -> tuple:
+    """Index tuple over ``qubit_view`` selecting the basis states s with
+    ``s & mask == bits``, for a ``(mask, bits)`` pair or a register->value
+    mapping.  It fixes each conditioned qubit's axis to its bit; the closing
+    Ellipsis keeps the result a view even when every axis is fixed."""
+    mask, bits = selection if isinstance(selection, tuple) else layout.pattern(selection)
+    index: list = [slice(None)] * layout.total_qubits
+    while mask:
+        low = mask & -mask
+        index[layout.total_qubits - low.bit_length()] = 1 if bits & low else 0
+        mask ^= low
+    return (*index, Ellipsis)
 
 
 @dataclass(frozen=True)
@@ -392,7 +418,9 @@ def prepare_product_state(
             ground[0] = 1.0
             factors.append(ground)
             pos += 1
-    amplitudes = reduce(np.kron, factors)
+    # a lone factor may be the caller's own table, so the state copies it
+    amplitudes = reduce(np.kron, factors) if len(factors) > 1 else factors[0].copy()
+    amplitudes.setflags(write=False)
     return StateVector(layout, amplitudes)
 
 
@@ -421,14 +449,14 @@ def decode_matrix(
             f"decode must mention every register exactly once "
             f"(unknown: {extra}, unpinned: {missing})"
         )
-    _, base = layout.pattern(fixed)
     n = layout.width(row_register)
     m = layout.width(col_register)
-    row_part = np.arange(1 << n, dtype=np.int64) << layout.field_shift(row_register)
-    col_part = np.arange(1 << m, dtype=np.int64) << layout.field_shift(col_register)
-    grid = base + row_part[:, None] + col_part[None, :]
-    out = state.amplitudes[grid]
-    total = float(np.sum(np.abs(state.amplitudes) ** 2))
+    pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
+    if layout.offset(col_register) < layout.offset(row_register):
+        # the pinned view keeps layout order; move the column axes last
+        pinned = np.moveaxis(pinned, range(m), range(n, n + m))
+    out = np.array(pinned, order="C").reshape(1 << n, 1 << m)
+    total = state.norm_squared
     inside = float(np.sum(np.abs(out) ** 2))
     if total - inside > DECODE_MASS_TOL:
         raise ValueError(

@@ -352,6 +352,8 @@ def check_trace_transpose_consistency(suite: list[SuiteCase]) -> CheckResult:
 
 
 def run_all_checks(seed: int = 0, matrices: int = 200) -> list[CheckResult]:
+    if matrices < 1:
+        raise ValueError(f"the random-matrix suite needs at least 1 matrix, got {matrices}")
     suite = build_suite(seed, matrices)
     return [
         check_golden_walkthrough(),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmatops import encode_matrix, oracle_row_swap, save_matrix
+from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, save_matrix
 from qmatops.cli import main
 from qmatops.matio import load_matrix, matrix_to_payload, payload_to_matrix
 
@@ -157,6 +157,19 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     assert all(entry["passed"] for entry in document["checks"])
 
 
+@pytest.mark.parametrize("matrices", [0, -3])
+def test_run_all_checks_rejects_empty_suite(matrices):
+    with pytest.raises(ValueError, match="at least 1 matrix"):
+        run_all_checks(matrices=matrices)
+
+
+def test_verify_subcommand_rejects_empty_suite(capsys):
+    assert main(["verify", "--matrices", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "checks passed" not in captured.out
+    assert "error: the random-matrix suite needs at least 1 matrix" in captured.err
+
+
 def test_scaling_subcommand_passes(capsys):
     code = main(["scaling", "--algorithm", "trace", "--widths", "1,2,3"])
     captured = capsys.readouterr().out
@@ -218,3 +231,14 @@ def test_zero_shots_rejected(matrix_file, capsys):
     code = main(["trace", "--input", matrix_file(np.eye(2)), "--shots", "0"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_zero_shots_rejected_before_simulating(matrix_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated despite an invalid --shots")
+
+    for name in ("run_row_add", "run_row_swap", "run_trace", "run_transpose", "run_transpose_square"):
+        monkeypatch.setattr(cli, name, refuse)
+    code = main(["row-swap", "--input", matrix_file(np.eye(2)), "--k", "0", "--l", "1", "--shots", "0"])
+    assert code == 1
+    assert "error: --shots must be a positive integer" in capsys.readouterr().err

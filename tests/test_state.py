@@ -32,15 +32,8 @@ def test_layout_bit_order_is_most_significant_first():
     assert layout.total_qubits == 3
     # R=2 (binary 10), C=1 packs to index 101
     assert layout.basis_index({"R": 2, "C": 1}) == 0b101
-    assert layout.extract(0b101, "R") == 2
-    assert layout.extract(0b101, "C") == 1
-
-
-def test_layout_extract_is_vectorized():
-    layout = RegisterLayout((("A", 2), ("B", 2)))
-    indices = np.arange(16)
-    np.testing.assert_array_equal(layout.extract(indices, "A"), indices >> 2)
-    np.testing.assert_array_equal(layout.extract(indices, "B"), indices & 3)
+    assert layout.shape == (4, 2)
+    assert np.unravel_index(0b101, layout.shape) == (2, 1)
 
 
 def test_layout_rejects_duplicates_zero_width_and_overflow():
@@ -217,6 +210,26 @@ def test_decode_requires_full_register_coverage():
         decode_matrix(state, "R", "C", {})
     with pytest.raises(ValueError):
         decode_matrix(state, "R", "R", {"B": 0, "C": 0})
+
+
+@pytest.mark.parametrize(
+    "registers",
+    [(("R", 2), ("B", 1), ("C", 1)), (("C", 1), ("B", 1), ("R", 2))],
+    ids=["row-first", "column-first"],
+)
+def test_decode_reads_entry_ij_from_row_i_column_j(registers):
+    layout = RegisterLayout(registers)
+    rng = np.random.default_rng(12)
+    amplitudes = random_unit(rng, layout.size)
+    for index in range(layout.size):
+        if np.unravel_index(index, layout.shape)[layout.names.index("B")] == 0:
+            amplitudes[index] = 0
+    state = StateVector(layout, amplitudes / np.linalg.norm(amplitudes))
+    decoded = decode_matrix(state, "R", "C", {"B": 1})
+    expected = [
+        [state.amplitude({"R": i, "C": j, "B": 1}) for j in range(2)] for i in range(4)
+    ]
+    np.testing.assert_array_equal(decoded, expected)
 
 
 def test_decode_applies_no_renormalization():
