@@ -32,6 +32,7 @@ from .state import (
     AncillaVector,
     EncodedMatrix,
     RegisterLayout,
+    StateBuffer,
     StateVector,
     decode_matrix,
     prepare_product_state,
@@ -345,15 +346,20 @@ def simulate(
     circuit: Circuit,
     entries: np.ndarray,
     record_steps: bool = False,
-    after_step: Callable[[str, StateVector], None] | None = None,
+    after_step: Callable[[str, StateBuffer], None] | None = None,
 ) -> Simulation:
     """Load ``entries`` into the circuit's matrix registers and run it.
 
     Prepares the product state, applies the steps, tallies the gates,
-    post-selects on the accept pattern and decodes the output.  A circuit
-    that discards nothing is a pure permutation, so its probability is
-    reported as an exact 1.0 once the mass outside the read-out subspace is
-    checked to be exactly zero.
+    post-selects on the accept pattern and decodes the output.  The run owns
+    one ``StateBuffer`` that every gate changes in place.  ``after_step``
+    gets that buffer after each stage; it is valid only during the callback.
+    With ``record_steps`` each stage boundary is copied into a frozen
+    snapshot, except the last, whose snapshot is the final buffer itself.
+
+    A circuit that discards nothing is a pure permutation, so its
+    probability is reported as an exact 1.0 once the mass outside the
+    read-out subspace is checked to be exactly zero.
     """
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
@@ -362,15 +368,26 @@ def simulate(
         [(circuit.matrix_registers, entries.ravel())],
         ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
     )
-    state = prepare_product_state(layout, parts)
-    records = [_snapshot("phi_0", state)] if record_steps else None
+    prepared = prepare_product_state(layout, parts)
+    records = None
+    if record_steps:
+        # the phi_0 record keeps the prepared state, so the run works on a copy
+        records = [_snapshot("phi_0", prepared)]
+        buffer = StateBuffer(layout, prepared.amplitudes.copy())
+    else:
+        buffer = StateBuffer.adopt(prepared)
+    # dropped, so that a gate that rebinds the buffer frees the prepared array
+    del prepared
     for position, (label, gates) in enumerate(circuit.steps, start=1):
         for _, gate in gates:
-            state = apply_gate(state, gate)
+            buffer = apply_gate(buffer, gate)
         if after_step is not None:
-            after_step(label, state)
-        if records is not None:
-            records.append(_snapshot(f"phi_{position}", state))
+            after_step(label, buffer)
+        if records is not None and position < len(circuit.steps):
+            records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
+    state = buffer.freeze()
+    if records is not None:
+        records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
     tally = tally_gates(circuit.gates(), layout)
 
     if circuit.accept is None:
@@ -447,7 +464,7 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     circuit = trace_circuit(n)
     layout = circuit.layout
 
-    def check_marking(label: str, current: StateVector) -> None:
+    def check_marking(label: str, current: StateBuffer) -> None:
         if label != "step2-mark-diagonal":
             return
         occupied = np.flatnonzero(current.amplitudes)

@@ -20,6 +20,8 @@ from .state import EncodedMatrix, encode_matrix
 from .verify import SCALING_WIDTHS, run_all_checks
 
 AMPLITUDE_DUMP_CAP = 4096
+# amplitudes scanned per step while looking for the first occupied ones
+DUMP_SCAN_CHUNK = 1 << 16
 BRANCH_TOL = 1e-10
 
 
@@ -31,12 +33,26 @@ def _write_document(doc: dict, output: str | None) -> None:
         Path(output).write_text(text)
 
 
+def _first_occupied(amplitudes: np.ndarray, cap: int) -> np.ndarray:
+    """Indices of the first ``cap`` nonzero amplitudes, in index order; the
+    scan goes chunk by chunk and stops once it has found them."""
+    found = []
+    wanted = cap
+    for start in range(0, amplitudes.size, DUMP_SCAN_CHUNK):
+        hits = np.flatnonzero(amplitudes[start : start + DUMP_SCAN_CHUNK])[:wanted]
+        found.append(hits + start)
+        wanted -= hits.size
+        if wanted == 0:
+            break
+    return np.concatenate(found)
+
+
 def _step_dump(report: RunReport) -> list[dict]:
     steps = []
     for record in report.step_states or ():
         state = record.state
         layout = state.layout
-        occupied = np.nonzero(state.amplitudes)[0][:AMPLITUDE_DUMP_CAP]
+        occupied = _first_occupied(state.amplitudes, AMPLITUDE_DUMP_CAP)
         amplitudes = []
         for index, *values in zip(occupied, *np.unravel_index(occupied, layout.shape)):
             value = state.amplitudes[index]

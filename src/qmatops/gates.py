@@ -1,19 +1,38 @@
 """Projector-controlled primitives, Hadamard layers, and gate accounting.
 
-Every gate here except the Hadamard layer is a basis-state permutation, so
-application is exact: amplitudes move, they are never recombined.
+Each gate has one kernel, which changes the amplitude array of a run's
+``StateBuffer`` in place; given a frozen ``StateVector``, ``apply_gate``
+runs the same kernel on a new array.  Every gate here except the Hadamard
+layer is a basis-state permutation, so application is exact: amplitudes
+move, they are never recombined.  A Hadamard layer runs its butterflies in
+place, cache block by cache block where they fit in one, with the
+arithmetic of one whole-state butterfly per qubit in the same order, so its
+result is bitwise the same as that.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, StateVector, qubit_index, qubit_view
+from .state import RegisterLayout, StateBuffer, StateVector, qubit_index, qubit_view
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# A run of consecutive Hadamard butterflies whose amplitude pairs lie less
+# than this many amplitudes apart (2^15 complex128, 512 KiB: a block that
+# stays in a 1-4 MiB L2 cache) is applied block by block.
+HADAMARD_BLOCK = 1 << 15
+# Butterflies run in pieces of at most this many pairs, through three scratch
+# arrays of that length (64 KiB each) instead of half-state temporaries.
+HADAMARD_PIECE = 1 << 12
+# numpy loops over rows shorter than this more slowly than over a strided
+# column, so butterflies between closer amplitudes run column by column
+# wherever a column fills a piece.
+HADAMARD_MIN_ROW = 8
 
 __all__ = [
     "Projector",
@@ -126,38 +145,45 @@ def _swapped_axes(layout: RegisterLayout, reg_a: str, reg_b: str) -> list[int]:
     return axes
 
 
-def _apply_controlled(state: StateVector, op: ControlledOp) -> StateVector:
-    """Exact permutation application of a projector-controlled flip or swap:
-    a flip exchanges the two halves of the projector's subspace along the
-    target axis, a swap assigns the subspace from an axis-transposed view."""
-    layout = state.layout
+# The kernels below read ``source`` and write ``out``, which is ``source``
+# itself (in place) or None for a new array; each returns the array that
+# holds the result.
+
+
+def _apply_controlled(
+    layout: RegisterLayout, op: ControlledOp, source: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """Exact permutation kernel of a projector-controlled flip or swap: the
+    projector's subspace is assigned from a permuted view, reversed along
+    the target axis for a flip (its two halves trade places) and with the
+    two registers' axes exchanged for a swap."""
     mask, bits = op.projector.resolve(layout)
     action = op.action
-    source = qubit_view(state.amplitudes, layout)
+    view = qubit_view(source, layout)
     if isinstance(action, FlipQubit):
         flip = _qubit_bit(layout, action.register, action.qubit)
         if flip & mask:
             raise ValueError("flip target overlaps the projector's qubits")
-        low = qubit_index(layout, (mask | flip, bits))
-        high = qubit_index(layout, (mask | flip, bits | flip))
-        moves = ((low, high), (high, low))
+        axis = _qubit_axis(layout, action.register, action.qubit)
+        permuted = view[(slice(None),) * axis + (slice(None, None, -1),)]
     elif isinstance(action, SwapRegisters):
         for name in (action.reg_a, action.reg_b):
             if layout.field_mask(name) & mask:
                 raise ValueError("swap target overlaps the projector's qubits")
-        source = source.transpose(_swapped_axes(layout, action.reg_a, action.reg_b))
-        selected = qubit_index(layout, (mask, bits))
-        moves = ((selected, selected),)
+        permuted = view.transpose(_swapped_axes(layout, action.reg_a, action.reg_b))
     else:
         raise TypeError(f"unknown action {action!r}")
 
-    # with no condition the moves write every amplitude, so nothing is copied first
-    out = np.empty_like(state.amplitudes) if mask == 0 else state.amplitudes.copy()
-    target = qubit_view(out, layout)
-    for into, read in moves:
-        target[into] = source[read]
-    out.setflags(write=False)
-    return StateVector(layout, out)
+    if mask == 0:
+        # every amplitude moves, so one pass writes a permuted copy that
+        # replaces the buffer, instead of a temporary and a copy back
+        return np.ascontiguousarray(permuted).reshape(-1)
+    out = source.copy() if out is None else out
+    selected = qubit_index(layout, (mask, bits))
+    # numpy reads a source that overlaps its destination through a
+    # temporary, so in place this holds one copy of the selected subspace
+    qubit_view(out, layout)[selected] = permuted[selected]
+    return out
 
 
 def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
@@ -173,32 +199,99 @@ def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
     return positions
 
 
-def _apply_hadamard_layer(state: StateVector, layer: HadamardLayer) -> StateVector:
-    layout = state.layout
-    positions = _hadamard_positions(layout, layer.targets)
-    work = state.amplitudes.copy()
-    for position in positions:
-        view = work.reshape((1 << position, 2, -1))
-        upper = view[:, 0, :]
-        lower = view[:, 1, :]
-        total = (upper + lower) * _INV_SQRT2
-        difference = (upper - lower) * _INV_SQRT2
-        view[:, 0, :] = total
-        view[:, 1, :] = difference
-    work.setflags(write=False)
-    return StateVector(layout, work)
+def _butterfly_halves(amplitudes: np.ndarray, stride: int, piece: int):
+    """(upper, lower) views of the butterflies between amplitudes ``stride``
+    apart, in pieces of at most ``piece`` pairs: blocks of whole rows,
+    single row segments, or, when rows are shorter than HADAMARD_MIN_ROW and
+    each column fills a piece, single strided columns."""
+    pairs = amplitudes.reshape(-1, 2, stride)
+    columns = stride < HADAMARD_MIN_ROW and pairs.shape[0] >= piece
+    width = 1 if columns else min(piece, stride)
+    height = piece // width
+    for row in range(0, pairs.shape[0], height):
+        for col in range(0, stride, width):
+            rows, cols = slice(row, row + height), slice(col, col + width)
+            yield pairs[rows, 0, cols], pairs[rows, 1, cols]
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate to a copy of ``state``.  Every gate but a Hadamard
-    layer only copies amplitudes, so its result is exact."""
+def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> None:
+    """(u, l) -> ((u + l) * c, (u - l) * c) in place, c = 1/sqrt(2): the
+    operations of a whole-state butterfly, so every bit is the same."""
+    shape, size = upper.shape, upper.size
+    if 1 in shape:
+        # one row or column: numpy sees that the halves are disjoint, so the
+        # difference goes straight into the lower half
+        upper, lower = upper.reshape(-1), lower.reshape(-1)
+        total = scratch[0, :size]
+        np.add(upper, lower, out=total)
+        np.subtract(upper, lower, out=lower)
+        np.multiply(lower, _INV_SQRT2, out=lower)
+        np.multiply(total, _INV_SQRT2, out=upper)
+        return
+    # numpy loops over a 2-D view through buffers it allocates, so the piece
+    # is copied into contiguous scratch, computed there and copied back
+    up, low, result = scratch[0, :size], scratch[1, :size], scratch[2, :size]
+    np.copyto(up.reshape(shape), upper)
+    np.copyto(low.reshape(shape), lower)
+    np.add(up, low, out=result)
+    np.multiply(result, _INV_SQRT2, out=result)
+    np.copyto(upper, result.reshape(shape))
+    np.subtract(up, low, out=result)
+    np.multiply(result, _INV_SQRT2, out=result)
+    np.copyto(lower, result.reshape(shape))
+
+
+def _apply_hadamard_layer(
+    layout: RegisterLayout, layer: HadamardLayer, source: np.ndarray, out: np.ndarray | None
+) -> np.ndarray:
+    """In-place butterflies, one per target in the layer's order; blocking
+    only regroups butterflies that touch disjoint amplitudes, so the result
+    is bitwise that of one whole-state butterfly per target."""
+    # distance between the two amplitudes of each butterfly, in order
+    strides = [
+        1 << (layout.total_qubits - 1 - position)
+        for position in _hadamard_positions(layout, layer.targets)
+    ]
+    out = source.copy() if out is None else out
+    piece = min(HADAMARD_PIECE, out.size // 2)
+    scratch = np.empty((3, piece), dtype=np.complex128)
+    for inside, run in itertools.groupby(strides, key=lambda s: s < HADAMARD_BLOCK):
+        run = list(run)
+        # a run of butterflies inside blocks finishes each block before it
+        # moves on, while the block is in cache
+        starts = range(0, out.size, HADAMARD_BLOCK) if inside else (0,)
+        for start in starts:
+            block = out[start : start + HADAMARD_BLOCK] if inside else out
+            for stride in run:
+                for upper, lower in _butterfly_halves(block, stride, piece):
+                    _butterfly(upper, lower, scratch)
+    return out
+
+
+def apply_gate(state: StateVector | StateBuffer, gate: Gate) -> StateVector | StateBuffer:
+    """Apply one gate.
+
+    A ``StateBuffer`` is changed in place and returned.  A frozen
+    ``StateVector`` is left as it is: the same kernel writes a new array,
+    returned as a new ``StateVector``.  Every gate but a Hadamard layer only
+    moves amplitudes, so its result is exact; a Hadamard layer's result is
+    bitwise the same either way.  A kernel checks the gate before it writes
+    any amplitude.
+    """
     if isinstance(gate, RegisterSwapGate):
         gate = ControlledOp(Projector(), SwapRegisters(gate.reg_a, gate.reg_b))
     if isinstance(gate, ControlledOp):
-        return _apply_controlled(state, gate)
-    if isinstance(gate, HadamardLayer):
-        return _apply_hadamard_layer(state, gate)
-    raise TypeError(f"unknown gate {gate!r}")
+        kernel = _apply_controlled
+    elif isinstance(gate, HadamardLayer):
+        kernel = _apply_hadamard_layer
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+    if isinstance(state, StateBuffer):
+        state.amplitudes = kernel(state.layout, gate, state.amplitudes, state.amplitudes)
+        return state
+    out = kernel(state.layout, gate, state.amplitudes, None)
+    out.setflags(write=False)
+    return StateVector(state.layout, out)
 
 
 # --- multi-controlled X expansion -------------------------------------------

@@ -32,6 +32,7 @@ __all__ = [
     "MAX_QUBITS",
     "RegisterLayout",
     "StateVector",
+    "StateBuffer",
     "EncodedMatrix",
     "AncillaVector",
     "encode_matrix",
@@ -201,6 +202,45 @@ class StateVector:
 
     def checksum(self) -> str:
         return hashlib.sha256(self.amplitudes.tobytes()).hexdigest()[:16]
+
+
+@dataclass(eq=False)
+class StateBuffer:
+    """The one writable amplitude array a circuit run owns; ``apply_gate``
+    changes it in place, and may rebind ``amplitudes`` to a new array.
+
+    ``StateVector(buffer.layout, buffer.amplitudes)`` copies it into a frozen
+    snapshot; ``freeze`` turns the array itself into one, without a copy.
+    """
+
+    layout: RegisterLayout
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        arr = self.amplitudes
+        if not (
+            isinstance(arr, np.ndarray)
+            and arr.dtype == np.complex128
+            and arr.shape == (self.layout.size,)
+            and arr.flags.c_contiguous
+            and arr.flags.writeable
+        ):
+            raise ValueError(
+                f"a state buffer needs a writable, contiguous complex128 array of "
+                f"{self.layout.size} amplitudes"
+            )
+
+    @classmethod
+    def adopt(cls, state: StateVector) -> "StateBuffer":
+        """A buffer over ``state``'s own array, made writable again.  Only
+        for a state that nothing else holds, such as one just prepared."""
+        state.amplitudes.setflags(write=True)
+        return cls(state.layout, state.amplitudes)
+
+    def freeze(self) -> StateVector:
+        """The buffer as a frozen state; it must not be written afterwards."""
+        self.amplitudes.setflags(write=False)
+        return StateVector(self.layout, self.amplitudes)
 
 
 def _pow2_at_least(x: int) -> int:

@@ -22,6 +22,7 @@ from qmatops import (
     run_transpose,
     run_transpose_square,
 )
+from qmatops import algorithms
 from qmatops.algorithms import row_add_circuit, row_swap_circuit
 from qmatops.golden import (
     GOLDEN_FROBENIUS_SCALE,
@@ -287,6 +288,69 @@ def test_step_states_only_when_requested():
     labels = [record.label for record in recorded.step_states]
     assert labels == [f"phi_{t}" for t in range(7)]
     assert all(len(record.checksum) == 16 for record in recorded.step_states)
+
+
+ROUTINES = {
+    "row-add": (lambda m, **kw: run_row_add(m, 1, 2, **kw), (4, 4)),
+    "row-swap": (lambda m, **kw: run_row_swap(m, 3, 0, **kw), (4, 2)),
+    "trace": (run_trace, (4, 4)),
+    "transpose": (run_transpose, (4, 2)),
+    "transpose-square": (run_transpose_square, (2, 4)),
+}
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+@pytest.mark.parametrize("routine", sorted(ROUTINES))
+def test_runs_call_apply_gate_with_state_and_gate_only(monkeypatch, routine, record_steps):
+    # perfbench/spans.py wraps algorithms.apply_gate with exactly this
+    # signature, reading the layout and the state's bytes after each call
+    calls = []
+    plain = algorithms.apply_gate
+
+    def probed(state, gate):
+        result = plain(state, gate)
+        calls.append((state.layout.total_qubits, state.amplitudes.nbytes))
+        return result
+
+    monkeypatch.setattr(algorithms, "apply_gate", probed)
+    runner, shape = ROUTINES[routine]
+    encoded = encode_matrix(random_matrix(np.random.default_rng(19), shape))
+    runner(encoded, record_steps=record_steps)
+    assert calls
+    assert all(nbytes == 16 << qubits for qubits, nbytes in calls)
+
+
+@pytest.mark.parametrize("routine", sorted(ROUTINES))
+def test_step_snapshots_are_frozen_and_independent(routine):
+    runner, shape = ROUTINES[routine]
+    encoded = encode_matrix(random_matrix(np.random.default_rng(20), shape))
+    records = runner(encoded, record_steps=True).step_states
+    arrays = [record.state.amplitudes for record in records]
+    for position, (record, amplitudes) in enumerate(zip(records, arrays)):
+        assert not amplitudes.flags.writeable
+        assert record.state.checksum() == record.checksum
+        for other in arrays[position + 1 :]:
+            assert not np.shares_memory(amplitudes, other)
+
+
+@pytest.mark.parametrize(
+    "runner, shape, qubits",
+    [
+        (lambda m: run_row_add(m, 3, 17), (32, 32), 18),
+        (lambda m: run_row_swap(m, 3, 5), (8, 16), 17),
+        (run_trace, (32, 32), 17),
+    ],
+    ids=["row-add", "row-swap", "trace"],
+)
+def test_run_peak_memory_stays_near_two_states(runner, shape, qubits):
+    encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
+    tracemalloc.start()
+    try:
+        runner(encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * (16 << qubits)
 
 
 def test_gate_tally_reports_expected_steps():

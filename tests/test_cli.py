@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, save_matrix
+from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, run_trace, save_matrix
 from qmatops.cli import main
 from qmatops.matio import load_matrix, matrix_to_payload, payload_to_matrix
 
@@ -136,6 +136,31 @@ def test_verbose_includes_step_records(matrix_file, tmp_path):
     for step in document["steps"]:
         assert step["norm_squared"] == pytest.approx(1.0, abs=1e-9)
         assert isinstance(step["checksum"], str)
+
+
+def test_verbose_dump_lists_the_first_occupied_states(matrix_file, tmp_path):
+    matrix = np.random.default_rng(22).standard_normal((32, 32)) + 0.5j
+    document = run_to_document(["trace", "--input", matrix_file(matrix), "--verbose"], tmp_path)
+    report = run_trace(encode_matrix(matrix), record_steps=True)
+    state = {record.label: record.state for record in report.step_states}["phi_3"]
+    occupied = np.flatnonzero(state.amplitudes)
+    assert occupied.size == 65536
+    listed = [step for step in document["steps"] if step["label"] == "phi_3"][0]["amplitudes"]
+    assert len(listed) == cli.AMPLITUDE_DUMP_CAP
+    first = occupied[: cli.AMPLITUDE_DUMP_CAP]
+    values = np.unravel_index(first, state.layout.shape)
+    for position, entry in enumerate(listed):
+        assert [entry[name] for name in state.layout.names] == [int(v[position]) for v in values]
+        amplitude = state.amplitudes[first[position]]
+        assert (entry["re"], entry["im"]) == (amplitude.real, amplitude.imag)
+
+
+@pytest.mark.parametrize("cap", [0, 3, 40, 10**6])
+def test_first_occupied_scan_crosses_chunks(cap):
+    amplitudes = np.zeros(3 * cli.DUMP_SCAN_CHUNK + 5, dtype=complex)
+    amplitudes[np.random.default_rng(23).choice(amplitudes.size, 50, replace=False)] = 1j
+    expected = np.flatnonzero(amplitudes)[:cap]
+    np.testing.assert_array_equal(cli._first_occupied(amplitudes, cap), expected)
 
 
 def test_stdout_report_when_no_output_file(matrix_file, capsys):

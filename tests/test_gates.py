@@ -22,8 +22,10 @@ from qmatops import (
     dense_unitary_of,
     tally_gates,
 )
+from qmatops import gates
 from qmatops.gates import op_counts
 from qmatops.oracle import mcx_reference_action
+from qmatops.state import StateBuffer
 
 LAYOUT = RegisterLayout((("R", 2), ("C", 2), ("B", 1)))
 
@@ -154,11 +156,14 @@ def random_circuits(draw):
 @settings(max_examples=60, deadline=None)
 @given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
 def test_gate_application_matches_dense_unitaries(circuit, seed):
-    layout, gates = circuit
+    layout, gate_list = circuit
     state = random_state(layout, seed)
-    for gate in gates:
+    for gate in gate_list:
         dense = dense_unitary_of(gate, layout) @ state.amplitudes
+        # in place on a buffer, the same kernel gives the same bits
+        buffer = apply_gate(StateBuffer(layout, state.amplitudes.copy()), gate)
         state = apply_gate(state, gate)
+        assert buffer.amplitudes.tobytes() == state.amplitudes.tobytes()
         if isinstance(gate, HadamardLayer):
             np.testing.assert_allclose(state.amplitudes, dense, rtol=0, atol=1e-12)
         else:
@@ -186,6 +191,85 @@ def test_permutation_gate_allocates_only_its_output(gate):
         tracemalloc.stop()
     assert result.amplitudes.nbytes == state.amplitudes.nbytes
     assert peak <= 1.5 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize(
+    "gate, bound",
+    [
+        # numpy reads the selected half-state subspace through a temporary
+        (ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)), 0.55),
+        (ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")), 0.55),
+        # the buffer is rebound to a permuted copy
+        (RegisterSwapGate("X", "Y"), 1.05),
+        # three scratch arrays of HADAMARD_PIECE amplitudes
+        (HadamardLayer(("X", "Y", "B")), 0.4),
+    ],
+    ids=["flip", "cswap", "regswap", "hadamard"],
+)
+def test_in_place_gate_allocates_at_most_one_temporary(gate, bound):
+    layout = RegisterLayout((("X", 7), ("Y", 7), ("B", 1)))
+    buffer = StateBuffer(layout, random_state(layout, 12).amplitudes.copy())
+    nbytes = buffer.amplitudes.nbytes
+    tracemalloc.start()
+    try:
+        assert apply_gate(buffer, gate) is buffer
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert buffer.amplitudes.flags.writeable
+    assert peak <= bound * nbytes
+
+
+def test_hadamard_layer_allocates_its_output_and_small_scratch():
+    layout = RegisterLayout((("X", 7), ("Y", 7), ("B", 1)))
+    state = random_state(layout, 13)
+    tracemalloc.start()
+    try:
+        apply_gate(state, HadamardLayer(("X", "Y", "B")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * state.amplitudes.nbytes
+
+
+def reference_hadamard(amplitudes, positions):
+    """One whole-state butterfly per qubit axis, in the given order."""
+    work = np.array(amplitudes)
+    for position in positions:
+        pairs = work.reshape((1 << position, 2, -1))
+        upper, lower = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :] = (upper + lower) * (1 / math.sqrt(2))
+        pairs[:, 1, :] = (upper - lower) * (1 / math.sqrt(2))
+    return work
+
+
+@pytest.mark.parametrize(
+    "block_qubits, piece_qubits, registers, targets, positions",
+    [
+        # the block split falls inside C: B and C's last qubit are inside a
+        # block, R's qubit 2 and C's first two are not; the order is mixed
+        (3, 2, (("R", 3), ("C", 3), ("B", 2)), ("B", ("R", 2), "C"), [6, 7, 2, 3, 4, 5]),
+        (3, 1, (("R", 3), ("C", 3), ("B", 2)), (("C", 2), ("R", 0), "B", ("R", 1)), [5, 0, 6, 7, 1]),
+        # the module's own constants, with qubits on both sides of a block
+        (None, None, (("R", 6), ("C", 6), ("A", 5)), ("A", ("R", 0), "C"),
+         [12, 13, 14, 15, 16, 0, 6, 7, 8, 9, 10, 11]),
+    ],
+    ids=["split-in-register", "single-qubits", "module-block"],
+)
+def test_blocked_hadamard_is_bitwise_exact(
+    monkeypatch, block_qubits, piece_qubits, registers, targets, positions
+):
+    if block_qubits is not None:
+        monkeypatch.setattr(gates, "HADAMARD_BLOCK", 1 << block_qubits)
+        monkeypatch.setattr(gates, "HADAMARD_PIECE", 1 << piece_qubits)
+    layout = RegisterLayout(registers)
+    raw = random_state(layout, 14).amplitudes.copy()
+    raw[::5] = 0
+    raw[::7] *= -0.0
+    expected = reference_hadamard(raw, positions).tobytes()
+    layer = HadamardLayer(targets)
+    assert apply_gate(StateVector(layout, raw), layer).amplitudes.tobytes() == expected
+    assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
 
 
 def test_hadamard_layer_uniform_superposition():
