@@ -46,10 +46,10 @@ from .state import (
     AncillaVector,
     EncodedMatrix,
     RegisterLayout,
+    StateBuffer,
     StateVector,
     decode_matrix,
     encode_matrix,
-    matrix_state,
     prepare_product_state,
 )
 from .verify import SCALING_WIDTHS, CheckResult, run_all_checks
@@ -76,6 +76,7 @@ __all__ = [
     "RunReport",
     "SCALING_WIDTHS",
     "ScalingReport",
+    "StateBuffer",
     "StateVector",
     "SwapRegisters",
     "apply_gate",
@@ -85,7 +86,6 @@ __all__ = [
     "dense_unitary_of",
     "encode_matrix",
     "load_matrix",
-    "matrix_state",
     "measure_scaling",
     "oracle_row_add",
     "oracle_row_swap",

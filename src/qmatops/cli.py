@@ -23,6 +23,8 @@ AMPLITUDE_DUMP_CAP = 4096
 # amplitudes scanned per step while looking for the first occupied ones
 DUMP_SCAN_CHUNK = 1 << 16
 BRANCH_TOL = 1e-10
+# uniform draws per chunk of --shots, so any shot count samples in bounded memory
+SHOT_CHUNK = 1 << 20
 
 
 def _write_document(doc: dict, output: str | None) -> None:
@@ -30,7 +32,10 @@ def _write_document(doc: dict, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text)
+        try:
+            Path(output).write_text(text)
+        except OSError as err:
+            raise ValueError(f"{output}: cannot write ({err})") from err
 
 
 def _first_occupied(amplitudes: np.ndarray, cap: int) -> np.ndarray:
@@ -107,10 +112,15 @@ def _algorithm_document(command: str, args, encoded: EncodedMatrix, report: RunR
     if report.normalization is not None and command == "row-add":
         doc["normalization_G"] = report.normalization
     if args.shots is not None:
+        # chunked draws from one generator are the draws of one big call,
+        # and hits / shots is the mean of their comparisons, bit for bit
         rng = np.random.default_rng(args.seed)
-        hits = rng.random(args.shots) < report.success_probability
+        hits = 0
+        for start in range(0, args.shots, SHOT_CHUNK):
+            draws = rng.random(min(SHOT_CHUNK, args.shots - start))
+            hits += int(np.count_nonzero(draws < report.success_probability))
         doc["shots"] = args.shots
-        doc["empirical_frequency"] = float(np.mean(hits))
+        doc["empirical_frequency"] = hits / args.shots
     if args.verbose:
         doc["steps"] = _step_dump(report)
     return doc

@@ -1,13 +1,13 @@
 """Projector-controlled primitives, Hadamard layers, and gate accounting.
 
-Each gate has one kernel, which changes the amplitude array of a run's
-``StateBuffer`` in place; given a frozen ``StateVector``, ``apply_gate``
-runs the same kernel on a new array.  Every gate here except the Hadamard
-layer is a basis-state permutation, so application is exact: amplitudes
-move, they are never recombined.  A Hadamard layer runs its butterflies in
-place, cache block by cache block where they fit in one, with the
-arithmetic of one whole-state butterfly per qubit in the same order, so its
-result is bitwise the same as that.
+Two gate kinds, a ``ControlledOp`` (a flip or register swap on a
+projector's subspace) and a ``HadamardLayer``, each have one kernel, which
+changes a run's ``StateBuffer`` in place.  A controlled op is a basis-state
+permutation, so it is exact: amplitudes move, they are never recombined.  A
+Hadamard layer runs its butterflies in place, cache block by cache block,
+with the arithmetic of one whole-state butterfly per qubit in the same
+order, so its result is bitwise the same as that.  The kernel and
+``op_counts`` check a controlled op against the layout the same way.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, StateBuffer, StateVector, qubit_index, qubit_view
+from .state import RegisterLayout, StateBuffer, qubit_index, qubit_view
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -108,15 +108,15 @@ class HadamardLayer:
     targets: tuple[Union[str, tuple[str, int]], ...]
 
 
-@dataclass(frozen=True)
-class RegisterSwapGate:
-    """Unconditional swap of two equal-width registers."""
+class RegisterSwapGate(ControlledOp):
+    """Unconditional swap of two equal-width registers: a register swap
+    controlled by the empty projector, under a name of its own."""
 
-    reg_a: str
-    reg_b: str
+    def __init__(self, reg_a: str, reg_b: str):
+        super().__init__(Projector(), SwapRegisters(reg_a, reg_b))
 
 
-Gate = Union[ControlledOp, HadamardLayer, RegisterSwapGate]
+Gate = Union[ControlledOp, HadamardLayer]
 
 
 def _qubit_axis(layout: RegisterLayout, register: str, qubit: int) -> int:
@@ -130,60 +130,60 @@ def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
     return 1 << (layout.total_qubits - 1 - _qubit_axis(layout, register, qubit))
 
 
-def _swapped_axes(layout: RegisterLayout, reg_a: str, reg_b: str) -> list[int]:
-    """Qubit axes in layout order with the axes of two registers exchanged."""
-    if layout.width(reg_a) != layout.width(reg_b):
-        raise ValueError(
-            f"cannot swap registers of different widths: "
-            f"{reg_a!r} ({layout.width(reg_a)}) vs {reg_b!r} ({layout.width(reg_b)})"
-        )
-    if reg_a == reg_b:
-        raise ValueError("cannot swap a register with itself")
-    axes = list(range(layout.total_qubits))
-    a, b, width = layout.offset(reg_a), layout.offset(reg_b), layout.width(reg_a)
-    axes[a : a + width], axes[b : b + width] = axes[b : b + width], axes[a : a + width]
-    return axes
-
-
-# The kernels below read ``source`` and write ``out``, which is ``source``
-# itself (in place) or None for a new array; each returns the array that
-# holds the result.
-
-
-def _apply_controlled(
-    layout: RegisterLayout, op: ControlledOp, source: np.ndarray, out: np.ndarray | None
-) -> np.ndarray:
-    """Exact permutation kernel of a projector-controlled flip or swap: the
-    projector's subspace is assigned from a permuted view, reversed along
-    the target axis for a flip (its two halves trade places) and with the
-    two registers' axes exchanged for a swap."""
+def _resolve_controlled(layout: RegisterLayout, op: ControlledOp) -> tuple[int, int]:
+    """The projector's (mask, bits) once ``op`` is checked against the
+    layout: the projector resolves, a flip's qubit is in range, a swap's
+    registers are distinct and of equal width, and no target qubit is one
+    the projector conditions on."""
     mask, bits = op.projector.resolve(layout)
     action = op.action
-    view = qubit_view(source, layout)
     if isinstance(action, FlipQubit):
-        flip = _qubit_bit(layout, action.register, action.qubit)
-        if flip & mask:
+        if _qubit_bit(layout, action.register, action.qubit) & mask:
             raise ValueError("flip target overlaps the projector's qubits")
-        axis = _qubit_axis(layout, action.register, action.qubit)
-        permuted = view[(slice(None),) * axis + (slice(None, None, -1),)]
     elif isinstance(action, SwapRegisters):
         for name in (action.reg_a, action.reg_b):
             if layout.field_mask(name) & mask:
                 raise ValueError("swap target overlaps the projector's qubits")
-        permuted = view.transpose(_swapped_axes(layout, action.reg_a, action.reg_b))
+        widths = layout.width(action.reg_a), layout.width(action.reg_b)
+        if widths[0] != widths[1]:
+            raise ValueError(f"cannot swap {action.reg_a!r} and {action.reg_b!r}: widths {widths}")
+        if action.reg_a == action.reg_b:
+            raise ValueError("cannot swap a register with itself")
     else:
         raise TypeError(f"unknown action {action!r}")
+    return mask, bits
+
+
+def _apply_controlled(
+    layout: RegisterLayout, op: ControlledOp, amplitudes: np.ndarray
+) -> np.ndarray:
+    """Exact permutation kernel of a projector-controlled flip or swap: the
+    projector's subspace of ``amplitudes`` is assigned in place from a
+    permuted view, reversed along the target axis for a flip (its two
+    halves trade places) and with the two registers' axes exchanged for a
+    swap.  Returns the array that holds the result."""
+    mask, bits = _resolve_controlled(layout, op)
+    action = op.action
+    view = qubit_view(amplitudes, layout)
+    if isinstance(action, FlipQubit):
+        axis = _qubit_axis(layout, action.register, action.qubit)
+        permuted = view[(slice(None),) * axis + (slice(None, None, -1),)]
+    else:
+        axes = list(range(layout.total_qubits))
+        a, b = layout.offset(action.reg_a), layout.offset(action.reg_b)
+        width = layout.width(action.reg_a)
+        axes[a : a + width], axes[b : b + width] = axes[b : b + width], axes[a : a + width]
+        permuted = view.transpose(axes)
 
     if mask == 0:
         # every amplitude moves, so one pass writes a permuted copy that
         # replaces the buffer, instead of a temporary and a copy back
         return np.ascontiguousarray(permuted).reshape(-1)
-    out = source.copy() if out is None else out
     selected = qubit_index(layout, (mask, bits))
     # numpy reads a source that overlaps its destination through a
-    # temporary, so in place this holds one copy of the selected subspace
-    qubit_view(out, layout)[selected] = permuted[selected]
-    return out
+    # temporary, so this holds one copy of the selected subspace
+    view[selected] = permuted[selected]
+    return amplitudes
 
 
 def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
@@ -242,7 +242,7 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> Non
 
 
 def _apply_hadamard_layer(
-    layout: RegisterLayout, layer: HadamardLayer, source: np.ndarray, out: np.ndarray | None
+    layout: RegisterLayout, layer: HadamardLayer, amplitudes: np.ndarray
 ) -> np.ndarray:
     """In-place butterflies, one per target in the layer's order; blocking
     only regroups butterflies that touch disjoint amplitudes, so the result
@@ -252,46 +252,43 @@ def _apply_hadamard_layer(
         1 << (layout.total_qubits - 1 - position)
         for position in _hadamard_positions(layout, layer.targets)
     ]
-    out = source.copy() if out is None else out
-    piece = min(HADAMARD_PIECE, out.size // 2)
+    piece = min(HADAMARD_PIECE, amplitudes.size // 2)
     scratch = np.empty((3, piece), dtype=np.complex128)
     for inside, run in itertools.groupby(strides, key=lambda s: s < HADAMARD_BLOCK):
         run = list(run)
         # a run of butterflies inside blocks finishes each block before it
         # moves on, while the block is in cache
-        starts = range(0, out.size, HADAMARD_BLOCK) if inside else (0,)
+        starts = range(0, amplitudes.size, HADAMARD_BLOCK) if inside else (0,)
         for start in starts:
-            block = out[start : start + HADAMARD_BLOCK] if inside else out
+            block = amplitudes[start : start + HADAMARD_BLOCK] if inside else amplitudes
             for stride in run:
                 for upper, lower in _butterfly_halves(block, stride, piece):
                     _butterfly(upper, lower, scratch)
-    return out
+    return amplitudes
 
 
-def apply_gate(state: StateVector | StateBuffer, gate: Gate) -> StateVector | StateBuffer:
-    """Apply one gate.
+def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
+    """Apply one gate to a run's ``StateBuffer`` in place and return it.
 
-    A ``StateBuffer`` is changed in place and returned.  A frozen
-    ``StateVector`` is left as it is: the same kernel writes a new array,
-    returned as a new ``StateVector``.  Every gate but a Hadamard layer only
-    moves amplitudes, so its result is exact; a Hadamard layer's result is
-    bitwise the same either way.  A kernel checks the gate before it writes
-    any amplitude.
+    A controlled op only moves amplitudes, so its result is exact; a
+    Hadamard layer's result is bitwise that of whole-state butterflies.  The
+    gate is checked before any amplitude is written, and anything but a
+    ``StateBuffer`` (a frozen ``StateVector`` included) is refused with a
+    ``TypeError``; to apply a gate to a snapshot, wrap a copy of its
+    amplitudes in a ``StateBuffer``.
     """
-    if isinstance(gate, RegisterSwapGate):
-        gate = ControlledOp(Projector(), SwapRegisters(gate.reg_a, gate.reg_b))
+    if not isinstance(state, StateBuffer):
+        raise TypeError(
+            f"apply_gate changes a StateBuffer in place, not a {type(state).__name__}"
+        )
     if isinstance(gate, ControlledOp):
         kernel = _apply_controlled
     elif isinstance(gate, HadamardLayer):
         kernel = _apply_hadamard_layer
     else:
         raise TypeError(f"unknown gate {gate!r}")
-    if isinstance(state, StateBuffer):
-        state.amplitudes = kernel(state.layout, gate, state.amplitudes, state.amplitudes)
-        return state
-    out = kernel(state.layout, gate, state.amplitudes, None)
-    out.setflags(write=False)
-    return StateVector(state.layout, out)
+    state.amplitudes = kernel(state.layout, gate, state.amplitudes)
+    return state
 
 
 # --- multi-controlled X expansion -------------------------------------------
@@ -419,17 +416,14 @@ def _mask_polarities(mask: int, bits: int) -> tuple[int, ...]:
 def op_counts(gate: Gate, layout: RegisterLayout) -> GateCounts:
     """Primitive counts for one gate, expanding controls through
     ``decompose_mcx`` and controlled swaps through the standard
-    CNOT-conjugated Toffoli per qubit pair."""
+    CNOT-conjugated Toffoli per qubit pair.  The gate is checked as
+    ``apply_gate`` checks it, so a gate that cannot run is not counted."""
     if isinstance(gate, HadamardLayer):
         return GateCounts(single_qubit=len(_hadamard_positions(layout, gate.targets)))
-    if isinstance(gate, RegisterSwapGate):
-        if layout.width(gate.reg_a) != layout.width(gate.reg_b):
-            raise ValueError("register widths differ")
-        return GateCounts(swap=layout.width(gate.reg_a))
     if not isinstance(gate, ControlledOp):
         raise TypeError(f"unknown gate {gate!r}")
 
-    mask, bits = gate.projector.resolve(layout)
+    mask, bits = _resolve_controlled(layout, gate)
     num_controls = mask.bit_count()
     polarity = _mask_polarities(mask, bits)
     action = gate.action

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ControlledOp, FlipQubit, HadamardLayer, McxNetwork, RegisterSwapGate, SwapRegisters
+from .gates import ControlledOp, FlipQubit, HadamardLayer, McxNetwork, SwapRegisters
 from .state import RegisterLayout
 
 DENSE_QUBIT_CAP = 12
@@ -119,6 +119,13 @@ def _naive_fields(layout: RegisterLayout) -> dict[str, tuple[int, int]]:
     return fields
 
 
+def _qubit_position(fields: dict[str, tuple[int, int]], name: str, qubit: int) -> int:
+    offset, width = fields[name]
+    if not 0 <= qubit < width:
+        raise ValueError(f"qubit {qubit} out of range for register {name!r}")
+    return offset + qubit
+
+
 def _field_value(index: int, offset: int, width: int, total: int) -> int:
     below = total - offset - width
     return (index // (2 ** below)) % (2 ** width)
@@ -168,9 +175,7 @@ def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
                 offset, width = fields[target]
                 targeted.update(range(offset, offset + width))
             else:
-                name, qubit = target
-                offset, width = fields[name]
-                targeted.add(offset + qubit)
+                targeted.add(_qubit_position(fields, *target))
         h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
         eye = np.eye(2, dtype=np.complex128)
         unitary = np.eye(1, dtype=np.complex128)
@@ -178,29 +183,27 @@ def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
             unitary = np.kron(unitary, h if position in targeted else eye)
         return unitary
 
-    if isinstance(op, RegisterSwapGate):
-        oa, wa = fields[op.reg_a]
-        ob, wb = fields[op.reg_b]
-        if wa != wb:
-            raise ValueError("register widths differ")
-        unitary = np.zeros((dim, dim), dtype=np.complex128)
-        for source in range(dim):
-            va = _field_value(source, oa, wa, total)
-            vb = _field_value(source, ob, wb, total)
-            image = _replace_field(source, oa, wa, total, vb)
-            image = _replace_field(image, ob, wb, total, va)
-            unitary[image, source] = 1.0
-        return unitary
-
     if isinstance(op, ControlledOp):
-        conditions: list[tuple[int, int, int]] = []  # (offset, width, value)
-        for name, value in op.projector.register_values:
-            offset, width = fields[name]
-            conditions.append((offset, width, value))
+        conditions = [(*fields[name], value) for name, value in op.projector.register_values]
         for name, qubit, bit in op.projector.qubit_bits:
-            offset, _ = fields[name]
-            conditions.append((offset + qubit, 1, bit))
+            conditions.append((_qubit_position(fields, name, qubit), 1, bit))
+        conditioned: list[int] = []
+        for offset, width, value in conditions:
+            if not 0 <= value < 2 ** width:
+                raise ValueError(f"condition value {value} out of range for {width} qubits")
+            conditioned.extend(range(offset, offset + width))
         action = op.action
+        if isinstance(action, FlipQubit):
+            targets = [_qubit_position(fields, action.register, action.qubit)]
+        elif isinstance(action, SwapRegisters):
+            (oa, wa), (ob, wb) = fields[action.reg_a], fields[action.reg_b]
+            if wa != wb or oa == ob:
+                raise ValueError("a swap needs two distinct registers of equal width")
+            targets = [*range(oa, oa + wa), *range(ob, ob + wb)]
+        else:
+            raise TypeError(f"unknown action {action!r}")
+        if len(set(conditioned + targets)) != len(conditioned) + len(targets):
+            raise ValueError("a qubit is conditioned twice, or both conditioned and moved")
         unitary = np.zeros((dim, dim), dtype=np.complex128)
         for source in range(dim):
             matched = all(
@@ -211,19 +214,13 @@ def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
                 unitary[source, source] = 1.0
                 continue
             if isinstance(action, FlipQubit):
-                offset, _ = fields[action.register]
-                position = offset + action.qubit
-                bit = _field_value(source, position, 1, total)
-                image = _replace_field(source, position, 1, total, 1 - bit)
-            elif isinstance(action, SwapRegisters):
-                oa, wa = fields[action.reg_a]
-                ob, wb = fields[action.reg_b]
+                bit = _field_value(source, targets[0], 1, total)
+                image = _replace_field(source, targets[0], 1, total, 1 - bit)
+            else:
                 va = _field_value(source, oa, wa, total)
                 vb = _field_value(source, ob, wb, total)
                 image = _replace_field(source, oa, wa, total, vb)
                 image = _replace_field(image, ob, wb, total, va)
-            else:
-                raise TypeError(f"unknown action {action!r}")
             unitary[image, source] = 1.0
         return unitary
 

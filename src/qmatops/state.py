@@ -36,7 +36,6 @@ __all__ = [
     "EncodedMatrix",
     "AncillaVector",
     "encode_matrix",
-    "matrix_state",
     "prepare_product_state",
     "decode_matrix",
     "qubit_view",
@@ -345,16 +344,6 @@ def encode_matrix(matrix) -> EncodedMatrix:
         original_cols=arr.shape[1],
         frobenius_scale=scale,
     )
-
-
-def matrix_state(
-    encoded: EncodedMatrix, row_register: str = "R", col_register: str = "C"
-) -> StateVector:
-    """Two-register state whose amplitude at |i>|j> is entry (i, j)."""
-    layout = RegisterLayout(
-        ((row_register, encoded.row_qubits), (col_register, encoded.col_qubits))
-    )
-    return StateVector(layout, encoded.entries.ravel())
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .oracle import (
     oracle_trace,
     oracle_transpose,
 )
-from .state import EncodedMatrix, RegisterLayout, StateVector, encode_matrix
+from .state import EncodedMatrix, RegisterLayout, StateBuffer, StateVector, encode_matrix
 
 TOL_LAW = 1e-10
 TOL_NORM = 1e-12
@@ -266,10 +266,10 @@ def check_gate_application_matches_dense(seed: int) -> CheckResult:
     for circuit in _small_circuits():
         layout = circuit.layout
         raw = _random_complex(rng, layout.size)
-        state = StateVector(layout, raw / np.linalg.norm(raw))
+        state = StateBuffer(layout, raw / np.linalg.norm(raw))
         dense = state.amplitudes.copy()
         for _, gate in circuit.gates():
-            state = apply_gate(state, gate)
+            apply_gate(state, gate)
             dense = dense_unitary_of(gate, layout) @ dense
         worst = max(worst, float(np.max(np.abs(state.amplitudes - dense))))
     return CheckResult(

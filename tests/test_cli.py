@@ -125,6 +125,18 @@ def test_shots_report_empirical_frequency(matrix_file, tmp_path):
     assert abs(document["empirical_frequency"] - 1 / 24) < 0.02
 
 
+@pytest.mark.parametrize("command", ["row-swap", "trace"])
+def test_shots_drawn_in_chunks_give_the_same_report(matrix_file, capsys, monkeypatch, command):
+    rows = ["--k", "0", "--l", "1"] if command == "row-swap" else []
+    path = matrix_file(np.eye(2) + 0.5)
+    argv = [command, "--input", path, *rows, "--shots", "1000", "--seed", "6"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(cli, "SHOT_CHUNK", 7)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+
+
 def test_verbose_includes_step_records(matrix_file, tmp_path):
     document = run_to_document(
         ["row-swap", "--input", matrix_file(np.eye(2)), "--k", "0", "--l", "1",
@@ -238,6 +250,28 @@ def test_missing_file_reports_error(tmp_path, capsys, argv):
     missing = tmp_path / "missing.json"
     assert main(argv + ["--input", str(missing)]) == 1
     assert f"error: {missing}: cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["row-add", "--input", "{matrix}", "--k", "0", "--l", "1"],
+        ["row-swap", "--input", "{matrix}", "--k", "0", "--l", "1"],
+        ["trace", "--input", "{matrix}"],
+        ["transpose", "--input", "{matrix}"],
+        ["transpose-square", "--input", "{matrix}"],
+        ["verify", "--matrices", "1"],
+        ["scaling", "--algorithm", "trace", "--widths", "1,2"],
+        ["appendix1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_reports_error(matrix_file, tmp_path, capsys, argv):
+    matrix = matrix_file(np.eye(2))
+    unwritable = tmp_path / "missing-dir" / "report.json"
+    argv = [matrix if arg == "{matrix}" else arg for arg in argv]
+    assert main(argv + ["--output", str(unwritable)]) == 1
+    assert f"error: {unwritable}: cannot write" in capsys.readouterr().err
 
 
 def test_equal_rows_rejected(matrix_file, capsys):

@@ -14,6 +14,7 @@ from qmatops import (
     Projector,
     RegisterLayout,
     RegisterSwapGate,
+    StateBuffer,
     StateVector,
     SwapRegisters,
     apply_gate,
@@ -25,7 +26,6 @@ from qmatops import (
 from qmatops import gates
 from qmatops.gates import op_counts
 from qmatops.oracle import mcx_reference_action
-from qmatops.state import StateBuffer
 
 LAYOUT = RegisterLayout((("R", 2), ("C", 2), ("B", 1)))
 
@@ -36,10 +36,15 @@ def random_state(layout, seed):
     return StateVector(layout, raw / np.linalg.norm(raw))
 
 
+def buffer_of(state):
+    """A run buffer over a copy of a frozen state's amplitudes."""
+    return StateBuffer(state.layout, state.amplitudes.copy())
+
+
 def test_controlled_flip_moves_only_selected_amplitudes():
     state = random_state(LAYOUT, 1)
     op = ControlledOp(Projector(register_values=(("R", 2),)), FlipQubit("B", 0))
-    result = apply_gate(state, op)
+    result = apply_gate(buffer_of(state), op)
     indices = np.arange(LAYOUT.size)
     selected = np.unravel_index(indices, LAYOUT.shape)[0] == 2
     # untouched amplitudes are identical down to the bit
@@ -60,7 +65,7 @@ def test_controlled_ops_match_dense_oracle():
     ]
     state = random_state(LAYOUT, 2)
     for op in ops:
-        simulated = apply_gate(state, op).amplitudes
+        simulated = apply_gate(buffer_of(state), op).amplitudes
         dense = dense_unitary_of(op, LAYOUT) @ state.amplitudes
         np.testing.assert_array_equal(simulated, dense)
 
@@ -68,12 +73,12 @@ def test_controlled_ops_match_dense_oracle():
 def test_uncontrolled_flip_is_global_x():
     state = random_state(LAYOUT, 3)
     op = ControlledOp(Projector(), FlipQubit("B", 0))
-    result = apply_gate(state, op)
+    result = apply_gate(buffer_of(state), op)
     np.testing.assert_array_equal(result.amplitudes, state.amplitudes[np.arange(32) ^ 1])
 
 
 def test_controlled_op_rejects_target_overlap_and_width_mismatch():
-    state = random_state(LAYOUT, 4)
+    state = buffer_of(random_state(LAYOUT, 4))
     with pytest.raises(ValueError):
         apply_gate(
             state,
@@ -85,6 +90,66 @@ def test_controlled_op_rejects_target_overlap_and_width_mismatch():
         )
     with pytest.raises(ValueError):
         apply_gate(state, ControlledOp(Projector(), SwapRegisters("R", "R")))
+
+
+UNRUNNABLE_GATES = [
+    ControlledOp(Projector(register_values=(("C", 0),)), SwapRegisters("R", "B")),
+    RegisterSwapGate("R", "B"),
+    ControlledOp(Projector(), SwapRegisters("R", "R")),
+    ControlledOp(Projector(register_values=(("R", 1),)), SwapRegisters("R", "C")),
+    ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), FlipQubit("B", 0)),
+    ControlledOp(Projector(), FlipQubit("B", 3)),
+]
+UNRUNNABLE_IDS = [
+    "cswap-unequal-widths",
+    "regswap-unequal-widths",
+    "swap-with-itself",
+    "swap-of-a-control",
+    "flip-of-its-control",
+    "flip-out-of-range",
+]
+
+
+@pytest.mark.parametrize("gate", UNRUNNABLE_GATES, ids=UNRUNNABLE_IDS)
+def test_tally_rejects_every_gate_apply_gate_rejects(gate):
+    with pytest.raises(ValueError):
+        apply_gate(buffer_of(random_state(LAYOUT, 8)), gate)
+    with pytest.raises(ValueError):
+        op_counts(gate, LAYOUT)
+    with pytest.raises(ValueError):
+        tally_gates([("step", gate)], LAYOUT)
+
+
+@pytest.mark.parametrize("gate", UNRUNNABLE_GATES, ids=UNRUNNABLE_IDS)
+def test_dense_oracle_rejects_every_gate_apply_gate_rejects(gate):
+    with pytest.raises(ValueError):
+        dense_unitary_of(gate, LAYOUT)
+
+
+@pytest.mark.parametrize(
+    "gate",
+    [
+        ControlledOp(Projector(register_values=(("R", 1),)), FlipQubit("B", 0)),
+        HadamardLayer(("R",)),
+        RegisterSwapGate("R", "C"),
+    ],
+    ids=["flip", "hadamard", "regswap"],
+)
+def test_apply_gate_refuses_a_frozen_state(gate):
+    state = random_state(LAYOUT, 10)
+    before = state.amplitudes.tobytes()
+    with pytest.raises(TypeError, match="StateBuffer"):
+        apply_gate(state, gate)
+    assert state.amplitudes.tobytes() == before
+    assert not state.amplitudes.flags.writeable
+
+
+def test_register_swap_gate_is_a_swap_under_the_empty_projector():
+    gate = RegisterSwapGate("R", "C")
+    assert isinstance(gate, ControlledOp)
+    assert (gate.projector, gate.action) == (Projector(), SwapRegisters("R", "C"))
+    # the benchmark's per-layer split reports gates by class name
+    assert type(gate).__name__ == "RegisterSwapGate"
 
 
 def test_projector_rejects_double_conditioning():
@@ -100,7 +165,7 @@ def test_controlled_ops_are_involutions(seed):
         ControlledOp(Projector(register_values=(("C", 3),)), FlipQubit("B", 0)),
         ControlledOp(Projector(register_values=(("B", 1),)), SwapRegisters("R", "C")),
     ):
-        twice = apply_gate(apply_gate(state, op), op)
+        twice = apply_gate(apply_gate(buffer_of(state), op), op)
         np.testing.assert_array_equal(twice.amplitudes, state.amplitudes)
 
 
@@ -157,40 +222,15 @@ def random_circuits(draw):
 @given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
 def test_gate_application_matches_dense_unitaries(circuit, seed):
     layout, gate_list = circuit
-    state = random_state(layout, seed)
+    state = buffer_of(random_state(layout, seed))
     for gate in gate_list:
         dense = dense_unitary_of(gate, layout) @ state.amplitudes
-        # in place on a buffer, the same kernel gives the same bits
-        buffer = apply_gate(StateBuffer(layout, state.amplitudes.copy()), gate)
-        state = apply_gate(state, gate)
-        assert buffer.amplitudes.tobytes() == state.amplitudes.tobytes()
+        apply_gate(state, gate)
         if isinstance(gate, HadamardLayer):
             np.testing.assert_allclose(state.amplitudes, dense, rtol=0, atol=1e-12)
         else:
             # permutations move amplitudes without arithmetic
             np.testing.assert_array_equal(state.amplitudes, dense)
-
-
-@pytest.mark.parametrize(
-    "gate",
-    [
-        ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)),
-        ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")),
-        RegisterSwapGate("X", "Y"),
-    ],
-    ids=["flip", "cswap", "regswap"],
-)
-def test_permutation_gate_allocates_only_its_output(gate):
-    layout = RegisterLayout((("X", 7), ("Y", 7), ("B", 1)))
-    state = random_state(layout, 11)
-    tracemalloc.start()
-    try:
-        result = apply_gate(state, gate)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.amplitudes.nbytes == state.amplitudes.nbytes
-    assert peak <= 1.5 * state.amplitudes.nbytes
 
 
 @pytest.mark.parametrize(
@@ -218,18 +258,6 @@ def test_in_place_gate_allocates_at_most_one_temporary(gate, bound):
         tracemalloc.stop()
     assert buffer.amplitudes.flags.writeable
     assert peak <= bound * nbytes
-
-
-def test_hadamard_layer_allocates_its_output_and_small_scratch():
-    layout = RegisterLayout((("X", 7), ("Y", 7), ("B", 1)))
-    state = random_state(layout, 13)
-    tracemalloc.start()
-    try:
-        apply_gate(state, HadamardLayer(("X", "Y", "B")))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * state.amplitudes.nbytes
 
 
 def reference_hadamard(amplitudes, positions):
@@ -268,35 +296,34 @@ def test_blocked_hadamard_is_bitwise_exact(
     raw[::7] *= -0.0
     expected = reference_hadamard(raw, positions).tobytes()
     layer = HadamardLayer(targets)
-    assert apply_gate(StateVector(layout, raw), layer).amplitudes.tobytes() == expected
     assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
 
 
 def test_hadamard_layer_uniform_superposition():
     layout = RegisterLayout((("B1", 1), ("B2", 1)))
     ground = StateVector(layout, [1, 0, 0, 0])
-    mixed = apply_gate(ground, HadamardLayer(("B1", "B2")))
+    mixed = apply_gate(buffer_of(ground), HadamardLayer(("B1", "B2")))
     np.testing.assert_allclose(mixed.amplitudes, np.full(4, 0.5), atol=1e-15)
 
 
 def test_hadamard_layer_matches_dense_and_preserves_norm():
     state = random_state(LAYOUT, 5)
     layer = HadamardLayer(("R", ("C", 1)))
-    simulated = apply_gate(state, layer)
+    simulated = apply_gate(buffer_of(state), layer).freeze()
     dense = dense_unitary_of(layer, LAYOUT) @ state.amplitudes
     np.testing.assert_allclose(simulated.amplitudes, dense, atol=1e-14)
     assert abs(simulated.norm_squared - 1.0) < 1e-12
 
 
 def test_hadamard_rejects_duplicate_targets():
-    state = random_state(LAYOUT, 6)
+    state = buffer_of(random_state(LAYOUT, 6))
     with pytest.raises(ValueError):
         apply_gate(state, HadamardLayer(("R", ("R", 0))))
 
 
 def test_register_swap_is_exact_permutation():
     state = random_state(LAYOUT, 7)
-    swapped = apply_gate(state, RegisterSwapGate("R", "C"))
+    swapped = apply_gate(buffer_of(state), RegisterSwapGate("R", "C"))
     key = lambda z: (z.real, z.imag)
     assert sorted(swapped.amplitudes, key=key) == sorted(state.amplitudes, key=key)
     back = apply_gate(swapped, RegisterSwapGate("R", "C"))
@@ -413,10 +440,10 @@ def test_apply_gate_dispatch_covers_all_kinds():
         HadamardLayer((("R", 0),)),
         RegisterSwapGate("R", "C"),
     ):
-        result = apply_gate(state, gate)
+        result = apply_gate(buffer_of(state), gate).freeze()
         assert abs(result.norm_squared - 1.0) < 1e-12
     with pytest.raises(ValueError):
         apply_gate(
-            state,
+            buffer_of(state),
             ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("B", 1)),
         )

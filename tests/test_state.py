@@ -12,7 +12,6 @@ from qmatops import (
     StateVector,
     decode_matrix,
     encode_matrix,
-    matrix_state,
     prepare_product_state,
 )
 
@@ -136,7 +135,8 @@ def test_encode_decode_round_trip(rows, cols, data):
     if not norm > 1e-6:
         matrix = matrix + np.eye(rows, cols)
     encoded = encode_matrix(matrix)
-    state = matrix_state(encoded)
+    layout = RegisterLayout((("R", encoded.row_qubits), ("C", encoded.col_qubits)))
+    state = StateVector(layout, encoded.entries.ravel())
     decoded = decode_matrix(state, "R", "C", {})
     np.testing.assert_allclose(decoded, encoded.entries, atol=1e-14)
 
