@@ -4,11 +4,10 @@ Four routines operate on a matrix stored as a two-register amplitude table:
 row addition, row swapping, trace readout, and transpose.  Each run reports
 its post-selection probability, the closed-form law for that probability,
 the decoded output, and a primitive gate tally; the oracle module recomputes
-everything classically so the two can be compared.
+everything classically so the two can be compared.  The names below are the
+package's public API; everything else is reached through its modules.
 """
 from .algorithms import (
-    PostSelection,
-    RunReport,
     post_select,
     run_row_add,
     run_row_swap,
@@ -16,24 +15,23 @@ from .algorithms import (
     run_transpose,
     run_transpose_square,
 )
-from .complexity import CLAIMS, ScalingReport, measure_scaling
+from .complexity import CLAIMS, measure_scaling
 from .gates import (
     ControlledOp,
     FlipQubit,
     GateCounts,
-    GateTally,
     HadamardLayer,
-    McxNetwork,
+    Netlist,
     Projector,
     RegisterSwapGate,
     SwapRegisters,
     apply_gate,
     decompose_mcx,
+    lower,
     tally_gates,
 )
-from .matio import load_matrix, save_matrix
+from .matio import save_matrix
 from .oracle import (
-    OracleResult,
     dense_mcx,
     dense_unitary_of,
     oracle_row_add,
@@ -42,9 +40,7 @@ from .oracle import (
     oracle_transpose,
 )
 from .state import (
-    MAX_QUBITS,
     AncillaVector,
-    EncodedMatrix,
     RegisterLayout,
     StateBuffer,
     StateVector,
@@ -52,30 +48,22 @@ from .state import (
     encode_matrix,
     prepare_product_state,
 )
-from .verify import SCALING_WIDTHS, CheckResult, run_all_checks
+from .verify import SCALING_WIDTHS, run_all_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AncillaVector",
-    "CheckResult",
     "CLAIMS",
     "ControlledOp",
-    "EncodedMatrix",
     "FlipQubit",
     "GateCounts",
-    "GateTally",
     "HadamardLayer",
-    "MAX_QUBITS",
-    "McxNetwork",
-    "OracleResult",
-    "PostSelection",
+    "Netlist",
     "Projector",
     "RegisterLayout",
     "RegisterSwapGate",
-    "RunReport",
     "SCALING_WIDTHS",
-    "ScalingReport",
     "StateBuffer",
     "StateVector",
     "SwapRegisters",
@@ -85,7 +73,7 @@ __all__ = [
     "dense_mcx",
     "dense_unitary_of",
     "encode_matrix",
-    "load_matrix",
+    "lower",
     "measure_scaling",
     "oracle_row_add",
     "oracle_row_swap",

@@ -25,6 +25,8 @@ DUMP_SCAN_CHUNK = 1 << 16
 BRANCH_TOL = 1e-10
 # uniform draws per chunk of --shots, so any shot count samples in bounded memory
 SHOT_CHUNK = 1 << 20
+# largest --shots accepted: drawing 2^32 shots takes about half a minute
+MAX_SHOTS = 1 << 32
 
 
 def _write_document(doc: dict, output: str | None) -> None:
@@ -129,6 +131,8 @@ def _algorithm_document(command: str, args, encoded: EncodedMatrix, report: RunR
 def _run_algorithm(command: str, args) -> int:
     if args.shots is not None and args.shots < 1:
         raise ValueError("--shots must be a positive integer")
+    if args.shots is not None and args.shots > MAX_SHOTS:
+        raise ValueError(f"--shots must be at most {MAX_SHOTS}")
     matrix = load_matrix(args.input)
     encoded = encode_matrix(matrix)
     record = bool(args.verbose)

@@ -1,4 +1,4 @@
-"""Projector-controlled primitives, Hadamard layers, and gate accounting.
+"""Projector-controlled primitives, Hadamard layers, and their netlists.
 
 Two gate kinds, a ``ControlledOp`` (a flip or register swap on a
 projector's subspace) and a ``HadamardLayer``, each have one kernel, which
@@ -6,15 +6,17 @@ changes a run's ``StateBuffer`` in place.  A controlled op is a basis-state
 permutation, so it is exact: amplitudes move, they are never recombined.  A
 Hadamard layer runs its butterflies in place, cache block by cache block,
 with the arithmetic of one whole-state butterfly per qubit in the same
-order, so its result is bitwise the same as that.  The kernel and
-``op_counts`` check a controlled op against the layout the same way.
+order, so its result is bitwise the same as that.  ``lower`` turns a gate
+into the X, CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts;
+it checks a controlled op against the layout as the kernel does.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -43,12 +45,12 @@ __all__ = [
     "RegisterSwapGate",
     "apply_gate",
     "NetworkGate",
-    "McxNetwork",
+    "Netlist",
     "decompose_mcx",
+    "lower",
     "GateCounts",
     "GateTally",
     "tally_gates",
-    "op_counts",
 ]
 
 
@@ -291,59 +293,74 @@ def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
     return state
 
 
-# --- multi-controlled X expansion -------------------------------------------
+# --- Toffoli netlists ----------------------------------------------------
 
-@dataclass(frozen=True)
-class NetworkGate:
-    """One primitive in an expansion network.  ``qubits`` lists controls
-    first, target last; qubit i is bit i of a basis integer."""
+class NetworkGate(NamedTuple):
+    """One primitive of a netlist.  ``qubits`` lists controls first, target
+    last; a SWAP trades its two qubits' values."""
 
-    kind: str  # "x" | "cx" | "ccx"
+    kind: str  # "x" | "cx" | "ccx" | "swap" | "h"
     qubits: tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class McxNetwork:
-    """Toffoli network computing an X on the target conditioned on all
-    controls matching their polarity bits.
+class Netlist:
+    """X, CNOT, Toffoli, SWAP and H primitives.  Qubit i is bit i of a basis
+    integer; the ``num_work_qubits`` work qubits, numbered from
+    ``num_qubits``, enter and leave in |0>."""
 
-    Qubit numbering: controls 0..c-1, target c, work qubits c+1 onward.
-    Work qubits enter and leave in |0>.
-    """
-
-    num_controls: int
-    control_polarity: tuple[int, ...]
+    num_qubits: int
     gates: tuple[NetworkGate, ...]
-    num_work_qubits: int
+    num_work_qubits: int = 0
 
-    @property
-    def num_qubits(self) -> int:
-        return self.num_controls + 1 + self.num_work_qubits
-
-    def counts(self) -> "GateCounts":
-        toffoli = sum(1 for g in self.gates if g.kind == "ccx")
-        cnot = sum(1 for g in self.gates if g.kind == "cx")
-        single = sum(1 for g in self.gates if g.kind == "x")
-        return GateCounts(toffoli=toffoli, cnot=cnot, single_qubit=single)
+    def counts(self) -> GateCounts:
+        kinds = Counter(gate.kind for gate in self.gates)
+        return GateCounts(
+            toffoli=kinds["ccx"],
+            cnot=kinds["cx"],
+            single_qubit=kinds["x"] + kinds["h"],
+            swap=kinds["swap"],
+        )
 
     def apply_to_basis(self, bits: int) -> int:
-        for gate in self.gates:
-            *controls, target = gate.qubits
-            if all((bits >> c) & 1 for c in controls):
-                bits ^= 1 << target
+        """The basis integer that the permutation gates send ``bits`` to."""
+        for kind, qubits in self.gates:
+            if kind == "swap":
+                a, b = qubits
+                if ((bits >> a) ^ (bits >> b)) & 1:
+                    bits ^= (1 << a) | (1 << b)
+            elif kind == "h":
+                raise ValueError("a Hadamard does not map a basis state to a basis state")
+            else:
+                *controls, target = qubits
+                if all((bits >> c) & 1 for c in controls):
+                    bits ^= 1 << target
         return bits
 
 
-def decompose_mcx(num_controls: int, control_polarity=None) -> McxNetwork:
-    """Expand a multi-controlled X into Toffoli/CNOT/X primitives.
+def _mcx_gates(controls: list[tuple[int, int]], target: int, first_work: int) -> list[NetworkGate]:
+    """A flip of ``target`` where every (qubit, polarity) control matches.
 
-    A single ladder construction covers every control count uniformly:
-    c controls compute their AND into c-1 clean work qubits with c-1
-    Toffolis, a CNOT drives the target, and the ladder is uncomputed.
-    Totals: 2(c-1) Toffolis and one CNOT, exactly linear in c, which is
-    what the per-step scaling checks rely on.  Zero-polarity controls are
-    conjugated by X.
+    No control is one X.  Otherwise a ladder of c-1 Toffolis carries the
+    AND of the c controls up through c-1 work qubits from ``first_work``, a
+    CNOT from the last carry drives the target and the ladder is uncomputed:
+    2(c-1) Toffolis and one CNOT, exactly linear in c, which is what the
+    per-step scaling checks rely on.  Zero-polarity controls are conjugated
+    by X.
     """
+    if not controls:
+        return [NetworkGate("x", (target,))]
+    inverted = [NetworkGate("x", (qubit,)) for qubit, bit in controls if not bit]
+    ladder, carry = [], controls[0][0]
+    for work, (qubit, _) in enumerate(controls[1:], start=first_work):
+        ladder.append(NetworkGate("ccx", (carry, qubit, work)))
+        carry = work
+    return [*inverted, *ladder, NetworkGate("cx", (carry, target)), *reversed(ladder), *inverted]
+
+
+def decompose_mcx(num_controls: int, control_polarity=None) -> Netlist:
+    """A multi-controlled X as a netlist: controls 0..c-1, target c and the
+    ladder's work qubits from c+1 (Barenco et al., quant-ph/9503016)."""
     if num_controls < 1:
         raise ValueError(f"num_controls must be >= 1, got {num_controls}")
     if control_polarity is None:
@@ -351,27 +368,47 @@ def decompose_mcx(num_controls: int, control_polarity=None) -> McxNetwork:
     polarity = tuple(int(b) for b in control_polarity)
     if len(polarity) != num_controls or any(b not in (0, 1) for b in polarity):
         raise ValueError("control_polarity must give one bit per control")
+    gates = _mcx_gates(list(enumerate(polarity)), num_controls, num_controls + 1)
+    return Netlist(num_controls + 1, tuple(gates), max(0, num_controls - 1))
 
-    gates: list[NetworkGate] = []
-    inverted = [i for i, b in enumerate(polarity) if b == 0]
-    gates.extend(NetworkGate("x", (i,)) for i in inverted)
 
-    target = num_controls
-    if num_controls == 1:
-        num_work = 0
-        gates.append(NetworkGate("cx", (0, target)))
+def lower(gate: Gate, layout: RegisterLayout) -> Netlist:
+    """The gate as a netlist on the layout's qubits, qubit i being bit i of
+    the basis index, with work qubits numbered from ``layout.total_qubits``.
+
+    A flip under c controls is the ``_mcx_gates`` ladder.  A register swap
+    under c controls is, per qubit pair (a, b), CNOT(b->a), a flip of b under
+    the c controls and a, then CNOT(b->a); with no control it is one SWAP
+    per pair.  A Hadamard layer is one H per target.  The gate is checked as
+    ``apply_gate`` checks it, so a gate that cannot run is not lowered.
+    """
+    top = layout.total_qubits - 1
+    if isinstance(gate, HadamardLayer):
+        positions = _hadamard_positions(layout, gate.targets)
+        return Netlist(layout.total_qubits, tuple(NetworkGate("h", (top - p,)) for p in positions))
+    if not isinstance(gate, ControlledOp):
+        raise TypeError(f"unknown gate {gate!r}")
+
+    mask, bits = _resolve_controlled(layout, gate)
+    controls = [(q, (bits >> q) & 1) for q in range(layout.total_qubits) if (mask >> q) & 1]
+    action = gate.action
+    if isinstance(action, FlipQubit):
+        target = top - _qubit_axis(layout, action.register, action.qubit)
+        gates = _mcx_gates(controls, target, layout.total_qubits)
+        work = len(controls) - 1
     else:
-        num_work = num_controls - 1
-        first_work = num_controls + 1
-        ladder = [NetworkGate("ccx", (0, 1, first_work))]
-        for i in range(2, num_controls):
-            ladder.append(NetworkGate("ccx", (i, first_work + i - 2, first_work + i - 1)))
-        gates.extend(ladder)
-        gates.append(NetworkGate("cx", (first_work + num_controls - 2, target)))
-        gates.extend(reversed(ladder))
-
-    gates.extend(NetworkGate("x", (i,)) for i in inverted)
-    return McxNetwork(num_controls, polarity, tuple(gates), num_work)
+        shift_a, shift_b = layout.field_shift(action.reg_a), layout.field_shift(action.reg_b)
+        gates = []
+        for i in range(layout.width(action.reg_a)):
+            a, b = shift_a + i, shift_b + i
+            if not controls:
+                gates.append(NetworkGate("swap", (a, b)))
+                continue
+            cnot = NetworkGate("cx", (b, a))
+            gates += [cnot, *_mcx_gates([*controls, (a, 1)], b, layout.total_qubits), cnot]
+        # each pair's flip has one control more, so every pair reuses c work qubits
+        work = len(controls)
+    return Netlist(layout.total_qubits, tuple(gates), max(0, work))
 
 
 # --- gate accounting ---------------------------------------------------------
@@ -395,54 +432,8 @@ class GateCounts:
         )
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "toffoli": self.toffoli,
-            "cnot": self.cnot,
-            "single_qubit": self.single_qubit,
-            "swap": self.swap,
-        }
+        return dict(vars(self))
 
-
-def _mask_polarities(mask: int, bits: int) -> tuple[int, ...]:
-    polarity = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        polarity.append(1 if bits & low else 0)
-        remaining ^= low
-    return tuple(polarity)
-
-
-def op_counts(gate: Gate, layout: RegisterLayout) -> GateCounts:
-    """Primitive counts for one gate, expanding controls through
-    ``decompose_mcx`` and controlled swaps through the standard
-    CNOT-conjugated Toffoli per qubit pair.  The gate is checked as
-    ``apply_gate`` checks it, so a gate that cannot run is not counted."""
-    if isinstance(gate, HadamardLayer):
-        return GateCounts(single_qubit=len(_hadamard_positions(layout, gate.targets)))
-    if not isinstance(gate, ControlledOp):
-        raise TypeError(f"unknown gate {gate!r}")
-
-    mask, bits = _resolve_controlled(layout, gate)
-    num_controls = mask.bit_count()
-    polarity = _mask_polarities(mask, bits)
-    action = gate.action
-
-    if isinstance(action, FlipQubit):
-        if num_controls == 0:
-            return GateCounts(single_qubit=1)
-        return decompose_mcx(num_controls, polarity).counts()
-
-    pairs = layout.width(action.reg_a)
-    if num_controls == 0:
-        return GateCounts(swap=pairs)
-    # each controlled qubit-pair swap is CNOT, (c+1)-control flip, CNOT
-    per_pair = decompose_mcx(num_controls + 1, polarity + (1,)).counts()
-    per_pair = per_pair + GateCounts(cnot=2)
-    total = GateCounts()
-    for _ in range(pairs):
-        total = total + per_pair
-    return total
 
 
 @dataclass
@@ -453,10 +444,7 @@ class GateTally:
 
     @property
     def total(self) -> GateCounts:
-        result = GateCounts()
-        for counts in self.per_step.values():
-            result = result + counts
-        return result
+        return sum(self.per_step.values(), GateCounts())
 
     @property
     def toffoli_equivalents(self) -> int:
@@ -471,10 +459,10 @@ class GateTally:
 
 
 def tally_gates(trace: Sequence[tuple[str, Gate]], layout: RegisterLayout) -> GateTally:
-    """Aggregate ``op_counts`` over a labeled gate trace."""
+    """Per-label totals of the primitives that ``lower`` gives each gate."""
     if not trace:
         raise ValueError("empty gate trace")
     per_step: dict[str, GateCounts] = {}
     for label, gate in trace:
-        per_step[label] = per_step.get(label, GateCounts()) + op_counts(gate, layout)
+        per_step[label] = per_step.get(label, GateCounts()) + lower(gate, layout).counts()
     return GateTally(per_step)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import ControlledOp, FlipQubit, HadamardLayer, McxNetwork, SwapRegisters
+from .gates import ControlledOp, FlipQubit, HadamardLayer, Netlist, SwapRegisters
 from .state import RegisterLayout
 
 DENSE_QUBIT_CAP = 12
@@ -22,6 +22,7 @@ __all__ = [
     "oracle_row_swap",
     "oracle_trace",
     "oracle_transpose",
+    "controlled_op_image",
     "dense_unitary_of",
     "dense_mcx",
     "mcx_reference_action",
@@ -119,8 +120,15 @@ def _naive_fields(layout: RegisterLayout) -> dict[str, tuple[int, int]]:
     return fields
 
 
+def _field(fields: dict[str, tuple[int, int]], name: str) -> tuple[int, int]:
+    try:
+        return fields[name]
+    except KeyError:
+        raise ValueError(f"unknown register {name!r}") from None
+
+
 def _qubit_position(fields: dict[str, tuple[int, int]], name: str, qubit: int) -> int:
-    offset, width = fields[name]
+    offset, width = _field(fields, name)
     if not 0 <= qubit < width:
         raise ValueError(f"qubit {qubit} out of range for register {name!r}")
     return offset + qubit
@@ -137,42 +145,88 @@ def _replace_field(index: int, offset: int, width: int, total: int, value: int) 
     return index - old * (2 ** below) + value * (2 ** below)
 
 
-def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
-    """Brute-force dense matrix of a gate (or expansion network).
+def controlled_op_image(op: ControlledOp, layout: RegisterLayout):
+    """The map source -> image of a controlled op on basis indices, once the
+    op is checked: its registers exist, its condition values fit, a swap's
+    registers are distinct and of equal width, and no qubit is conditioned
+    twice or both conditioned and moved."""
+    total = sum(width for _, width in layout.registers)
+    fields = _naive_fields(layout)
+    projector, action = op.projector, op.action
+    conditions = [(*_field(fields, name), value) for name, value in projector.register_values]
+    conditions += [(_qubit_position(fields, n, q), 1, bit) for n, q, bit in projector.qubit_bits]
+    if isinstance(action, FlipQubit):
+        moved = [(_qubit_position(fields, action.register, action.qubit), 1)]
+    elif isinstance(action, SwapRegisters):
+        moved = [_field(fields, action.reg_a), _field(fields, action.reg_b)]
+        if moved[0][1] != moved[1][1] or moved[0][0] == moved[1][0]:
+            raise ValueError("a swap needs two distinct registers of equal width")
+    else:
+        raise TypeError(f"unknown action {action!r}")
+    for offset, width, value in conditions:
+        if not 0 <= value < 2 ** width:
+            raise ValueError(f"condition value {value} out of range for {width} qubits")
+    qubits = [q for offset, width, *_ in conditions + moved for q in range(offset, offset + width)]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("a qubit is conditioned twice, or both conditioned and moved")
 
-    Capped at 12 layout qubits; intended for cross-checking the simulator's
-    permutation application, so it never reuses the simulator's index code.
+    def image(source: int) -> int:
+        if any(_field_value(source, o, w, total) != v for o, w, v in conditions):
+            return source
+        values = [_field_value(source, offset, width, total) for offset, width in moved]
+        # a swap trades its two fields' values, a flip inverts its one bit
+        values = values[::-1] if len(values) == 2 else [1 - values[0]]
+        for (offset, width), value in zip(moved, values):
+            source = _replace_field(source, offset, width, total, value)
+        return source
+
+    return image
+
+
+def _permutation_matrix(image, width: int) -> np.ndarray:
+    unitary = np.zeros((2 ** width, 2 ** width), dtype=np.complex128)
+    for source in range(2 ** width):
+        unitary[image(source), source] = 1.0
+    return unitary
+
+
+def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
+    """Brute-force dense matrix of a gate or of a permutation netlist.
+
+    Capped at 12 qubits, a netlist's work qubits included; intended for
+    cross-checking the simulator and the netlists, so it never reuses the
+    simulator's index code.
     """
-    if isinstance(op, McxNetwork):
-        dim = 2 ** op.num_qubits
-        if op.num_qubits > DENSE_QUBIT_CAP:
-            raise ValueError(f"network too wide for dense construction: {op.num_qubits}")
-        unitary = np.zeros((dim, dim), dtype=np.complex128)
-        for source in range(dim):
-            image = source
-            for gate in op.gates:
-                *controls, target = gate.qubits
-                if all((image // (2 ** c)) % 2 == 1 for c in controls):
-                    if (image // (2 ** target)) % 2 == 1:
-                        image -= 2 ** target
-                    else:
-                        image += 2 ** target
-            unitary[image, source] = 1.0
-        return unitary
+    if isinstance(op, Netlist):
+        width = op.num_qubits + op.num_work_qubits
+        if width > DENSE_QUBIT_CAP:
+            raise ValueError(f"netlist too wide for dense construction: {width} qubits")
+        if any(gate.kind not in ("x", "cx", "ccx", "swap") for gate in op.gates):
+            raise ValueError("only X, CNOT, Toffoli and SWAP netlists are permutations")
+
+        def image(index: int) -> int:
+            for kind, qubits in op.gates:
+                # a SWAP is three CNOTs
+                steps = (qubits, qubits[::-1], qubits) if kind == "swap" else (qubits,)
+                for *controls, target in steps:
+                    if all((index // (2 ** c)) % 2 == 1 for c in controls):
+                        index += (1 - 2 * ((index // (2 ** target)) % 2)) * 2 ** target
+            return index
+
+        return _permutation_matrix(image, width)
 
     if layout is None:
         raise ValueError("layout required for register-level gates")
     total = sum(width for _, width in layout.registers)
     if total > DENSE_QUBIT_CAP:
         raise ValueError(f"layout too wide for dense construction: {total} qubits")
-    dim = 2 ** total
-    fields = _naive_fields(layout)
 
     if isinstance(op, HadamardLayer):
+        fields = _naive_fields(layout)
         targeted = set()
         for target in op.targets:
             if isinstance(target, str):
-                offset, width = fields[target]
+                offset, width = _field(fields, target)
                 targeted.update(range(offset, offset + width))
             else:
                 targeted.add(_qubit_position(fields, *target))
@@ -184,45 +238,7 @@ def dense_unitary_of(op, layout: RegisterLayout | None = None) -> np.ndarray:
         return unitary
 
     if isinstance(op, ControlledOp):
-        conditions = [(*fields[name], value) for name, value in op.projector.register_values]
-        for name, qubit, bit in op.projector.qubit_bits:
-            conditions.append((_qubit_position(fields, name, qubit), 1, bit))
-        conditioned: list[int] = []
-        for offset, width, value in conditions:
-            if not 0 <= value < 2 ** width:
-                raise ValueError(f"condition value {value} out of range for {width} qubits")
-            conditioned.extend(range(offset, offset + width))
-        action = op.action
-        if isinstance(action, FlipQubit):
-            targets = [_qubit_position(fields, action.register, action.qubit)]
-        elif isinstance(action, SwapRegisters):
-            (oa, wa), (ob, wb) = fields[action.reg_a], fields[action.reg_b]
-            if wa != wb or oa == ob:
-                raise ValueError("a swap needs two distinct registers of equal width")
-            targets = [*range(oa, oa + wa), *range(ob, ob + wb)]
-        else:
-            raise TypeError(f"unknown action {action!r}")
-        if len(set(conditioned + targets)) != len(conditioned) + len(targets):
-            raise ValueError("a qubit is conditioned twice, or both conditioned and moved")
-        unitary = np.zeros((dim, dim), dtype=np.complex128)
-        for source in range(dim):
-            matched = all(
-                _field_value(source, offset, width, total) == value
-                for offset, width, value in conditions
-            )
-            if not matched:
-                unitary[source, source] = 1.0
-                continue
-            if isinstance(action, FlipQubit):
-                bit = _field_value(source, targets[0], 1, total)
-                image = _replace_field(source, targets[0], 1, total, 1 - bit)
-            else:
-                va = _field_value(source, oa, wa, total)
-                vb = _field_value(source, ob, wb, total)
-                image = _replace_field(source, oa, wa, total, vb)
-                image = _replace_field(image, ob, wb, total, va)
-            unitary[image, source] = 1.0
-        return unitary
+        return _permutation_matrix(controlled_op_image(op, layout), total)
 
     raise TypeError(f"unknown op {op!r}")
 
@@ -245,8 +261,7 @@ def dense_mcx(num_controls: int, control_polarity=None) -> np.ndarray:
     """Dense multi-controlled X on c+1 qubits (controls 0..c-1, target c)."""
     if control_polarity is None:
         control_polarity = (1,) * num_controls
-    dim = 2 ** (num_controls + 1)
-    unitary = np.zeros((dim, dim), dtype=np.complex128)
-    for source in range(dim):
-        unitary[mcx_reference_action(source, num_controls, control_polarity), source] = 1.0
-    return unitary
+    return _permutation_matrix(
+        lambda source: mcx_reference_action(source, num_controls, control_polarity),
+        num_controls + 1,
+    )

@@ -290,7 +290,7 @@ def check_mcx_networks(seed: int) -> CheckResult:
             block = 1 << (num_controls + 1)
             reference = dense_mcx(num_controls, polarity)
             worst = max(worst, float(np.max(np.abs(dense[:block, :block] - reference))))
-            if network.num_qubits > num_controls + 1:
+            if network.num_work_qubits:
                 ok = ok and not np.any(dense[block:, :block])
     for num_controls in range(5, 13):
         for polarity in ((1,) * num_controls, tuple(rng.integers(0, 2, num_controls))):

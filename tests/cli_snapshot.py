@@ -76,6 +76,11 @@ def commands(inputs: dict[str, str]) -> list[tuple[str, list[str]]]:
                               "--seed", "5"]),
         ("appendix1-output", ["appendix1", "--output", "{out}"]),
     ]
+    # every width that scaling accepts, so every lowered gate's tally is compared
+    widths = ",".join(str(width) for width in range(1, 13))
+    for algorithm in ("row-add", "row-swap", "trace", "transpose"):
+        argv = ["scaling", "--algorithm", algorithm, "--widths", widths, "--output", "{out}"]
+        runs.append((f"scaling-{algorithm}-widths-1-12", argv))
     return runs
 
 

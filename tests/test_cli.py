@@ -294,10 +294,18 @@ def test_zero_shots_rejected(matrix_file, capsys):
 
 def test_zero_shots_rejected_before_simulating(matrix_file, capsys, monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("simulated despite an invalid --shots")
+        raise AssertionError("read or simulated despite an invalid --shots")
 
-    for name in ("run_row_add", "run_row_swap", "run_trace", "run_transpose", "run_transpose_square"):
+    for name in ("load_matrix", "run_row_add", "run_row_swap", "run_trace", "run_transpose",
+                 "run_transpose_square"):
         monkeypatch.setattr(cli, name, refuse)
-    code = main(["row-swap", "--input", matrix_file(np.eye(2)), "--k", "0", "--l", "1", "--shots", "0"])
-    assert code == 1
-    assert "error: --shots must be a positive integer" in capsys.readouterr().err
+    path = matrix_file(np.eye(2))
+    for shots, message in (
+        ("0", "--shots must be a positive integer"),
+        # 10^13 shots would take hours to draw
+        ("10000000000000", f"--shots must be at most {cli.MAX_SHOTS}"),
+        (str(cli.MAX_SHOTS + 1), f"--shots must be at most {cli.MAX_SHOTS}"),
+    ):
+        code = main(["row-swap", "--input", path, "--k", "0", "--l", "1", "--shots", shots])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err

@@ -4,9 +4,20 @@ import pytest
 from qmatops import CLAIMS, SCALING_WIDTHS, encode_matrix, measure_scaling
 from qmatops import run_row_add, run_row_swap, run_trace
 from qmatops import algorithms
-from qmatops.algorithms import trace_circuit
+from qmatops.algorithms import (
+    row_add_circuit,
+    row_swap_circuit,
+    trace_circuit,
+    transpose_circuit,
+    transpose_square_circuit,
+)
 from qmatops.complexity import MAX_WIDTH
-from qmatops.gates import tally_gates
+from qmatops.gates import ControlledOp, lower, tally_gates
+from qmatops.oracle import controlled_op_image
+
+# basis states run through each controlled op's netlist; half of them are
+# forced into the projector's subspace, which random integers almost never meet
+BIT_LEVEL_SAMPLES = 64
 
 
 def counts_by_width(algorithm, widths, step, metric):
@@ -128,3 +139,37 @@ def test_trace_tally_past_the_old_control_cap():
     circuit = trace_circuit(8)
     tally = tally_gates(circuit.gates(), circuit.layout)
     assert tally.per_step["step5-remark-useful"].toffoli == 48
+
+
+@pytest.mark.parametrize("width", range(1, MAX_WIDTH + 1))
+def test_lowered_circuits_run_bit_for_bit_like_the_oracle(width):
+    """Every circuit that measure_scaling tallies at this width, plus the
+    square transpose, run as Toffoli netlists on seeded basis integers."""
+    rng = np.random.default_rng(width)
+    k, l = (int(v) for v in rng.choice(1 << width, size=2, replace=False))
+    circuits = [
+        row_add_circuit(width, 1, k, l),
+        row_swap_circuit(width, 1, k, l),
+        trace_circuit(width),
+        transpose_circuit(1, width),
+        transpose_square_circuit(width),
+    ]
+    for circuit in circuits:
+        layout = circuit.layout
+        for label, gate in circuit.gates():
+            if not isinstance(gate, ControlledOp):
+                continue
+            netlist = lower(gate, layout)
+            image = controlled_op_image(gate, layout)
+            mask, bits = gate.projector.resolve(layout)
+            moved = 0
+            for sample in range(BIT_LEVEL_SAMPLES):
+                source = int(rng.integers(layout.size))
+                if sample % 2:
+                    source = source & ~mask | bits
+                expected = image(source)
+                moved += expected != source
+                # the oracle's image lies inside the layout, so equality
+                # also means every work qubit came back to 0
+                assert netlist.apply_to_basis(source) == expected, (label, gate, source)
+            assert moved, (label, gate)

@@ -11,6 +11,7 @@ from qmatops import (
     FlipQubit,
     GateCounts,
     HadamardLayer,
+    Netlist,
     Projector,
     RegisterLayout,
     RegisterSwapGate,
@@ -21,11 +22,12 @@ from qmatops import (
     decompose_mcx,
     dense_mcx,
     dense_unitary_of,
+    lower,
     tally_gates,
 )
 from qmatops import gates
-from qmatops.gates import op_counts
-from qmatops.oracle import mcx_reference_action
+from qmatops.gates import NetworkGate
+from qmatops.oracle import controlled_op_image, mcx_reference_action
 
 LAYOUT = RegisterLayout((("R", 2), ("C", 2), ("B", 1)))
 
@@ -99,6 +101,13 @@ UNRUNNABLE_GATES = [
     ControlledOp(Projector(register_values=(("R", 1),)), SwapRegisters("R", "C")),
     ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), FlipQubit("B", 0)),
     ControlledOp(Projector(), FlipQubit("B", 3)),
+    # a register the layout lacks is a ValueError everywhere, not a KeyError
+    ControlledOp(Projector(), FlipQubit("Z", 0)),
+    ControlledOp(Projector(register_values=(("B", 1),)), SwapRegisters("R", "Z")),
+    ControlledOp(Projector(register_values=(("Z", 1),)), FlipQubit("B", 0)),
+    ControlledOp(Projector(qubit_bits=(("Z", 0, 1),)), FlipQubit("B", 0)),
+    HadamardLayer(("R", "Z")),
+    HadamardLayer((("Z", 0),)),
 ]
 UNRUNNABLE_IDS = [
     "cswap-unequal-widths",
@@ -107,6 +116,12 @@ UNRUNNABLE_IDS = [
     "swap-of-a-control",
     "flip-of-its-control",
     "flip-out-of-range",
+    "unknown-flip-target",
+    "unknown-swap-register",
+    "unknown-projector-register",
+    "unknown-projector-qubit",
+    "unknown-hadamard-register",
+    "unknown-hadamard-qubit",
 ]
 
 
@@ -115,7 +130,7 @@ def test_tally_rejects_every_gate_apply_gate_rejects(gate):
     with pytest.raises(ValueError):
         apply_gate(buffer_of(random_state(LAYOUT, 8)), gate)
     with pytest.raises(ValueError):
-        op_counts(gate, LAYOUT)
+        lower(gate, LAYOUT)
     with pytest.raises(ValueError):
         tally_gates([("step", gate)], LAYOUT)
 
@@ -393,26 +408,73 @@ def test_mcx_ladder_has_no_control_cap():
 
 # --- tallying -------------------------------------------------------------
 
-def test_op_counts_expand_through_mcx():
+def test_lower_counts_expand_through_mcx():
     op = ControlledOp(Projector(register_values=(("R", 0),)), FlipQubit("B", 0))
-    counts = op_counts(op, LAYOUT)
+    counts = lower(op, LAYOUT).counts()
     # two controls, both on zero-valued bits: 2 toffoli, 1 cnot, 4 x
     assert counts == GateCounts(toffoli=2, cnot=1, single_qubit=4)
 
 
-def test_op_counts_controlled_swap_per_pair():
+def test_lower_counts_controlled_swap_per_pair():
     op = ControlledOp(Projector(register_values=(("B", 1),)), SwapRegisters("R", "C"))
-    counts = op_counts(op, LAYOUT)
+    counts = lower(op, LAYOUT).counts()
     # two qubit pairs, each 2 cnot + a 2-control flip (2 toffoli + 1 cnot)
     assert counts == GateCounts(toffoli=4, cnot=6)
 
 
-def test_op_counts_uncontrolled_and_single_qubit_classes():
-    assert op_counts(RegisterSwapGate("R", "C"), LAYOUT) == GateCounts(swap=2)
-    assert op_counts(HadamardLayer(("R", "C", "B")), LAYOUT) == GateCounts(single_qubit=5)
-    assert op_counts(
+def test_lower_counts_uncontrolled_and_single_qubit_classes():
+    assert lower(RegisterSwapGate("R", "C"), LAYOUT).counts() == GateCounts(swap=2)
+    assert lower(HadamardLayer(("R", "C", "B")), LAYOUT).counts() == GateCounts(single_qubit=5)
+    assert lower(
         ControlledOp(Projector(), FlipQubit("B", 0)), LAYOUT
-    ) == GateCounts(single_qubit=1)
+    ).counts() == GateCounts(single_qubit=1)
+
+
+def test_lower_numbers_qubits_by_basis_bit():
+    # qubit i is bit i of the basis index: B is bit 0, R's qubit 0 is bit 4
+    flip = lower(ControlledOp(Projector(qubit_bits=(("R", 0, 1),)), FlipQubit("B", 0)), LAYOUT)
+    assert flip == Netlist(5, (NetworkGate("cx", (4, 0)),), 0)
+    swap = lower(RegisterSwapGate("R", "C"), LAYOUT)
+    assert swap.gates == (NetworkGate("swap", (3, 1)), NetworkGate("swap", (4, 2)))
+    layer = lower(HadamardLayer((("C", 1), "B")), LAYOUT)
+    assert layer.gates == (NetworkGate("h", (1,)), NetworkGate("h", (0,)))
+
+
+def test_lowered_controlled_swap_reuses_its_work_qubits():
+    op = ControlledOp(Projector(register_values=(("B", 1),)), SwapRegisters("R", "C"))
+    netlist = lower(op, LAYOUT)
+    # each pair's flip has two controls (B and the pair's R qubit): one work qubit
+    assert (netlist.num_qubits, netlist.num_work_qubits) == (5, 1)
+    image = controlled_op_image(op, LAYOUT)
+    for source in range(LAYOUT.size):
+        assert netlist.apply_to_basis(source) == image(source)
+
+
+def test_netlist_swaps_basis_bits_and_refuses_hadamards():
+    netlist = Netlist(3, (NetworkGate("swap", (0, 2)), NetworkGate("x", (1,))))
+    assert [netlist.apply_to_basis(s) for s in range(8)] == [2, 6, 0, 4, 3, 7, 1, 5]
+    expected = np.zeros((8, 8), dtype=complex)
+    expected[[2, 6, 0, 4, 3, 7, 1, 5], range(8)] = 1
+    np.testing.assert_array_equal(dense_unitary_of(netlist), expected)
+    layer = lower(HadamardLayer(("B",)), LAYOUT)
+    with pytest.raises(ValueError):
+        layer.apply_to_basis(0)
+    with pytest.raises(ValueError):
+        dense_unitary_of(layer)
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=random_circuits())
+def test_lowered_controlled_ops_match_the_oracle_on_every_basis_state(circuit):
+    layout, gate_list = circuit
+    for gate in gate_list:
+        if isinstance(gate, HadamardLayer):
+            continue
+        netlist = lower(gate, layout)
+        image = controlled_op_image(gate, layout)
+        for source in range(layout.size):
+            # the work qubits above the layout's come back to 0
+            assert netlist.apply_to_basis(source) == image(source)
 
 
 def test_tally_groups_by_label_and_totals_add_up():
