@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -65,30 +66,43 @@ __all__ = [
 
 @dataclass
 class PostSelection:
-    """Outcome of projecting onto a register pattern and renormalizing.
+    """Outcome of projecting ``state`` onto a register pattern.
 
-    ``renormalized_state`` is None when the projected mass is zero; that is
-    a legitimate zero-probability outcome, not an error.
+    ``probability`` is the squared mass of the selected subspace.
+    ``renormalized_state`` is a read-only full-size state holding that
+    subspace divided by sqrt(probability) and zeros elsewhere; it is built
+    on first access, since a run decodes its output from ``state`` directly.
+    It is None when the projected mass is zero; that is a legitimate
+    zero-probability outcome, not an error.
     """
 
     pattern: dict[str, int]
     probability: float
-    renormalized_state: StateVector | None
+    state: StateVector = field(repr=False)
+
+    @cached_property
+    def renormalized_state(self) -> StateVector | None:
+        if self.probability <= ZERO_PROBABILITY_FLOOR:
+            return None
+        layout = self.state.layout
+        selected = qubit_index(layout, self.pattern)
+        kept = qubit_view(self.state.amplitudes, layout)[selected]
+        amplitudes = np.zeros(layout.size, dtype=np.complex128)
+        np.divide(kept, math.sqrt(self.probability), out=qubit_view(amplitudes, layout)[selected])
+        amplitudes.setflags(write=False)
+        return StateVector(layout, amplitudes)
 
 
 def post_select(state: StateVector, pattern: Mapping[str, int]) -> PostSelection:
+    """Project ``state`` onto ``pattern``.  Summing the probability takes one
+    float temporary, half the selected subspace's bytes; nothing the size of
+    the state is allocated."""
     layout = state.layout
-    selected = qubit_index(layout, pattern)
-    kept = qubit_view(state.amplitudes, layout)[selected]
+    kept = qubit_view(state.amplitudes, layout)[qubit_index(layout, pattern)]
     # summed flat in basis-index order, as a gather of the subspace would be
-    probability = float(np.sum(np.abs(kept).ravel() ** 2))
-    renormalized = None
-    if probability > ZERO_PROBABILITY_FLOOR:
-        amplitudes = np.zeros(layout.size, dtype=np.complex128)
-        np.divide(kept, math.sqrt(probability), out=qubit_view(amplitudes, layout)[selected])
-        amplitudes.setflags(write=False)
-        renormalized = StateVector(layout, amplitudes)
-    return PostSelection(dict(pattern), probability, renormalized)
+    weights = np.abs(kept).ravel()
+    probability = float(np.sum(np.square(weights, out=weights)))
+    return PostSelection(dict(pattern), probability, state)
 
 
 @dataclass
@@ -390,21 +404,23 @@ def simulate(
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
     tally = tally_gates(circuit.gates(), layout)
 
+    selection = None
     if circuit.accept is None:
-        selection, readout = None, state
         inside = qubit_view(state.amplitudes, layout)[qubit_index(layout, circuit.decode[2])]
         probability = 1.0
         if np.count_nonzero(inside) != np.count_nonzero(state.amplitudes):
             probability = float(np.sum(np.abs(inside) ** 2)) / state.norm_squared
     else:
         selection = post_select(state, circuit.accept)
-        readout, probability = selection.renormalized_state, selection.probability
+        probability = selection.probability
 
     output = None
-    if circuit.decode is not None and readout is not None:
-        output = decode_matrix(readout, *circuit.decode)
-    if records is not None and selection is not None and readout is not None:
-        records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", readout))
+    accepted = selection is None or probability > ZERO_PROBABILITY_FLOOR
+    if circuit.decode is not None and accepted:
+        selected_mass = None if selection is None else probability
+        output = decode_matrix(state, *circuit.decode, selected_mass)
+    if records is not None and selection is not None and accepted:
+        records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     return Simulation(state, tally, probability, selection, output, records)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,6 +22,11 @@ MAX_QUBITS = 26
 
 PART_NORM_TOL = 1e-9
 DECODE_MASS_TOL = 1e-9
+
+# prepare_product_state writes the product block by block of its leading
+# factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
+# so the partial products of a block stay in L2 cache
+PREPARE_BLOCK = 1 << 15
 
 # range of the largest matrix component in which encode_matrix takes the
 # Frobenius norm directly: inside it the squared entries of any matrix that
@@ -396,6 +401,13 @@ def prepare_product_state(
     must carry a unit-norm table of matching dimension.  Registers not
     covered by any part start in |0>.  Layouts wider than MAX_QUBITS are
     rejected before ``parts`` is read or any amplitude is allocated.
+
+    The product is written straight into the returned state's one array,
+    block by block of the leading factor; besides it and the |0> tables, it
+    allocates only the partial products of one block (at most
+    PREPARE_BLOCK amplitudes).  Each
+    amplitude is the left-to-right chain of complex multiplies of
+    ``reduce(np.kron, factors)``, so its bytes are the same.
     """
     if layout.total_qubits > MAX_QUBITS:
         raise ValueError(
@@ -447,10 +459,36 @@ def prepare_product_state(
             ground[0] = 1.0
             factors.append(ground)
             pos += 1
-    # a lone factor may be the caller's own table, so the state copies it
-    amplitudes = reduce(np.kron, factors) if len(factors) > 1 else factors[0].copy()
+    leading, rest = factors[0], factors[1:]
+    tail = math.prod(factor.size for factor in rest)
+    rows = max(1, PREPARE_BLOCK // tail)
+    amplitudes = np.empty(layout.size, dtype=np.complex128)
+    for row in range(0, leading.size, rows):
+        partial = leading[row : row + rows]
+        block = amplitudes[row * tail : (row + rows) * tail]
+        if not rest:
+            # a lone factor may be the caller's own table, so the state copies it
+            block[:] = partial
+        for position, factor in enumerate(rest, start=1):
+            size = partial.size * factor.size
+            out = block if position == len(rest) else np.empty(size, dtype=np.complex128)
+            _multiply_outer(partial, factor, out)
+            partial = out
     amplitudes.setflags(write=False)
     return StateVector(layout, amplitudes)
+
+
+def _multiply_outer(partial: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
+    """``out[i * factor.size + j] = partial[i] * factor[j]``, the operands in
+    ``np.kron``'s order (numpy's complex multiply is not commutative bit for
+    bit).  numpy's inner loop runs along the longer of the two axes: a
+    2-wide inner loop over a ground qubit would cost a call per pair."""
+    grid = out.reshape(partial.size, factor.size)
+    if factor.size >= partial.size:
+        np.multiply(partial[:, None], factor, out=grid)
+    else:
+        for column, value in enumerate(factor):
+            np.multiply(partial, value, out=grid[:, column])
 
 
 def decode_matrix(
@@ -458,12 +496,20 @@ def decode_matrix(
     row_register: str,
     col_register: str,
     fixed: Mapping[str, int],
+    selected_mass: float | None = None,
 ) -> np.ndarray:
     """Read a matrix back out of a state, pinning every other register.
 
+    ``selected_mass`` is the squared mass of the subspace the state was
+    post-selected on (``PostSelection.probability``), and the pinned block
+    is divided by its square root, bitwise as the renormalized state holds
+    it.  Without it the block is copied out as it is, with no
+    renormalization.  Either way the pinned block is the only array
+    allocated, the size of the returned matrix.
+
     Rejects the read when more than DECODE_MASS_TOL of the squared
-    amplitude mass lies outside the pinned subspace.  No renormalization
-    is applied to the extracted entries.
+    amplitude mass lies outside the pinned subspace: outside it but inside
+    the selected subspace, or anywhere in the state without a selection.
     """
     layout = state.layout
     if row_register == col_register:
@@ -478,18 +524,33 @@ def decode_matrix(
             f"decode must mention every register exactly once "
             f"(unknown: {extra}, unpinned: {missing})"
         )
+    if selected_mass is not None and not selected_mass > 0.0:
+        raise ValueError(f"selected_mass must be positive, got {selected_mass!r}")
     n = layout.width(row_register)
     m = layout.width(col_register)
     pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
     if layout.offset(col_register) < layout.offset(row_register):
         # the pinned view keeps layout order; move the column axes last
         pinned = np.moveaxis(pinned, range(m), range(n, n + m))
-    out = np.array(pinned, order="C").reshape(1 << n, 1 << m)
-    total = state.norm_squared
-    inside = float(np.sum(np.abs(out) ** 2))
-    if total - inside > DECODE_MASS_TOL:
+    out = np.empty((1 << n, 1 << m), dtype=np.complex128)
+    if selected_mass is None:
+        np.copyto(out.reshape(pinned.shape), pinned)
+        total = _mass(state.amplitudes)
+    else:
+        np.divide(pinned, math.sqrt(selected_mass), out=out.reshape(pinned.shape))
+        total = 1.0
+    outside = total - _mass(out)
+    if outside > DECODE_MASS_TOL:
         raise ValueError(
-            f"{total - inside!r} of the amplitude mass lies outside the pinned "
+            f"{outside!r} of the amplitude mass lies outside the pinned "
             "subspace; refusing to decode"
         )
     return out
+
+
+def _mass(amplitudes: np.ndarray) -> float:
+    """Sum of squared magnitudes of a contiguous array: one dot product of
+    its real and imaginary parts, so no temporary.  For tolerance checks
+    only, since its rounding is not ``norm_squared``'s."""
+    parts = amplitudes.reshape(-1).view(np.float64)
+    return float(np.dot(parts, parts))

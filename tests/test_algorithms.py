@@ -23,7 +23,8 @@ from qmatops import (
     run_transpose_square,
 )
 from qmatops import algorithms
-from qmatops.algorithms import row_add_circuit, row_swap_circuit
+from qmatops.algorithms import row_add_circuit, row_swap_circuit, trace_circuit
+from qmatops.state import qubit_index, qubit_view
 from qmatops.golden import (
     GOLDEN_FROBENIUS_SCALE,
     GOLDEN_K,
@@ -351,6 +352,86 @@ def test_run_peak_memory_stays_near_two_states(runner, shape, qubits):
     finally:
         tracemalloc.stop()
     assert peak <= 2.6 * (16 << qubits)
+
+
+@pytest.mark.parametrize(
+    "runner, shape, qubits",
+    [
+        (lambda m: run_row_add(m, 3, 17), (32, 32), 18),
+        (lambda m: run_row_swap(m, 3, 5), (8, 16), 17),
+        (run_trace, (32, 32), 17),
+    ],
+    ids=["row-add", "row-swap", "trace"],
+)
+def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
+    # the state plus one temporary of a controlled swap's half-state subspace;
+    # preparation, post-selection and decode add nothing the state's size
+    encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
+    tracemalloc.start()
+    try:
+        runner(encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (16 << qubits)
+
+
+def test_post_select_allocates_less_than_the_state():
+    layout = RegisterLayout((("A", 15), ("B", 3)))
+    raw = random_matrix(np.random.default_rng(22), layout.size)
+    state = StateVector(layout, raw / np.linalg.norm(raw))
+    tracemalloc.start()
+    try:
+        selection = post_select(state, {"B": 5})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * state.amplitudes.nbytes
+    assert selection.probability > 0
+
+
+READOUTS = {
+    "row-add": (lambda m: row_add_circuit(m.row_qubits, m.col_qubits, 1, 2),
+                lambda m: run_row_add(m, 1, 2)),
+    "row-swap": (lambda m: row_swap_circuit(m.row_qubits, m.col_qubits, 1, 2),
+                 lambda m: run_row_swap(m, 1, 2)),
+    "trace": (lambda m: trace_circuit(m.row_qubits), run_trace),
+}
+
+
+@pytest.mark.parametrize("routine", sorted(READOUTS))
+def test_readout_is_bitwise_the_renormalized_state(routine):
+    build, runner = READOUTS[routine]
+    matrix = random_matrix(np.random.default_rng(23), (4, 4))
+    matrix[0, 1] = complex(-0.0, 0.0)
+    matrix[3] = 0.0
+    matrix[2, 2] = complex(0.5, -0.0)
+    encoded = encode_matrix(matrix)
+    circuit = build(encoded)
+    layout = circuit.layout
+    # the readout as a full-size renormalized state, written out by hand
+    final = algorithms.simulate(circuit, encoded.entries).state
+    selected = qubit_index(layout, circuit.accept)
+    kept = qubit_view(final.amplitudes, layout)[selected]
+    probability = float(np.sum(np.abs(kept).ravel() ** 2))
+    expected = np.zeros(layout.size, dtype=np.complex128)
+    np.divide(kept, math.sqrt(probability), out=qubit_view(expected, layout)[selected])
+
+    report = runner(encoded)
+    assert report.success_probability.hex() == probability.hex()
+    renormalized = report.post_selection.renormalized_state
+    assert renormalized.amplitudes.tobytes() == expected.tobytes()
+    assert not renormalized.amplitudes.flags.writeable
+    if circuit.decode is not None:
+        pinned = qubit_view(expected, layout)[qubit_index(layout, circuit.decode[2])]
+        decoded = np.array(pinned, order="C").reshape(report.output_matrix.shape)
+        assert report.output_matrix.tobytes() == decoded.tobytes()
+
+
+def test_zero_probability_outcome_has_no_renormalized_state():
+    report = run_trace(encode_matrix(np.array([[1.0, 2.0], [3.0, -1.0]])))
+    assert report.success_probability == 0.0
+    assert report.post_selection.renormalized_state is None
 
 
 def test_gate_tally_reports_expected_steps():

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -192,6 +193,80 @@ def test_prepare_product_norm_is_one(seed):
     assert abs(state.norm_squared - 1.0) < 1e-12
 
 
+SIGNED_ZEROS = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+
+
+def signed_unit(rng, size):
+    """A unit table with every sign of zero and negative parts."""
+    table = random_unit(rng, size)
+    zeros = min(len(SIGNED_ZEROS), size // 2)
+    table[:zeros] = SIGNED_ZEROS[:zeros]
+    return table / np.linalg.norm(table)
+
+
+def kron_reference(layout, parts):
+    """The prepared state as a ``reduce(np.kron, ...)`` fold, every register
+    no part covers in |0>."""
+    tables = {layout.names.index(names[0]): (len(names), table) for names, table in parts}
+    factors, position = [], 0
+    while position < len(layout.names):
+        count, table = tables.get(position, (1, None))
+        if table is None:
+            table = np.zeros(1 << layout.width(layout.names[position]), dtype=complex)
+            table[0] = 1.0
+        factors.append(np.asarray(table, dtype=complex).ravel())
+        position += count
+    return reduce(np.kron, factors)
+
+
+@pytest.mark.parametrize(
+    "registers, tables",
+    [
+        # matrix, row-add ancilla, three ground qubits
+        ((("R1", 2), ("C1", 3), ("R2", 2), ("B1", 1), ("B2", 1), ("B3", 1)),
+         [(("R1", "C1"), None), (("R2",), AncillaVector("row-add", 3, 1, 2))]),
+        # matrix, row-swap ancilla over two registers, ground registers of 1-2 qubits
+        ((("R1", 2), ("C1", 2), ("R2", 2), ("C2", 2), ("B1", 1), ("B2", 2), ("B3", 1)),
+         [(("R1", "C1"), None), (("R2", "C2"), AncillaVector("row-swap", 1, 2, 2))]),
+        # 17 qubits: four blocks of several leading-factor rows each
+        ((("R", 5), ("C", 5), ("A", 5), ("B1", 1), ("B2", 1)), [(("R", "C"), None)]),
+        # 17 qubits led by a ground register, so each block is one row
+        ((("D", 1), ("R", 8), ("C", 8)), [(("R", "C"), None)]),
+        # ground registers only
+        ((("X", 3), ("Y", 1), ("Z", 2)), []),
+        # complex tables on both sides of either loop order: numpy's complex
+        # multiply is not commutative bit for bit, so this pins operand order
+        ((("A", 3), ("B", 5), ("C", 3)), [(("A",), None), (("B",), None), (("C",), None)]),
+    ],
+    ids=["row-add", "row-swap", "blocks", "ground-leading", "ground-only", "complex"],
+)
+def test_prepare_is_bitwise_the_kron_fold(registers, tables):
+    layout = RegisterLayout(registers)
+    rng = np.random.default_rng(31)
+    parts = []
+    for names, ancilla in tables:
+        if ancilla is None:
+            table = signed_unit(rng, 1 << sum(layout.width(name) for name in names))
+        else:
+            table = ancilla.amplitudes()
+        parts.append((names, table))
+    state = prepare_product_state(layout, parts)
+    assert state.amplitudes.tobytes() == kron_reference(layout, parts).tobytes()
+    assert not state.amplitudes.flags.writeable
+
+
+def test_prepare_copies_a_lone_factor():
+    layout = RegisterLayout((("R", 2), ("C", 2)))
+    table = signed_unit(np.random.default_rng(32), 16)
+    original = table.tobytes()
+    state = prepare_product_state(layout, ((("R", "C"), table),))
+    assert state.amplitudes.tobytes() == original
+    assert not np.shares_memory(state.amplitudes, table)
+    assert table.flags.writeable
+    table[0] = 1.0
+    assert state.amplitudes.tobytes() == original
+
+
 # --- decoding ------------------------------------------------------------
 
 def test_decode_rejects_mass_outside_pinned_subspace():
@@ -201,6 +276,11 @@ def test_decode_rejects_mass_outside_pinned_subspace():
     state = StateVector(layout, amplitudes)
     with pytest.raises(ValueError):
         decode_matrix(state, "R", "C", {"B": 0})
+    # read as post-selected on the whole state, half of it is still outside
+    with pytest.raises(ValueError, match="outside the pinned"):
+        decode_matrix(state, "R", "C", {"B": 0}, selected_mass=1.0)
+    with pytest.raises(ValueError, match="positive"):
+        decode_matrix(state, "R", "C", {"B": 0}, selected_mass=0.0)
 
 
 def test_decode_requires_full_register_coverage():
@@ -230,6 +310,20 @@ def test_decode_reads_entry_ij_from_row_i_column_j(registers):
         [state.amplitude({"R": i, "C": j, "B": 1}) for j in range(2)] for i in range(4)
     ]
     np.testing.assert_array_equal(decoded, expected)
+
+
+def test_decode_divides_the_pinned_block_as_post_selection_does():
+    layout = RegisterLayout((("R", 2), ("C", 3), ("B", 1)))
+    amplitudes = random_unit(np.random.default_rng(33), layout.size)
+    # a negative zero with a non-negative imaginary part keeps its sign under
+    # a reciprocal multiply but not under numpy's complex division
+    amplitudes[0] = complex(-0.0, 0.25)
+    amplitudes[2] = complex(-0.0, 0.0)
+    state = StateVector(layout, amplitudes)
+    mass = float(np.sum(np.abs(amplitudes[0::2]) ** 2))
+    decoded = decode_matrix(state, "R", "C", {"B": 0}, selected_mass=mass)
+    expected = np.divide(amplitudes[0::2], math.sqrt(mass)).reshape(4, 8)
+    assert decoded.tobytes() == expected.tobytes()
 
 
 def test_decode_applies_no_renormalization():
