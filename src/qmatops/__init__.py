@@ -8,7 +8,6 @@ everything classically so the two can be compared.  The names below are the
 package's public API; everything else is reached through its modules.
 """
 from .algorithms import (
-    post_select,
     run_row_add,
     run_row_swap,
     run_trace,
@@ -46,6 +45,7 @@ from .state import (
     StateVector,
     decode_matrix,
     encode_matrix,
+    post_select,
     prepare_product_state,
 )
 from .verify import SCALING_WIDTHS, run_all_checks

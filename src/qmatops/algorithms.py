@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Mapping
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,27 +28,29 @@ from .gates import (
     apply_gate,
     tally_gates,
 )
+# a run calls post_select, prepare_product_state and decode_matrix by their
+# names in this module, so a wrapper set on one of those names sees every call
 from .state import (
+    ZERO_PROBABILITY_FLOOR,
     AncillaVector,
     EncodedMatrix,
+    PostSelection,
     RegisterLayout,
     StateBuffer,
     StateVector,
     decode_matrix,
+    occupied_states,
+    pinned_share,
+    post_select,
     prepare_product_state,
-    qubit_index,
-    qubit_view,
+    require_dense_width,
 )
 
-ZERO_PROBABILITY_FLOOR = 1e-300
-
 __all__ = [
-    "PostSelection",
     "StepState",
     "RunReport",
     "Circuit",
     "Simulation",
-    "post_select",
     "simulate",
     "row_add_circuit",
     "row_swap_circuit",
@@ -62,47 +63,6 @@ __all__ = [
     "run_transpose",
     "run_transpose_square",
 ]
-
-
-@dataclass
-class PostSelection:
-    """Outcome of projecting ``state`` onto a register pattern.
-
-    ``probability`` is the squared mass of the selected subspace.
-    ``renormalized_state`` is a read-only full-size state holding that
-    subspace divided by sqrt(probability) and zeros elsewhere; it is built
-    on first access, since a run decodes its output from ``state`` directly.
-    It is None when the projected mass is zero; that is a legitimate
-    zero-probability outcome, not an error.
-    """
-
-    pattern: dict[str, int]
-    probability: float
-    state: StateVector = field(repr=False)
-
-    @cached_property
-    def renormalized_state(self) -> StateVector | None:
-        if self.probability <= ZERO_PROBABILITY_FLOOR:
-            return None
-        layout = self.state.layout
-        selected = qubit_index(layout, self.pattern)
-        kept = qubit_view(self.state.amplitudes, layout)[selected]
-        amplitudes = np.zeros(layout.size, dtype=np.complex128)
-        np.divide(kept, math.sqrt(self.probability), out=qubit_view(amplitudes, layout)[selected])
-        amplitudes.setflags(write=False)
-        return StateVector(layout, amplitudes)
-
-
-def post_select(state: StateVector, pattern: Mapping[str, int]) -> PostSelection:
-    """Project ``state`` onto ``pattern``.  Summing the probability takes one
-    float temporary, half the selected subspace's bytes; nothing the size of
-    the state is allocated."""
-    layout = state.layout
-    kept = qubit_view(state.amplitudes, layout)[qubit_index(layout, pattern)]
-    # summed flat in basis-index order, as a gather of the subspace would be
-    weights = np.abs(kept).ravel()
-    probability = float(np.sum(np.square(weights, out=weights)))
-    return PostSelection(dict(pattern), probability, state)
 
 
 @dataclass
@@ -366,14 +326,14 @@ def simulate(
 
     Prepares the product state, applies the steps, tallies the gates,
     post-selects on the accept pattern and decodes the output.  The run owns
-    one ``StateBuffer`` that every gate changes in place.  ``after_step``
-    gets that buffer after each stage; it is valid only during the callback.
-    With ``record_steps`` each stage boundary is copied into a frozen
-    snapshot, except the last, whose snapshot is the final buffer itself.
+    one ``StateBuffer``, the prepared array itself, that every gate changes
+    in place.  ``after_step`` gets that buffer after each stage; it is valid
+    only during the callback.  With ``record_steps`` each stage's input is
+    copied into a frozen snapshot before the stage runs, and the final
+    snapshot is the frozen buffer itself.
 
-    A circuit that discards nothing is a pure permutation, so its
-    probability is reported as an exact 1.0 once the mass outside the
-    read-out subspace is checked to be exactly zero.
+    A circuit that discards nothing reports ``pinned_share`` of its
+    read-out subspace, an exact 1.0 for a pure permutation.
     """
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
@@ -382,45 +342,33 @@ def simulate(
         [(circuit.matrix_registers, entries.ravel())],
         ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
     )
-    prepared = prepare_product_state(layout, parts)
-    records = None
-    if record_steps:
-        # the phi_0 record keeps the prepared state, so the run works on a copy
-        records = [_snapshot("phi_0", prepared)]
-        buffer = StateBuffer(layout, prepared.amplitudes.copy())
-    else:
-        buffer = StateBuffer.adopt(prepared)
-    # dropped, so that a gate that rebinds the buffer frees the prepared array
-    del prepared
-    for position, (label, gates) in enumerate(circuit.steps, start=1):
+    buffer = StateBuffer.adopt(prepare_product_state(layout, parts))
+    records = [] if record_steps else None
+    for position, (label, gates) in enumerate(circuit.steps):
+        if records is not None:
+            records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
             buffer = apply_gate(buffer, gate)
         if after_step is not None:
             after_step(label, buffer)
-        if records is not None and position < len(circuit.steps):
-            records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
     tally = tally_gates(circuit.gates(), layout)
 
-    selection = None
+    selection = selected_mass = None
     if circuit.accept is None:
-        inside = qubit_view(state.amplitudes, layout)[qubit_index(layout, circuit.decode[2])]
-        probability = 1.0
-        if np.count_nonzero(inside) != np.count_nonzero(state.amplitudes):
-            probability = float(np.sum(np.abs(inside) ** 2)) / state.norm_squared
+        probability = pinned_share(state, circuit.decode[2])
     else:
         selection = post_select(state, circuit.accept)
-        probability = selection.probability
+        probability = selected_mass = selection.probability
 
     output = None
-    accepted = selection is None or probability > ZERO_PROBABILITY_FLOOR
-    if circuit.decode is not None and accepted:
-        selected_mass = None if selection is None else probability
-        output = decode_matrix(state, *circuit.decode, selected_mass)
-    if records is not None and selection is not None and accepted:
-        records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
+    if selection is None or probability > ZERO_PROBABILITY_FLOOR:
+        if circuit.decode is not None:
+            output = decode_matrix(state, *circuit.decode, selected_mass)
+        if records is not None and selection is not None:
+            records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     return Simulation(state, tally, probability, selection, output, records)
 
 
@@ -462,7 +410,6 @@ def run_row_swap(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = Fal
         1.0 / 24.0,
         matrix,
         output_unpadded_shape=(matrix.original_rows, matrix.original_cols),
-        normalization=1.0,
     )
 
 
@@ -478,15 +425,13 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     n = matrix.row_qubits
     dimension = matrix.rows
     circuit = trace_circuit(n)
-    layout = circuit.layout
 
     def check_marking(label: str, current: StateBuffer) -> None:
         if label != "step2-mark-diagonal":
             return
-        occupied = np.flatnonzero(current.amplitudes)
-        rows, cols, marks, _, _ = np.unravel_index(occupied, layout.shape)
-        expected = ~(rows ^ cols) & (dimension - 1)
-        if np.any(marks != expected):
+        values, _ = occupied_states(current)
+        expected = ~(values["R"] ^ values["C"]) & (dimension - 1)
+        if np.any(values["A"] != expected):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
     run = simulate(circuit, matrix.entries, record_steps, check_marking)
@@ -523,9 +468,11 @@ def run_transpose_square(matrix: EncodedMatrix, record_steps: bool = False) -> R
     output matrix is cut back to the main variant's (cols x rows) shape.
     """
     side = max(matrix.rows, matrix.cols)
+    circuit = transpose_square_circuit(side.bit_length() - 1)
+    require_dense_width(circuit.layout)  # before the padded square, as large as the state
     square = np.zeros((side, side), dtype=np.complex128)
     square[: matrix.rows, : matrix.cols] = matrix.entries
-    run = simulate(transpose_square_circuit(side.bit_length() - 1), square, record_steps)
+    run = simulate(circuit, square, record_steps)
     return run.report(
         "transpose-square",
         1.0,

@@ -16,12 +16,10 @@ from .algorithms import RunReport, run_row_add, run_row_swap, run_trace, run_tra
 from .complexity import CLAIMS, measure_scaling
 from .golden import GOLDEN_K, GOLDEN_L, GOLDEN_PROBABILITY, replay_walkthrough
 from .matio import load_matrix, matrix_to_payload
-from .state import EncodedMatrix, encode_matrix
+from .state import EncodedMatrix, encode_matrix, occupied_states
 from .verify import SCALING_WIDTHS, run_all_checks
 
 AMPLITUDE_DUMP_CAP = 4096
-# amplitudes scanned per step while looking for the first occupied ones
-DUMP_SCAN_CHUNK = 1 << 16
 BRANCH_TOL = 1e-10
 # uniform draws per chunk of --shots, so any shot count samples in bounded memory
 SHOT_CHUNK = 1 << 20
@@ -40,33 +38,14 @@ def _write_document(doc: dict, output: str | None) -> None:
             raise ValueError(f"{output}: cannot write ({err})") from err
 
 
-def _first_occupied(amplitudes: np.ndarray, cap: int) -> np.ndarray:
-    """Indices of the first ``cap`` nonzero amplitudes, in index order; the
-    scan goes chunk by chunk and stops once it has found them."""
-    found = []
-    wanted = cap
-    for start in range(0, amplitudes.size, DUMP_SCAN_CHUNK):
-        hits = np.flatnonzero(amplitudes[start : start + DUMP_SCAN_CHUNK])[:wanted]
-        found.append(hits + start)
-        wanted -= hits.size
-        if wanted == 0:
-            break
-    return np.concatenate(found)
-
-
 def _step_dump(report: RunReport) -> list[dict]:
     steps = []
     for record in report.step_states or ():
-        state = record.state
-        layout = state.layout
-        occupied = _first_occupied(state.amplitudes, AMPLITUDE_DUMP_CAP)
+        values, occupied = occupied_states(record.state, AMPLITUDE_DUMP_CAP)
         amplitudes = []
-        for index, *values in zip(occupied, *np.unravel_index(occupied, layout.shape)):
-            value = state.amplitudes[index]
-            entry = {name: int(v) for name, v in zip(layout.names, values)}
-            entry["re"] = float(value.real)
-            entry["im"] = float(value.imag)
-            amplitudes.append(entry)
+        for value, *registers in zip(occupied, *values.values()):
+            entry = {name: int(v) for name, v in zip(values, registers)}
+            amplitudes.append({**entry, "re": float(value.real), "im": float(value.imag)})
         steps.append(
             {
                 "label": record.label,
@@ -78,9 +57,7 @@ def _step_dump(report: RunReport) -> list[dict]:
     return steps
 
 
-def _restored_matrix(report: RunReport) -> np.ndarray | None:
-    if report.output_matrix is None:
-        return None
+def _restored_matrix(report: RunReport) -> np.ndarray:
     factor = report.frobenius_scale * (report.normalization or 1.0)
     rows, cols = report.output_unpadded_shape
     return (report.output_matrix * factor)[:rows, :cols]
@@ -111,7 +88,7 @@ def _algorithm_document(command: str, args, encoded: EncodedMatrix, report: RunR
         doc["recovered_trace"] = [report.recovered_trace.real, report.recovered_trace.imag]
         restored = report.recovered_trace * report.frobenius_scale
         doc["recovered_trace_restored"] = [restored.real, restored.imag]
-    if report.normalization is not None and command == "row-add":
+    if report.normalization is not None:
         doc["normalization_G"] = report.normalization
     if args.shots is not None:
         # chunked draws from one generator are the draws of one big call,

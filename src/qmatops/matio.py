@@ -29,15 +29,19 @@ def payload_to_matrix(payload) -> np.ndarray:
     values = []
     for entry in data:
         if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-            values.append(complex(entry))
+            parts = [entry]
         elif (
             isinstance(entry, list)
             and len(entry) == 2
             and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
         ):
-            values.append(complex(entry[0], entry[1]))
+            parts = entry
         else:
             raise ValueError(f"bad matrix entry {entry!r}; use a number or [re, im]")
+        try:
+            values.append(complex(*parts))
+        except OverflowError:
+            raise ValueError(f"bad matrix entry {entry!r}; it lies beyond float range") from None
     return np.array(values, dtype=np.complex128).reshape(rows, cols)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -22,6 +22,9 @@ MAX_QUBITS = 26
 
 PART_NORM_TOL = 1e-9
 DECODE_MASS_TOL = 1e-9
+ZERO_PROBABILITY_FLOOR = 1e-300
+# amplitudes scanned per step while looking for the first occupied ones
+OCCUPIED_SCAN_CHUNK = 1 << 16
 
 # prepare_product_state writes the product block by block of its leading
 # factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
@@ -40,9 +43,15 @@ __all__ = [
     "StateBuffer",
     "EncodedMatrix",
     "AncillaVector",
+    "PostSelection",
+    "require_dense_width",
     "encode_matrix",
     "prepare_product_state",
     "decode_matrix",
+    "post_select",
+    "squared_mass",
+    "pinned_share",
+    "occupied_states",
     "qubit_view",
     "qubit_index",
 ]
@@ -198,7 +207,7 @@ class StateVector:
 
     @property
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        return squared_mass(self.amplitudes)
 
     def amplitude(self, values: Mapping[str, int]) -> complex:
         """Amplitude of one fully specified basis state."""
@@ -391,6 +400,14 @@ class AncillaVector:
         return vec
 
 
+def require_dense_width(layout: RegisterLayout) -> None:
+    """Refuse a layout wider than MAX_QUBITS, before anything is allocated."""
+    if layout.total_qubits > MAX_QUBITS:
+        raise ValueError(
+            f"{layout.total_qubits} qubits exceeds the dense-array cap of {MAX_QUBITS}"
+        )
+
+
 def prepare_product_state(
     layout: RegisterLayout,
     parts: Iterable[tuple[Sequence[str], np.ndarray]],
@@ -409,10 +426,7 @@ def prepare_product_state(
     amplitude is the left-to-right chain of complex multiplies of
     ``reduce(np.kron, factors)``, so its bytes are the same.
     """
-    if layout.total_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"{layout.total_qubits} qubits exceeds the dense-array cap of {MAX_QUBITS}"
-        )
+    require_dense_width(layout)
     names = list(layout.names)
     spans: list[tuple[int, int, np.ndarray]] = []
     covered: set[int] = set()
@@ -537,7 +551,7 @@ def decode_matrix(
         np.copyto(out.reshape(pinned.shape), pinned)
         total = _mass(state.amplitudes)
     else:
-        np.divide(pinned, math.sqrt(selected_mass), out=out.reshape(pinned.shape))
+        _renormalize(pinned, selected_mass, out.reshape(pinned.shape))
         total = 1.0
     outside = total - _mass(out)
     if outside > DECODE_MASS_TOL:
@@ -546,6 +560,87 @@ def decode_matrix(
             "subspace; refusing to decode"
         )
     return out
+
+
+def _renormalize(kept: np.ndarray, mass: float, out: np.ndarray) -> None:
+    # the one division, so a decoded block and the renormalized state agree bitwise
+    np.divide(kept, math.sqrt(mass), out=out)
+
+
+@dataclass
+class PostSelection:
+    """Outcome of projecting ``state`` onto a register pattern.
+
+    ``probability`` is the squared mass of the selected subspace.
+    ``renormalized_state`` is a read-only full-size state holding that
+    subspace divided by sqrt(probability) and zeros elsewhere; it is built
+    on first access, since a run decodes its output from ``state`` directly.
+    It is None when the projected mass is zero; that is a legitimate
+    zero-probability outcome, not an error.
+    """
+
+    pattern: dict[str, int]
+    probability: float
+    state: StateVector = field(repr=False)
+
+    @cached_property
+    def renormalized_state(self) -> StateVector | None:
+        if self.probability <= ZERO_PROBABILITY_FLOOR:
+            return None
+        layout = self.state.layout
+        selected = qubit_index(layout, self.pattern)
+        kept = qubit_view(self.state.amplitudes, layout)[selected]
+        amplitudes = np.zeros(layout.size, dtype=np.complex128)
+        _renormalize(kept, self.probability, qubit_view(amplitudes, layout)[selected])
+        amplitudes.setflags(write=False)
+        return StateVector(layout, amplitudes)
+
+
+def post_select(state: StateVector, pattern: Mapping[str, int]) -> PostSelection:
+    """Project ``state`` onto ``pattern``; nothing the size of the state is
+    allocated."""
+    kept = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, pattern)]
+    return PostSelection(dict(pattern), squared_mass(kept), state)
+
+
+def pinned_share(state: StateVector, fixed: Mapping[str, int]) -> float:
+    """Share of the squared mass inside the subspace ``fixed`` pins; an exact
+    1.0 when no amplitude outside it is nonzero, as after a pure permutation."""
+    inside = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, fixed)]
+    if np.count_nonzero(inside) == np.count_nonzero(state.amplitudes):
+        return 1.0
+    return squared_mass(inside) / state.norm_squared
+
+
+def squared_mass(amplitudes: np.ndarray) -> float:
+    """Sum of squared magnitudes of a state or a pinned view of one, as every
+    report gives it: one float temporary, squared in place, summed pairwise."""
+    weights = np.abs(amplitudes).ravel()
+    return float(np.sum(np.square(weights, out=weights)))
+
+
+def occupied_states(
+    state: StateVector | StateBuffer, cap: int | None = None
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Each register's values and the amplitude of the occupied basis states,
+    in index order; only the first ``cap`` of them if given."""
+    indices = _first_occupied(state.amplitudes, cap)
+    values = np.unravel_index(indices, state.layout.shape)
+    return dict(zip(state.layout.names, values)), state.amplitudes[indices]
+
+
+def _first_occupied(amplitudes: np.ndarray, cap: int | None) -> np.ndarray:
+    """Indices of the first ``cap`` nonzero amplitudes (all without a cap),
+    in index order; the scan goes chunk by chunk and stops once it has them."""
+    found = []
+    wanted = amplitudes.size if cap is None else cap
+    for start in range(0, amplitudes.size, OCCUPIED_SCAN_CHUNK):
+        hits = np.flatnonzero(amplitudes[start : start + OCCUPIED_SCAN_CHUNK])[:wanted]
+        found.append(hits + start)
+        wanted -= hits.size
+        if wanted == 0:
+            break
+    return np.concatenate(found)
 
 
 def _mass(amplitudes: np.ndarray) -> float:

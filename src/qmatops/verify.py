@@ -14,7 +14,6 @@ import numpy as np
 
 from .algorithms import (
     Circuit,
-    post_select,
     row_add_circuit,
     row_swap_circuit,
     run_row_add,
@@ -41,7 +40,7 @@ from .oracle import (
     oracle_trace,
     oracle_transpose,
 )
-from .state import EncodedMatrix, RegisterLayout, StateBuffer, StateVector, encode_matrix
+from .state import EncodedMatrix, RegisterLayout, StateBuffer, StateVector, encode_matrix, post_select
 
 TOL_LAW = 1e-10
 TOL_NORM = 1e-12

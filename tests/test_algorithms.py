@@ -343,26 +343,6 @@ def test_step_snapshots_are_frozen_and_independent(routine):
     ],
     ids=["row-add", "row-swap", "trace"],
 )
-def test_run_peak_memory_stays_near_two_states(runner, shape, qubits):
-    encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
-    tracemalloc.start()
-    try:
-        runner(encoded)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.6 * (16 << qubits)
-
-
-@pytest.mark.parametrize(
-    "runner, shape, qubits",
-    [
-        (lambda m: run_row_add(m, 3, 17), (32, 32), 18),
-        (lambda m: run_row_swap(m, 3, 5), (8, 16), 17),
-        (run_trace, (32, 32), 17),
-    ],
-    ids=["row-add", "row-swap", "trace"],
-)
 def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
     # the state plus one temporary of a controlled swap's half-state subspace;
     # preparation, post-selection and decode add nothing the state's size
@@ -456,6 +436,19 @@ def test_qubit_cap_refuses_before_building_ancilla_tables():
     try:
         with pytest.raises(ValueError, match="dense-array cap"):
             run_row_swap(encoded, 0, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_transpose_square_refuses_before_padding():
+    # the padded square would be 2^14 x 2^14, 4 GiB of amplitudes over 28 qubits
+    encoded = encode_matrix(np.ones((2, 1 << 14)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="dense-array cap"):
+            run_transpose_square(encoded)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, run_trace, save_matrix
+from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, run_trace, save_matrix, state
 from qmatops.cli import main
 from qmatops.matio import load_matrix, matrix_to_payload, payload_to_matrix
 
@@ -51,6 +51,11 @@ def test_payload_rejections():
         payload_to_matrix({"rows": 2, "cols": 1, "data": [True, 1.0]})
     with pytest.raises(ValueError):
         payload_to_matrix({"rows": 1, "cols": 1, "data": [[1.0, 2.0, 3.0]]})
+    # integers beyond float range
+    with pytest.raises(ValueError, match="bad matrix entry"):
+        payload_to_matrix({"rows": 1, "cols": 2, "data": [1, 10**400]})
+    with pytest.raises(ValueError, match="bad matrix entry"):
+        payload_to_matrix({"rows": 1, "cols": 1, "data": [[0, -(10**400)]]})
 
 
 # --- algorithm subcommands -----------------------------------------------------
@@ -169,10 +174,10 @@ def test_verbose_dump_lists_the_first_occupied_states(matrix_file, tmp_path):
 
 @pytest.mark.parametrize("cap", [0, 3, 40, 10**6])
 def test_first_occupied_scan_crosses_chunks(cap):
-    amplitudes = np.zeros(3 * cli.DUMP_SCAN_CHUNK + 5, dtype=complex)
+    amplitudes = np.zeros(3 * state.OCCUPIED_SCAN_CHUNK + 5, dtype=complex)
     amplitudes[np.random.default_rng(23).choice(amplitudes.size, 50, replace=False)] = 1j
     expected = np.flatnonzero(amplitudes)[:cap]
-    np.testing.assert_array_equal(cli._first_occupied(amplitudes, cap), expected)
+    np.testing.assert_array_equal(state._first_occupied(amplitudes, cap), expected)
 
 
 def test_stdout_report_when_no_output_file(matrix_file, capsys):
@@ -229,10 +234,25 @@ def test_appendix_walkthrough_passes(capsys):
 
 def test_malformed_file_reports_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    code = main(["trace", "--input", str(path)])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for text in (
+        "{not json",
+        # an integer beyond float range
+        '{"rows": 1, "cols": 2, "data": [1, 1' + "0" * 400 + "]}",
+    ):
+        path.write_text(text)
+        code = main(["trace", "--input", str(path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def test_transpose_square_refuses_an_oversized_square_with_an_error(tmp_path, capsys):
+    # padded to 2^20 x 2^20, a 16 TiB state of 40 qubits
+    path = tmp_path / "wide.json"
+    cols = 1 << 20
+    path.write_text(f'{{"rows": 2, "cols": {cols}, "data": [1{", 0" * (2 * cols - 1)}]}}')
+    assert main(["transpose-square", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the dense-array cap" in err
 
 
 @pytest.mark.parametrize(

@@ -11,10 +11,12 @@ from qmatops import (
     AncillaVector,
     RegisterLayout,
     StateVector,
+    StateBuffer,
     decode_matrix,
     encode_matrix,
     prepare_product_state,
 )
+from qmatops.state import occupied_states, pinned_share, qubit_index, qubit_view, squared_mass
 
 st_dims = st.sampled_from([1, 2, 3, 4, 5, 8])
 st_entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -332,6 +334,46 @@ def test_decode_applies_no_renormalization():
     state = StateVector(layout, amplitudes)
     decoded = decode_matrix(state, "R", "C", {})
     np.testing.assert_array_equal(decoded, [[0.5, 0.5], [0.5, 0.5]])
+
+
+# --- readout -------------------------------------------------------------
+
+@pytest.mark.parametrize("qubits", [3, 10, 16, 20])
+def test_squared_mass_is_bitwise_the_plain_sum(qubits):
+    layout = RegisterLayout((("A", qubits - 2), ("M", 1), ("B", 1)))
+    amplitudes = random_unit(np.random.default_rng(qubits), layout.size)
+    whole = float(np.sum(np.abs(amplitudes) ** 2))
+    assert squared_mass(amplitudes).hex() == whole.hex()
+    assert StateVector(layout, amplitudes).norm_squared.hex() == whole.hex()
+    for pattern in ({"M": 1}, {"A": 1, "B": 0}):
+        pinned = qubit_view(amplitudes, layout)[qubit_index(layout, pattern)]
+        assert squared_mass(pinned).hex() == float(np.sum(np.abs(pinned) ** 2)).hex()
+
+
+def test_pinned_share_is_exactly_one_when_nothing_lies_outside():
+    layout = RegisterLayout((("A", 1), ("B", 2)))
+    inside = StateVector(layout, [0.6, 0, 0, 0.8j, 0, 0, 0, 0])
+    assert pinned_share(inside, {"A": 0}) == 1.0
+    amplitudes = np.array([0.6, 0, 0, 0, 0, 0.8j, 0, 0])
+    split = StateVector(layout, amplitudes)
+    assert pinned_share(split, {"A": 0}) == squared_mass(amplitudes[:4]) / squared_mass(amplitudes)
+    assert pinned_share(split, {"A": 1, "B": 1}) == squared_mass(amplitudes[5:6]) / squared_mass(amplitudes)
+
+
+@pytest.mark.parametrize("cap", [None, 0, 2, 100])
+def test_occupied_states_lists_register_values_in_index_order(cap):
+    layout = RegisterLayout((("R", 2), ("C", 3), ("B", 1)))
+    amplitudes = np.zeros(layout.size, dtype=complex)
+    occupied = [3, 17, 40, 63]
+    amplitudes[occupied] = [1.0, 2j, -3.0, complex(-0.0, 0.5)]
+    expected = occupied[:cap]
+    for state in (StateVector(layout, amplitudes), StateBuffer(layout, amplitudes.copy())):
+        values, listed = occupied_states(state, cap)
+        assert list(values) == ["R", "C", "B"]
+        np.testing.assert_array_equal(values["R"], [i >> 4 for i in expected])
+        np.testing.assert_array_equal(values["C"], [(i >> 1) & 7 for i in expected])
+        np.testing.assert_array_equal(values["B"], [i & 1 for i in expected])
+        assert listed.tobytes() == amplitudes[expected].tobytes()
 
 
 # --- ancilla vectors -----------------------------------------------------
