@@ -348,7 +348,7 @@ def simulate(
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
-            buffer = apply_gate(buffer, gate)
+            apply_gate(buffer, gate)
         if after_step is not None:
             after_step(label, buffer)
     state = buffer.freeze()

@@ -2,16 +2,19 @@
 
 Two gate kinds, a ``ControlledOp`` (a flip or register swap on a
 projector's subspace) and a ``HadamardLayer``, each have one kernel, which
-changes a run's ``StateBuffer`` in place.  A controlled op is a basis-state
-permutation, so it is exact: amplitudes move, they are never recombined.  A
-Hadamard layer runs its butterflies in place, cache block by cache block,
-with the arithmetic of one whole-state butterfly per qubit in the same
-order, so its result is bitwise the same as that.  ``lower`` turns a gate
+changes a run's ``StateBuffer`` array in place through scratch arrays of a
+fixed size, never one the size of the state or of a subspace.  A controlled
+op is a basis-state permutation, so it is exact: it exchanges pairs of
+blocks of its subspace piece by piece, and amplitudes move without being
+recombined.  A Hadamard layer runs its butterflies in place, cache block by
+cache block, with the arithmetic of one whole-state butterfly per qubit in
+the same order, so its result is bitwise the same as that.  ``lower`` turns a gate
 into the X, CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts;
 it checks a controlled op against the layout as the kernel does.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -20,7 +23,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, StateBuffer, qubit_index, qubit_view
+from .state import RegisterLayout, StateBuffer
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -35,6 +38,15 @@ HADAMARD_PIECE = 1 << 12
 # column, so butterflies between closer amplitudes run column by column
 # wherever a column fills a piece.
 HADAMARD_MIN_ROW = 8
+# A controlled op exchanges its amplitudes in pieces of at most this many
+# pairs, through two scratch arrays of that length (64 KiB each) instead of
+# a temporary the size of its subspace.
+PERMUTE_PIECE = 1 << 12
+# Piece plans of (layout, controlled op) pairs and primitive counts of
+# (gate, layout) pairs kept for reuse.  Row-add and row-swap condition some
+# ops on the rows k and l, so a process that runs them over many row pairs
+# of a few shapes keeps a few hundred of each.
+CACHE_SIZE = 1024
 
 __all__ = [
     "Projector",
@@ -156,36 +168,101 @@ def _resolve_controlled(layout: RegisterLayout, op: ControlledOp) -> tuple[int, 
     return mask, bits
 
 
-def _apply_controlled(
-    layout: RegisterLayout, op: ControlledOp, amplitudes: np.ndarray
-) -> np.ndarray:
-    """Exact permutation kernel of a projector-controlled flip or swap: the
-    projector's subspace of ``amplitudes`` is assigned in place from a
-    permuted view, reversed along the target axis for a flip (its two
-    halves trade places) and with the two registers' axes exchanged for a
-    swap.  Returns the array that holds the result."""
-    mask, bits = _resolve_controlled(layout, op)
-    action = op.action
-    view = qubit_view(amplitudes, layout)
-    if isinstance(action, FlipQubit):
-        axis = _qubit_axis(layout, action.register, action.qubit)
-        permuted = view[(slice(None),) * axis + (slice(None, None, -1),)]
-    else:
-        axes = list(range(layout.total_qubits))
-        a, b = layout.offset(action.reg_a), layout.offset(action.reg_b)
-        width = layout.width(action.reg_a)
-        axes[a : a + width], axes[b : b + width] = axes[b : b + width], axes[a : a + width]
-        permuted = view.transpose(axes)
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _exchange_plan(
+    layout: RegisterLayout, op: ControlledOp
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple, tuple], ...], int]:
+    """A checked controlled op as exchanges between pairs of equal-sized
+    views.  Returns the shape to view the state in, one axis per run of
+    qubits that are all conditioned, all free or all in one moved register;
+    the axis order that aligns one side of a pair with the other; the pairs'
+    (x, y) indices into that view; and the most amplitudes a piece holds,
+    PERMUTE_PIECE or, if smaller, the subspace.
 
-    if mask == 0:
-        # every amplitude moves, so one pass writes a permuted copy that
-        # replaces the buffer, instead of a temporary and a copy back
-        return np.ascontiguousarray(permuted).reshape(-1)
-    selected = qubit_index(layout, (mask, bits))
-    # numpy reads a source that overlaps its destination through a
-    # temporary, so this holds one copy of the selected subspace
-    view[selected] = permuted[selected]
-    return amplitudes
+    A flip exchanges the two halves of its subspace, its target at 0 and at
+    1.  A swap of registers a and b exchanges the strip a=i, b>i with the
+    strip a>i, b=i for each i, or, when its whole subspace fits in one
+    piece, that subspace with itself, a and b transposed.  Conditioned runs
+    are fixed to their bits; each side keeps every other axis, the ones the
+    op moves included, so both sides share one axis order.
+    """
+    mask, bits = _resolve_controlled(layout, op)
+    total, action = layout.total_qubits, op.action
+    labels = ["c" if (mask >> (total - 1 - q)) & 1 else "f" for q in range(total)]
+    if isinstance(action, FlipQubit):
+        labels[_qubit_axis(layout, action.register, action.qubit)] = "t"
+    else:
+        for label, name in zip("ab", sorted((action.reg_a, action.reg_b), key=layout.offset)):
+            offset, width = layout.offset(name), layout.width(name)
+            labels[offset : offset + width] = label * width
+    shape, base, axis_of = [], [], {}
+    shift = total
+    for label, run in itertools.groupby(labels):
+        width = len(list(run))
+        shift -= width
+        axis_of[label] = len(base)  # read for the moved runs t, a and b
+        shape.append(1 << width)
+        base.append((bits >> shift) & ((1 << width) - 1) if label == "c" else slice(None))
+    kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
+    axes = list(range(len(kept)))
+    subspace = math.prod(shape[axis] for axis in kept)
+
+    if isinstance(action, FlipQubit):
+        t = axis_of["t"]
+        sides = [({t: slice(0, 1)}, {t: slice(1, 2)})]
+    else:
+        a, b = axis_of["a"], axis_of["b"]
+        axes[kept.index(a)], axes[kept.index(b)] = kept.index(b), kept.index(a)
+        sides = [({}, {})]
+        if subspace > PERMUTE_PIECE:
+            sides = []
+            for i in range(shape[a] - 1):
+                row, rest = slice(i, i + 1), slice(i + 1, None)
+                sides.append(({a: row, b: rest}, {a: rest, b: row}))
+
+    def index(entries: dict) -> tuple:
+        return tuple(entries.get(axis, entry) for axis, entry in enumerate(base))
+
+    pairs = tuple((index(x), index(y)) for x, y in sides)
+    return tuple(shape), tuple(axes), pairs, min(PERMUTE_PIECE, subspace)
+
+
+def _cut(shape: tuple[int, ...], piece: int):
+    """Index tuples of boxes of at most ``piece`` points that tile an array
+    of ``shape``: the trailing axes whole, one axis in chunks and single
+    steps along the axes before it."""
+    cut, inner = len(shape), 1
+    while cut and inner * shape[cut - 1] <= piece:
+        cut -= 1
+        inner *= shape[cut]
+    whole = (slice(None),) * (len(shape) - cut)
+    if not cut:
+        yield whole
+        return
+    step = piece // inner
+    for outer in itertools.product(*map(range, shape[: cut - 1])):
+        steps = tuple(slice(k, k + 1) for k in outer)
+        for start in range(0, shape[cut - 1], step):
+            yield (*steps, slice(start, start + step), *whole)
+
+
+def _apply_controlled(layout: RegisterLayout, op: ControlledOp, amplitudes: np.ndarray) -> None:
+    """Exact permutation kernel of a projector-controlled flip or swap, in
+    place: piece by piece, both sides of each pair of its plan are copied
+    into scratch, each in its own memory order, and written over each other."""
+    shape, axes, pairs, piece = _exchange_plan(layout, op)
+    view = amplitudes.reshape(shape)
+    scratch = np.empty((2, piece), dtype=np.complex128)
+    for x_index, y_index in pairs:
+        x_side, y_side = view[x_index], view[y_index]
+        for cut in _cut(x_side.shape, piece):
+            x, y = x_side[cut], y_side[tuple(cut[axis] for axis in axes)]
+            held_x = scratch[0, : x.size].reshape(x.shape)
+            held_y = scratch[1, : y.size].reshape(y.shape)
+            np.copyto(held_x, x)
+            np.copyto(held_y, y)
+            np.copyto(x, held_y.transpose(axes))
+            np.copyto(y, held_x.transpose(axes))
 
 
 def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
@@ -245,7 +322,7 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> Non
 
 def _apply_hadamard_layer(
     layout: RegisterLayout, layer: HadamardLayer, amplitudes: np.ndarray
-) -> np.ndarray:
+) -> None:
     """In-place butterflies, one per target in the layer's order; blocking
     only regroups butterflies that touch disjoint amplitudes, so the result
     is bitwise that of one whole-state butterfly per target."""
@@ -266,13 +343,15 @@ def _apply_hadamard_layer(
             for stride in run:
                 for upper, lower in _butterfly_halves(block, stride, piece):
                     _butterfly(upper, lower, scratch)
-    return amplitudes
 
 
 def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
     """Apply one gate to a run's ``StateBuffer`` in place and return it.
 
-    A controlled op only moves amplitudes, so its result is exact; a
+    The buffer keeps its array: a kernel writes into it and allocates only
+    a fixed-size scratch (two arrays of PERMUTE_PIECE amplitudes for a
+    controlled op, three of HADAMARD_PIECE for a Hadamard layer).  A
+    controlled op only moves amplitudes, so its result is exact; a
     Hadamard layer's result is bitwise that of whole-state butterflies.  The
     gate is checked before any amplitude is written, and anything but a
     ``StateBuffer`` (a frozen ``StateVector`` included) is refused with a
@@ -289,7 +368,7 @@ def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
         kernel = _apply_hadamard_layer
     else:
         raise TypeError(f"unknown gate {gate!r}")
-    state.amplitudes = kernel(state.layout, gate, state.amplitudes)
+    kernel(state.layout, gate, state.amplitudes)
     return state
 
 
@@ -458,11 +537,17 @@ class GateTally:
         }
 
 
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _lowered_counts(gate: Gate, layout: RegisterLayout) -> GateCounts:
+    return lower(gate, layout).counts()
+
+
 def tally_gates(trace: Sequence[tuple[str, Gate]], layout: RegisterLayout) -> GateTally:
-    """Per-label totals of the primitives that ``lower`` gives each gate."""
+    """Per-label totals of the primitives that ``lower`` gives each gate; a
+    gate's counts are lowered once per (gate, layout) and then reused."""
     if not trace:
         raise ValueError("empty gate trace")
     per_step: dict[str, GateCounts] = {}
     for label, gate in trace:
-        per_step[label] = per_step.get(label, GateCounts()) + lower(gate, layout).counts()
+        per_step[label] = per_step.get(label, GateCounts()) + _lowered_counts(gate, layout)
     return GateTally(per_step)

@@ -8,6 +8,7 @@ the binary expansion of i.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +26,10 @@ DECODE_MASS_TOL = 1e-9
 ZERO_PROBABILITY_FLOOR = 1e-300
 # amplitudes scanned per step while looking for the first occupied ones
 OCCUPIED_SCAN_CHUNK = 1 << 16
+# squared_mass sums blocks of this many amplitudes through one float buffer
+# (2^13 float64, 64 KiB); a power of two of at least 2^7, numpy's smallest
+# pairwise block
+MASS_BLOCK = 1 << 13
 
 # prepare_product_state writes the product block by block of its leading
 # factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
@@ -220,7 +225,7 @@ class StateVector:
 @dataclass(eq=False)
 class StateBuffer:
     """The one writable amplitude array a circuit run owns; ``apply_gate``
-    changes it in place, and may rebind ``amplitudes`` to a new array.
+    changes that array in place and never replaces it.
 
     ``StateVector(buffer.layout, buffer.amplitudes)`` copies it into a frozen
     snapshot; ``freeze`` turns the array itself into one, without a copy.
@@ -614,9 +619,29 @@ def pinned_share(state: StateVector, fixed: Mapping[str, int]) -> float:
 
 def squared_mass(amplitudes: np.ndarray) -> float:
     """Sum of squared magnitudes of a state or a pinned view of one, as every
-    report gives it: one float temporary, squared in place, summed pairwise."""
-    weights = np.abs(amplitudes).ravel()
-    return float(np.sum(np.square(weights, out=weights)))
+    report gives it: bitwise ``np.sum(np.abs(amplitudes) ** 2)``.
+
+    numpy sums 2^k values pairwise, halving them down to blocks of at most
+    128.  A state or a selected subspace holds 2^k amplitudes, so each block
+    of MASS_BLOCK is summed through one float buffer of that size and the
+    block sums are added in the same halving tree.
+    """
+    size = amplitudes.size
+    if size <= MASS_BLOCK or size & (size - 1):
+        weights = np.abs(amplitudes).ravel()
+        return float(np.sum(np.square(weights, out=weights)))
+    qubits = size.bit_length() - 1
+    view = amplitudes.reshape((2,) * qubits)
+    lead = qubits - (MASS_BLOCK.bit_length() - 1)
+    weights = np.empty(MASS_BLOCK)
+    held = weights.reshape(view.shape[lead:])
+    sums = []
+    for index in itertools.product((0, 1), repeat=lead):
+        np.abs(view[index], out=held)
+        sums.append(float(np.sum(np.square(weights, out=weights))))
+    while len(sums) > 1:
+        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
+    return sums[0]
 
 
 def occupied_states(

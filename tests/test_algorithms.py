@@ -337,15 +337,19 @@ def test_step_snapshots_are_frozen_and_independent(routine):
 @pytest.mark.parametrize(
     "runner, shape, qubits",
     [
-        (lambda m: run_row_add(m, 3, 17), (32, 32), 18),
-        (lambda m: run_row_swap(m, 3, 5), (8, 16), 17),
-        (run_trace, (32, 32), 17),
+        (lambda m: run_row_add(m, 3, 17), (32, 128), 20),
+        (lambda m: run_row_swap(m, 3, 5), (8, 128), 20),
+        (run_trace, (64, 64), 20),
+        (run_transpose, (64, 128), 20),
     ],
-    ids=["row-add", "row-swap", "trace"],
+    ids=["row-add", "row-swap", "trace", "transpose"],
 )
 def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
-    # the state plus one temporary of a controlled swap's half-state subspace;
-    # preparation, post-selection and decode add nothing the state's size
+    # the state and fixed-size working arrays only: gates exchange amplitudes
+    # through a bounded scratch, and preparation, post-selection and decode
+    # add nothing the state's size.  The largest fixed arrays, preparation's
+    # block products (up to 384 KiB) and a Hadamard layer's scratch (192
+    # KiB), are under 3% of these 16 MiB states; at 2 MiB they were 19%
     encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
     tracemalloc.start()
     try:
@@ -353,7 +357,7 @@ def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.6 * (16 << qubits)
+    assert peak <= 1.1 * (16 << qubits)
 
 
 def test_post_select_allocates_less_than_the_state():
@@ -366,7 +370,8 @@ def test_post_select_allocates_less_than_the_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 0.3 * state.amplitudes.nbytes
+    # the squared magnitudes are summed block by block of MASS_BLOCK
+    assert peak < 0.05 * state.amplitudes.nbytes
     assert selection.probability > 0
 
 

@@ -26,6 +26,13 @@ from qmatops import (
     tally_gates,
 )
 from qmatops import gates
+from qmatops.algorithms import (
+    row_add_circuit,
+    row_swap_circuit,
+    trace_circuit,
+    transpose_circuit,
+    transpose_square_circuit,
+)
 from qmatops.gates import NetworkGate
 from qmatops.oracle import controlled_op_image, mcx_reference_action
 
@@ -249,30 +256,93 @@ def test_gate_application_matches_dense_unitaries(circuit, seed):
 
 
 @pytest.mark.parametrize(
-    "gate, bound",
+    "gate, scratch",
     [
-        # numpy reads the selected half-state subspace through a temporary
-        (ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)), 0.55),
-        (ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")), 0.55),
-        # the buffer is rebound to a permuted copy
-        (RegisterSwapGate("X", "Y"), 1.05),
+        # two scratch arrays of PERMUTE_PIECE amplitudes
+        (
+            ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)),
+            2 * gates.PERMUTE_PIECE,
+        ),
+        (
+            ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")),
+            2 * gates.PERMUTE_PIECE,
+        ),
+        (RegisterSwapGate("X", "Y"), 2 * gates.PERMUTE_PIECE),
         # three scratch arrays of HADAMARD_PIECE amplitudes
-        (HadamardLayer(("X", "Y", "B")), 0.4),
+        (HadamardLayer(("X", "Y", "B")), 3 * gates.HADAMARD_PIECE),
     ],
     ids=["flip", "cswap", "regswap", "hadamard"],
 )
-def test_in_place_gate_allocates_at_most_one_temporary(gate, bound):
-    layout = RegisterLayout((("X", 7), ("Y", 7), ("B", 1)))
-    buffer = StateBuffer(layout, random_state(layout, 12).amplitudes.copy())
-    nbytes = buffer.amplitudes.nbytes
-    tracemalloc.start()
-    try:
-        assert apply_gate(buffer, gate) is buffer
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert buffer.amplitudes.flags.writeable
-    assert peak <= bound * nbytes
+def test_in_place_gate_allocates_at_most_one_temporary(gate, scratch):
+    # one absolute bound at 15 and at 19 qubits (512 KiB and 8 MiB states):
+    # the kernel's scratch plus 64 KiB of views, index tuples and the
+    # interpreter's free lists, nothing that grows with the state
+    bound = scratch * 16 + (64 << 10)
+    for width in (7, 9):
+        layout = RegisterLayout((("X", width), ("Y", width), ("B", 1)))
+        buffer = StateBuffer(layout, random_state(layout, 12).amplitudes.copy())
+        # the first call builds the op's piece plan, which later calls reuse
+        apply_gate(buffer, gate)
+        tracemalloc.start()
+        try:
+            assert apply_gate(buffer, gate) is buffer
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert buffer.amplitudes.flags.writeable
+        assert peak <= bound, (width, peak)
+
+
+def _every_controlled_op():
+    """(layout, op) for every controlled op of every routine at several
+    shapes, and swaps whose registers sit on either side of the controls."""
+    circuits = [
+        *(row_add_circuit(n, m, 0, (1 << n) - 1) for n, m in ((1, 1), (2, 1), (1, 3), (2, 3))),
+        *(row_swap_circuit(n, m, 1, 0) for n, m in ((1, 1), (1, 3), (2, 1))),
+        *(trace_circuit(n) for n in (1, 2, 3)),
+        *(transpose_circuit(n, m) for n, m in ((1, 1), (1, 3), (3, 2), (2, 4))),
+        *(transpose_square_circuit(s) for s in (1, 2, 4, 5)),
+    ]
+    pairs = [
+        (circuit.layout, gate)
+        for circuit in circuits
+        for _, gate in circuit.gates()
+        if isinstance(gate, ControlledOp)
+    ]
+    around = RegisterLayout((("P", 3), ("K", 2), ("Q", 3), ("Z", 1)))
+    controls = (
+        Projector(register_values=(("K", 2),)),
+        Projector(qubit_bits=(("K", 1, 1), ("Z", 0, 0))),
+    )
+    pairs += [(around, ControlledOp(controls[0], SwapRegisters("Q", "P")))]
+    pairs += [(around, ControlledOp(controls[1], SwapRegisters("P", "Q")))]
+    pairs += [(around, RegisterSwapGate("Q", "P"))]
+    return pairs
+
+
+@pytest.fixture
+def piece_patched(monkeypatch, request):
+    """PERMUTE_PIECE set to the test's value, with no plan built under
+    another value in the cache during the test or after it."""
+    monkeypatch.setattr(gates, "PERMUTE_PIECE", 1 << request.param)
+    gates._exchange_plan.cache_clear()
+    yield
+    gates._exchange_plan.cache_clear()
+
+
+@pytest.mark.parametrize("piece_patched", [1, 2, 3], indirect=True)
+def test_exchanges_in_small_pieces_are_bitwise_the_oracle(piece_patched):
+    for number, (layout, op) in enumerate(_every_controlled_op()):
+        raw = random_state(layout, number).amplitudes.copy()
+        raw[::5] = 0
+        raw[::7] *= -0.0
+        image = controlled_op_image(op, layout)
+        expected = np.empty_like(raw)
+        expected[[image(source) for source in range(layout.size)]] = raw
+        result = apply_gate(StateBuffer(layout, raw.copy()), op).amplitudes
+        assert result.tobytes() == expected.tobytes(), (layout, op)
+        if layout.total_qubits <= 8:
+            np.testing.assert_array_equal(result, dense_unitary_of(op, layout) @ raw)
 
 
 def reference_hadamard(amplitudes, positions):

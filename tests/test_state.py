@@ -16,6 +16,7 @@ from qmatops import (
     encode_matrix,
     prepare_product_state,
 )
+from qmatops import state as state_module
 from qmatops.state import occupied_states, pinned_share, qubit_index, qubit_view, squared_mass
 
 st_dims = st.sampled_from([1, 2, 3, 4, 5, 8])
@@ -338,16 +339,21 @@ def test_decode_applies_no_renormalization():
 
 # --- readout -------------------------------------------------------------
 
-@pytest.mark.parametrize("qubits", [3, 10, 16, 20])
-def test_squared_mass_is_bitwise_the_plain_sum(qubits):
+@pytest.mark.parametrize("qubits", [3, 10, 14, 16, 20])
+def test_squared_mass_is_bitwise_the_plain_sum(monkeypatch, qubits):
+    # blocks of the module's size, and of numpy's smallest pairwise block and
+    # one above it, so that every width but the smallest crosses blocks
     layout = RegisterLayout((("A", qubits - 2), ("M", 1), ("B", 1)))
     amplitudes = random_unit(np.random.default_rng(qubits), layout.size)
+    amplitudes[::3] *= np.exp2(np.arange(amplitudes[::3].size) % 61 - 30)
     whole = float(np.sum(np.abs(amplitudes) ** 2))
-    assert squared_mass(amplitudes).hex() == whole.hex()
-    assert StateVector(layout, amplitudes).norm_squared.hex() == whole.hex()
-    for pattern in ({"M": 1}, {"A": 1, "B": 0}):
-        pinned = qubit_view(amplitudes, layout)[qubit_index(layout, pattern)]
-        assert squared_mass(pinned).hex() == float(np.sum(np.abs(pinned) ** 2)).hex()
+    for block in (state_module.MASS_BLOCK, 1 << 7, 1 << 8):
+        monkeypatch.setattr(state_module, "MASS_BLOCK", block)
+        assert squared_mass(amplitudes).hex() == whole.hex()
+        assert StateVector(layout, amplitudes).norm_squared.hex() == whole.hex()
+        for pattern in ({"M": 1}, {"A": 1, "B": 0}):
+            pinned = qubit_view(amplitudes, layout)[qubit_index(layout, pattern)]
+            assert squared_mass(pinned).hex() == float(np.sum(np.abs(pinned) ** 2)).hex()
 
 
 def test_pinned_share_is_exactly_one_when_nothing_lies_outside():
