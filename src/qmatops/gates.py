@@ -171,20 +171,16 @@ def _resolve_controlled(layout: RegisterLayout, op: ControlledOp) -> tuple[int, 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _exchange_plan(
     layout: RegisterLayout, op: ControlledOp
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple, tuple], ...], int]:
+) -> tuple[tuple[int, ...], tuple, tuple[int, ...], tuple[int, ...], int, int]:
     """A checked controlled op as exchanges between pairs of equal-sized
-    views.  Returns the shape to view the state in, one axis per run of
-    qubits that are all conditioned, all free or all in one moved register;
-    the axis order that aligns one side of a pair with the other; the pairs'
-    (x, y) indices into that view; and the most amplitudes a piece holds,
-    PERMUTE_PIECE or, if smaller, the subspace.
-
-    A flip exchanges the two halves of its subspace, its target at 0 and at
-    1.  A swap of registers a and b exchanges the strip a=i, b>i with the
-    strip a>i, b=i for each i, or, when its whole subspace fits in one
-    piece, that subspace with itself, a and b transposed.  Conditioned runs
-    are fixed to their bits; each side keeps every other axis, the ones the
-    op moves included, so both sides share one axis order.
+    views, in a plan of fixed size.  Returns the shape to view the state in,
+    one axis per run of qubits that are all conditioned, all free or all in
+    one moved register; each axis's entry in both sides' indices, a
+    conditioned run's bits or the whole axis; the axis order that aligns
+    one side of a pair with the other; the moved axes, a flip's target or a
+    swap's registers; how many rows a=i of a swap's subspace one of its
+    pairs covers, as many as fit in a piece and at least one; and the most
+    amplitudes a piece holds, PERMUTE_PIECE or, if smaller, the subspace.
     """
     mask, bits = _resolve_controlled(layout, op)
     total, action = layout.total_qubits, op.action
@@ -206,25 +202,36 @@ def _exchange_plan(
     kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
     axes = list(range(len(kept)))
     subspace = math.prod(shape[axis] for axis in kept)
-
     if isinstance(action, FlipQubit):
-        t = axis_of["t"]
-        sides = [({t: slice(0, 1)}, {t: slice(1, 2)})]
+        moved, rows = (axis_of["t"],), 1
     else:
-        a, b = axis_of["a"], axis_of["b"]
+        moved = a, b = axis_of["a"], axis_of["b"]
         axes[kept.index(a)], axes[kept.index(b)] = kept.index(b), kept.index(a)
-        sides = [({}, {})]
-        if subspace > PERMUTE_PIECE:
-            sides = []
-            for i in range(shape[a] - 1):
-                row, rest = slice(i, i + 1), slice(i + 1, None)
-                sides.append(({a: row, b: rest}, {a: rest, b: row}))
+        rows = max(1, PERMUTE_PIECE // (subspace // shape[a]))
+    piece = min(PERMUTE_PIECE, subspace)
+    return tuple(shape), tuple(base), tuple(axes), moved, rows, piece
 
-    def index(entries: dict) -> tuple:
-        return tuple(entries.get(axis, entry) for axis, entry in enumerate(base))
 
-    pairs = tuple((index(x), index(y)) for x, y in sides)
-    return tuple(shape), tuple(axes), pairs, min(PERMUTE_PIECE, subspace)
+def _exchanged_sides(shape: tuple[int, ...], moved: tuple[int, ...], rows: int):
+    """(x, y) pairs of the moved axes' slices that an op exchanges.
+
+    A flip exchanges the two halves of its subspace, its target at 0 and at
+    1.  A swap of registers a and b exchanges, for each block of ``rows``
+    rows from row i, the strip a in the block, b > i with the strip a > i,
+    b in the block, the first one transposed; one row per block gives the
+    strips a=i, b>i and a>i, b=i.  The two strips of a longer block share
+    the square a, b > i in the block and write it with the same values,
+    since the plan fits such a block in one piece, read whole before it is
+    written.  Every other axis is kept, so both sides share one axis order.
+    """
+    if len(moved) == 1:
+        (t,) = moved
+        yield {t: slice(0, 1)}, {t: slice(1, 2)}
+        return
+    a, b = moved
+    for i in range(0, shape[a] - 1, rows):
+        block, rest = slice(i, i + rows), slice(i + 1, None)
+        yield {a: block, b: rest}, {a: rest, b: block}
 
 
 def _cut(shape: tuple[int, ...], piece: int):
@@ -241,22 +248,31 @@ def _cut(shape: tuple[int, ...], piece: int):
         return
     step = piece // inner
     for outer in itertools.product(*map(range, shape[: cut - 1])):
-        steps = tuple(slice(k, k + 1) for k in outer)
+        steps = tuple([slice(k, k + 1) for k in outer])
         for start in range(0, shape[cut - 1], step):
             yield (*steps, slice(start, start + step), *whole)
 
 
 def _apply_controlled(layout: RegisterLayout, op: ControlledOp, amplitudes: np.ndarray) -> None:
     """Exact permutation kernel of a projector-controlled flip or swap, in
-    place: piece by piece, both sides of each pair of its plan are copied
-    into scratch, each in its own memory order, and written over each other."""
-    shape, axes, pairs, piece = _exchange_plan(layout, op)
+    place: piece by piece, both sides of each exchanged pair are copied
+    into scratch, each in its own memory order, and written over each other.
+
+    Index tuples in these loops are built from lists: CPython builds a
+    tuple from a generator by shrinking a larger one and keeps each freed
+    one on a free list of its size, so the loop would keep one per strip
+    (up to 2000 of a size) after it ends.
+    """
+    shape, base, axes, moved, rows, piece = _exchange_plan(layout, op)
     view = amplitudes.reshape(shape)
     scratch = np.empty((2, piece), dtype=np.complex128)
-    for x_index, y_index in pairs:
-        x_side, y_side = view[x_index], view[y_index]
+    for sides in _exchanged_sides(shape, moved, rows):
+        x_side, y_side = (
+            view[tuple([side.get(axis, entry) for axis, entry in enumerate(base)])]
+            for side in sides
+        )
         for cut in _cut(x_side.shape, piece):
-            x, y = x_side[cut], y_side[tuple(cut[axis] for axis in axes)]
+            x, y = x_side[cut], y_side[tuple([cut[axis] for axis in axes])]
             held_x = scratch[0, : x.size].reshape(x.shape)
             held_y = scratch[1, : y.size].reshape(y.shape)
             np.copyto(held_x, x)

@@ -623,17 +623,14 @@ def squared_mass(amplitudes: np.ndarray) -> float:
 
     numpy sums 2^k values pairwise, halving them down to blocks of at most
     128.  A state or a selected subspace holds 2^k amplitudes, so each block
-    of MASS_BLOCK is summed through one float buffer of that size and the
-    block sums are added in the same halving tree.
+    of MASS_BLOCK (the whole array if smaller) is summed through one float
+    buffer of that size and the block sums are added in the same halving
+    tree.
     """
-    size = amplitudes.size
-    if size <= MASS_BLOCK or size & (size - 1):
-        weights = np.abs(amplitudes).ravel()
-        return float(np.sum(np.square(weights, out=weights)))
-    qubits = size.bit_length() - 1
+    qubits = amplitudes.size.bit_length() - 1
     view = amplitudes.reshape((2,) * qubits)
-    lead = qubits - (MASS_BLOCK.bit_length() - 1)
-    weights = np.empty(MASS_BLOCK)
+    lead = max(0, qubits - (MASS_BLOCK.bit_length() - 1))
+    weights = np.empty(min(amplitudes.size, MASS_BLOCK))
     held = weights.reshape(view.shape[lead:])
     sums = []
     for index in itertools.product((0, 1), repeat=lead):

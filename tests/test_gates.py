@@ -275,22 +275,24 @@ def test_gate_application_matches_dense_unitaries(circuit, seed):
 )
 def test_in_place_gate_allocates_at_most_one_temporary(gate, scratch):
     # one absolute bound at 15 and at 19 qubits (512 KiB and 8 MiB states):
-    # the kernel's scratch plus 64 KiB of views, index tuples and the
-    # interpreter's free lists, nothing that grows with the state
-    bound = scratch * 16 + (64 << 10)
+    # the kernel's scratch plus 64 KiB of views, index tuples, the op's plan
+    # and the interpreter's free lists, nothing that grows with the state;
+    # and never more than 0.4x the state
     for width in (7, 9):
         layout = RegisterLayout((("X", width), ("Y", width), ("B", 1)))
         buffer = StateBuffer(layout, random_state(layout, 12).amplitudes.copy())
-        # the first call builds the op's piece plan, which later calls reuse
-        apply_gate(buffer, gate)
-        tracemalloc.start()
-        try:
-            assert apply_gate(buffer, gate) is buffer
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        bound = min(0.4 * buffer.amplitudes.nbytes, scratch * 16 + (64 << 10))
+        # a cold call, which builds the op's plan, and a warm one
+        gates._exchange_plan.cache_clear()
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                assert apply_gate(buffer, gate) is buffer
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (width, peak)
         assert buffer.amplitudes.flags.writeable
-        assert peak <= bound, (width, peak)
 
 
 def _every_controlled_op():
