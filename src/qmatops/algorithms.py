@@ -39,11 +39,11 @@ from .state import (
     StateBuffer,
     StateVector,
     decode_matrix,
-    occupied_states,
     pinned_share,
     post_select,
     prepare_product_state,
     require_dense_width,
+    supported_on,
 )
 
 __all__ = [
@@ -429,9 +429,10 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     def check_marking(label: str, current: StateBuffer) -> None:
         if label != "step2-mark-diagonal":
             return
-        values, _ = occupied_states(current)
-        expected = ~(values["R"] ^ values["C"]) & (dimension - 1)
-        if np.any(values["A"] != expected):
+        row = np.arange(dimension)[:, None]
+        col = row.T
+        marked = {"R": row, "C": col, "A": ~(row ^ col) & (dimension - 1), "B1": 0, "B2": 0}
+        if not supported_on(current, marked):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
     run = simulate(circuit, matrix.entries, record_steps, check_marking)

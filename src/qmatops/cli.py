@@ -6,7 +6,6 @@ command with the same seed produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import numpy as np
 from .algorithms import RunReport, run_row_add, run_row_swap, run_trace, run_transpose, run_transpose_square
 from .complexity import CLAIMS, measure_scaling
 from .golden import GOLDEN_K, GOLDEN_L, GOLDEN_PROBABILITY, replay_walkthrough
-from .matio import load_matrix, matrix_to_payload
+from .matio import json_text, load_matrix, matrix_to_payload
 from .state import EncodedMatrix, encode_matrix, occupied_states
 from .verify import SCALING_WIDTHS, run_all_checks
 
@@ -28,7 +27,7 @@ MAX_SHOTS = 1 << 32
 
 
 def _write_document(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json_text(doc) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:
@@ -42,16 +41,16 @@ def _step_dump(report: RunReport) -> list[dict]:
     steps = []
     for record in report.step_states or ():
         values, occupied = occupied_states(record.state, AMPLITUDE_DUMP_CAP)
-        amplitudes = []
-        for value, *registers in zip(occupied, *values.values()):
-            entry = {name: int(v) for name, v in zip(values, registers)}
-            amplitudes.append({**entry, "re": float(value.real), "im": float(value.imag)})
+        columns = {name: registers.tolist() for name, registers in values.items()}
+        columns["re"] = occupied.real.tolist()
+        columns["im"] = occupied.imag.tolist()
+        names = list(columns)
         steps.append(
             {
                 "label": record.label,
                 "norm_squared": record.norm_squared,
                 "checksum": record.checksum,
-                "amplitudes": amplitudes,
+                "amplitudes": [dict(zip(names, row)) for row in zip(*columns.values())],
             }
         )
     return steps

@@ -57,6 +57,7 @@ __all__ = [
     "squared_mass",
     "pinned_share",
     "occupied_states",
+    "supported_on",
     "qubit_view",
     "qubit_index",
 ]
@@ -219,7 +220,8 @@ class StateVector:
         return complex(self.amplitudes[self.layout.basis_index(values)])
 
     def checksum(self) -> str:
-        return hashlib.sha256(self.amplitudes.tobytes()).hexdigest()[:16]
+        # the frozen array is C-contiguous, so it is hashed in place
+        return hashlib.sha256(self.amplitudes).hexdigest()[:16]
 
 
 @dataclass(eq=False)
@@ -649,6 +651,18 @@ def occupied_states(
     indices = _first_occupied(state.amplitudes, cap)
     values = np.unravel_index(indices, state.layout.shape)
     return dict(zip(state.layout.names, values)), state.amplitudes[indices]
+
+
+def supported_on(state: StateVector | StateBuffer, values: Mapping[str, np.ndarray | int]) -> bool:
+    """Whether every nonzero amplitude of ``state`` lies on a basis state that
+    ``values`` lists: each register's values as arrays (or ints) that
+    broadcast together and name each basis state once.  Counts nonzero
+    float parts on those states and overall, so it allocates only the
+    listed amplitudes."""
+    layout = state.layout
+    index = sum(values[name] << layout.field_shift(name) for name in layout.names)
+    listed = state.amplitudes[index]
+    return np.count_nonzero(listed.view(np.float64)) == np.count_nonzero(state.amplitudes.view(np.float64))
 
 
 def _first_occupied(amplitudes: np.ndarray, cap: int | None) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -212,6 +213,21 @@ def test_trace_exactly_traceless_is_exactly_zero():
     assert report.success_probability == 0.0
     assert report.recovered_trace == 0.0
     assert report.output_matrix is None
+
+
+@pytest.mark.parametrize("dropped", range(4))
+def test_trace_marking_check_catches_a_dropped_flip(monkeypatch, dropped):
+    build = algorithms.trace_circuit
+
+    def without_one_flip(n):
+        circuit = build(n)
+        (label, marks), *rest = circuit.steps
+        return dataclasses.replace(circuit, steps=((label, marks[:dropped] + marks[dropped + 1 :]), *rest))
+
+    monkeypatch.setattr(algorithms, "trace_circuit", without_one_flip)
+    matrix = np.random.default_rng(31).standard_normal((4, 4))
+    with pytest.raises(RuntimeError, match="diagonal marking"):
+        run_trace(encode_matrix(matrix))
 
 
 def test_trace_rejects_non_square():

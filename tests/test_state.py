@@ -1,3 +1,4 @@
+import hashlib
 import math
 from functools import reduce
 
@@ -17,7 +18,14 @@ from qmatops import (
     prepare_product_state,
 )
 from qmatops import state as state_module
-from qmatops.state import occupied_states, pinned_share, qubit_index, qubit_view, squared_mass
+from qmatops.state import (
+    occupied_states,
+    pinned_share,
+    qubit_index,
+    qubit_view,
+    squared_mass,
+    supported_on,
+)
 
 st_dims = st.sampled_from([1, 2, 3, 4, 5, 8])
 st_entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -65,6 +73,16 @@ def test_state_vector_is_immutable_and_checks_size():
         state.amplitudes[0] = 0.5
     with pytest.raises(ValueError):
         StateVector(layout, [1.0, 0.0, 0.0])
+
+
+def test_checksum_hashes_the_bytes_of_the_array():
+    layout = RegisterLayout((("R", 2),))
+    amplitudes = np.array([complex(-0.0, 0.6), complex(0.8, -0.0), complex(-0.0, -0.0), 0.0])
+    state = StateVector(layout, amplitudes)
+    assert state.checksum() == hashlib.sha256(amplitudes.tobytes()).hexdigest()[:16]
+    # the sign of a zero part is part of the bytes
+    unsigned = StateVector(layout, np.abs(amplitudes.real) + 1j * np.abs(amplitudes.imag))
+    assert state.checksum() != unsigned.checksum()
 
 
 # --- encoding -----------------------------------------------------------
@@ -380,6 +398,25 @@ def test_occupied_states_lists_register_values_in_index_order(cap):
         np.testing.assert_array_equal(values["C"], [(i >> 1) & 7 for i in expected])
         np.testing.assert_array_equal(values["B"], [i & 1 for i in expected])
         assert listed.tobytes() == amplitudes[expected].tobytes()
+
+
+def test_supported_on_counts_only_nonzero_parts():
+    layout = RegisterLayout((("R", 2), ("C", 2), ("B", 1)))
+    rows = np.arange(4)[:, None]
+    listed = {"R": rows, "C": rows ^ 1, "B": 0}
+    inside = [layout.basis_index({"R": r, "C": r ^ 1, "B": 0}) for r in range(4)]
+    amplitudes = np.zeros(layout.size, dtype=complex)
+    amplitudes[inside[:3]] = [0.6, 0.8j, complex(0.0, -0.0)]
+    amplitudes[1] = complex(-0.0, -0.0)  # a signed zero is no amplitude
+    for state in (StateVector(layout, amplitudes), StateBuffer(layout, amplitudes.copy())):
+        assert supported_on(state, listed)
+    with_b = {**listed, "B": np.arange(2)[:, None, None]}
+    for outside, value in ((1, 5e-324), (31, 1e-300j), (inside[3] + 1, -1.0)):
+        spread = amplitudes.copy()
+        spread[outside] = value
+        assert not supported_on(StateVector(layout, spread), listed)
+        # with B free, only the last of them lies on a listed state
+        assert supported_on(StateVector(layout, spread), with_b) == (outside == inside[3] + 1)
 
 
 # --- ancilla vectors -----------------------------------------------------
