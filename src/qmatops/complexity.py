@@ -7,7 +7,7 @@ fit with zero residual, not within a tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,6 +67,13 @@ class StepFit:
     intercept: float
     max_residual: float
 
+    def holds(self, order: str) -> bool:
+        """O(1) holds when the counts are identical, O(n)/O(m) when they sit
+        on a line with positive slope; either way with zero residual."""
+        if self.max_residual != 0:
+            return False
+        return self.slope == 0 if order == "O(1)" else self.slope > 0
+
 
 @dataclass
 class ClaimVerdict:
@@ -76,16 +83,6 @@ class ClaimVerdict:
     counts: list[int]
     passed: bool
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "claimed": self.claimed,
-            "metric": self.metric,
-            "counts": self.counts,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -104,17 +101,8 @@ class ScalingReport:
             "algorithm": self.algorithm,
             "widths": self.widths,
             "tallies": [tally.to_dict() for tally in self.tallies],
-            "fits": {
-                step: {
-                    "metric": fit.metric,
-                    "counts": fit.counts,
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "max_residual": fit.max_residual,
-                }
-                for step, fit in self.fits.items()
-            },
-            "claims": [verdict.as_dict() for verdict in self.claims],
+            "fits": {step: asdict(fit) for step, fit in self.fits.items()},
+            "claims": [asdict(verdict) for verdict in self.claims],
             "all_passed": self.all_passed(),
         }
 
@@ -133,9 +121,9 @@ def measure_scaling(algorithm: str, widths, seed: int = 0) -> ScalingReport:
     a 2^w x 2 matrix for the row operations, both registers of a 2^w x 2^w
     matrix for trace and the column register of a 2 x 2^w matrix for
     transpose.  Circuits are only tallied, never simulated, so no width is
-    limited by the simulator's qubit cap.  O(1) passes when the counts are
-    identical across widths; O(n)/O(m) passes when the counts sit on a line
-    with positive slope and zero residual.
+    limited by the simulator's qubit cap.  Each claim is judged by its
+    step's fit (``StepFit.holds``); a claim on a step that no circuit
+    tallies fails.
     """
     if algorithm not in CLAIMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; pick from {sorted(CLAIMS)}")
@@ -173,20 +161,13 @@ def measure_scaling(algorithm: str, widths, seed: int = 0) -> ScalingReport:
     for label in step_labels:
         metric = claimed_metric.get(label, "toffoli")
         counts = [getattr(t.per_step.get(label, GateCounts()), metric) for t in tallies]
-        slope, intercept, residual = _linear_fit(widths, counts)
-        fits[label] = StepFit(metric, counts, slope, intercept, residual)
+        fits[label] = StepFit(metric, counts, *_linear_fit(widths, counts))
 
     verdicts: list[ClaimVerdict] = []
     for claim in CLAIMS[algorithm]:
-        counts = [
-            getattr(t.per_step.get(claim.step, GateCounts()), claim.metric)
-            for t in tallies
-        ]
-        if claim.order == "O(1)":
-            passed = len(set(counts)) == 1
-        else:
-            slope, _, residual = _linear_fit(widths, counts)
-            passed = residual == 0 and slope > 0
+        fit = fits.get(claim.step)
+        # a claimed step that no circuit tallies has no counts to hold
+        counts, passed = (fit.counts, fit.holds(claim.order)) if fit else ([], False)
         verdicts.append(
             ClaimVerdict(claim.step, claim.order, claim.metric, counts, passed, claim.note)
         )

@@ -27,7 +27,8 @@ def payload_to_matrix(payload) -> np.ndarray:
         if key not in payload:
             raise ValueError(f"matrix document missing {key!r}")
     rows, cols = payload["rows"], payload["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    # bool is an int subclass, but true is not a dimension
+    if not all(type(n) is not bool and isinstance(n, int) and n > 0 for n in (rows, cols)):
         raise ValueError("rows and cols must be positive integers")
     data = payload["data"]
     if not isinstance(data, list) or len(data) != rows * cols:

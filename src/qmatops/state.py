@@ -179,14 +179,12 @@ def qubit_view(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     return amplitudes.reshape((2,) * layout.total_qubits)
 
 
-def qubit_index(
-    layout: RegisterLayout, selection: tuple[int, int] | Mapping[str, int]
-) -> tuple:
-    """Index tuple over ``qubit_view`` selecting the basis states s with
-    ``s & mask == bits``, for a ``(mask, bits)`` pair or a register->value
-    mapping.  It fixes each conditioned qubit's axis to its bit; the closing
-    Ellipsis keeps the result a view even when every axis is fixed."""
-    mask, bits = selection if isinstance(selection, tuple) else layout.pattern(selection)
+def qubit_index(layout: RegisterLayout, values: Mapping[str, int]) -> tuple:
+    """Index tuple over ``qubit_view`` selecting the basis states whose
+    registers hold ``values``.  It fixes each conditioned qubit's axis to its
+    bit; the closing Ellipsis keeps the result a view even when every axis
+    is fixed."""
+    mask, bits = layout.pattern(values)
     index: list = [slice(None)] * layout.total_qubits
     while mask:
         low = mask & -mask
@@ -340,8 +338,7 @@ def encode_matrix(matrix) -> EncodedMatrix:
     if largest == 0.0:
         raise ValueError("all-zero matrix cannot be normalized for encoding")
     if NORM_SAFE_RANGE[0] <= largest <= NORM_SAFE_RANGE[1]:
-        scale = float(np.linalg.norm(arr))
-        unit = arr / scale
+        scale = norm = float(np.linalg.norm(arr))
     else:
         # prescale by the power of two nearest the largest component, as
         # LAPACK's dnrm2 does, so the squares summed inside the norm neither
@@ -354,11 +351,14 @@ def encode_matrix(matrix) -> EncodedMatrix:
             scale = math.ldexp(norm, exponent)
         except OverflowError:
             raise ValueError("matrix Frobenius norm overflows float64") from None
-        unit = scaled / norm
+        arr = scaled
     rows = _pow2_at_least(arr.shape[0])
     cols = _pow2_at_least(arr.shape[1])
     padded = np.zeros((rows, cols), dtype=np.complex128)
-    padded[: arr.shape[0], : arr.shape[1]] = unit
+    # divide straight into the padded block, and hand over the frozen result
+    # uncopied, so the matrix's padded size is allocated once
+    np.divide(arr, norm, out=padded[: arr.shape[0], : arr.shape[1]])
+    padded.setflags(write=False)
     return EncodedMatrix(
         entries=padded,
         original_rows=arr.shape[0],

@@ -7,13 +7,13 @@ not read from anywhere else.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algorithms import (
     Circuit,
+    RunReport,
     row_add_circuit,
     row_swap_circuit,
     run_row_add,
@@ -28,6 +28,7 @@ from .gates import ControlledOp, apply_gate, decompose_mcx
 from .golden import (
     GOLDEN_FROBENIUS_SCALE,
     GOLDEN_PROBABILITY,
+    ReplayRow,
     golden_swapped,
     replay_walkthrough,
 )
@@ -107,8 +108,10 @@ def _matrix_deviation(simulated: np.ndarray, reference) -> float:
     return float(np.max(np.abs(simulated - np.array(reference, dtype=np.complex128))))
 
 
-def check_golden_walkthrough() -> CheckResult:
-    report, rows = replay_walkthrough()
+def check_golden_walkthrough(report: RunReport, rows: list[ReplayRow]) -> CheckResult:
+    """Judge one ``replay_walkthrough``: every branch, the Frobenius scale,
+    the probability and the decoded matrix.  ``qmatops appendix1`` passes
+    exactly when this check does."""
     worst = max(deviation for *_, deviation in rows)
     worst = max(worst, abs(report.frobenius_scale - GOLDEN_FROBENIUS_SCALE))
     worst = max(worst, abs(report.success_probability - GOLDEN_PROBABILITY))
@@ -355,7 +358,7 @@ def run_all_checks(seed: int = 0, matrices: int = 200) -> list[CheckResult]:
         raise ValueError(f"the random-matrix suite needs at least 1 matrix, got {matrices}")
     suite = build_suite(seed, matrices)
     return [
-        check_golden_walkthrough(),
+        check_golden_walkthrough(*replay_walkthrough()),
         check_row_add_law(suite),
         check_row_swap_law(suite),
         check_row_swap_dimension_independence(seed + 1),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,9 @@ import pytest
 
 from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, run_trace, save_matrix, state
 from qmatops.cli import main
+from qmatops.golden import replay_walkthrough
 from qmatops.matio import load_matrix, matrix_to_payload, payload_to_matrix
+from qmatops.verify import check_golden_walkthrough
 
 
 @pytest.fixture
@@ -230,6 +233,18 @@ def test_appendix_walkthrough_passes(capsys):
     assert "PASS" in captured
 
 
+def test_appendix_walkthrough_judges_the_decoded_matrix(monkeypatch, tmp_path, capsys):
+    # every branch and the probability still match; only the output is off
+    report, rows = replay_walkthrough()
+    off = dataclasses.replace(report, output_matrix=report.output_matrix + 1e-6)
+    monkeypatch.setattr(cli, "replay_walkthrough", lambda: (off, rows))
+    out = tmp_path / "appendix1.json"
+    assert main(["appendix1", "--output", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    assert json.loads(out.read_text())["passed"] is False
+    assert not check_golden_walkthrough(off, rows).passed
+
+
 # --- failure paths ---------------------------------------------------------------
 
 def test_malformed_file_reports_error(tmp_path, capsys):
@@ -238,11 +253,14 @@ def test_malformed_file_reports_error(tmp_path, capsys):
         "{not json",
         # an integer beyond float range
         '{"rows": 1, "cols": 2, "data": [1, 1' + "0" * 400 + "]}",
+        # bool is an int subclass, but true is no dimension
+        '{"rows": true, "cols": true, "data": [1]}',
+        '{"rows": 1, "cols": true, "data": [1]}',
     ):
         path.write_text(text)
         code = main(["trace", "--input", str(path)])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_transpose_square_refuses_an_oversized_square_with_an_error(tmp_path, capsys):

@@ -11,9 +11,10 @@ from qmatops.algorithms import (
     transpose_circuit,
     transpose_square_circuit,
 )
-from qmatops.complexity import MAX_WIDTH
+from qmatops.complexity import MAX_WIDTH, Claim
 from qmatops.gates import ControlledOp, lower, tally_gates
 from qmatops.oracle import controlled_op_image
+from qmatops.verify import check_scaling_claims
 
 # basis states run through each controlled op's netlist; half of them are
 # forced into the projector's subspace, which random integers almost never meet
@@ -74,6 +75,22 @@ def test_claims_cover_measured_steps():
         claimed = {claim.step for claim in CLAIMS[algorithm]}
         assert {verdict.step for verdict in report.claims} == claimed
         assert claimed <= set(report.fits)
+        for verdict in report.claims:
+            assert verdict.counts == report.fits[verdict.step].counts
+
+
+def test_claim_on_a_step_no_circuit_tallies_fails(monkeypatch):
+    # all-zero counts at every width must not pass as O(1)
+    extra = Claim("step9-no-such-step", "O(1)", "toffoli")
+    monkeypatch.setitem(CLAIMS, "trace", (*CLAIMS["trace"], extra))
+    report = measure_scaling("trace", widths=SCALING_WIDTHS["trace"], seed=0)
+    assert report.claims[-1].step == extra.step
+    assert report.claims[-1].passed is False
+    assert not report.all_passed()
+    assert all(verdict.passed for verdict in report.claims[:-1])
+    result = check_scaling_claims(seed=0)
+    assert not result.passed
+    assert "trace:step9-no-such-step" in result.detail
 
 
 def test_counts_are_data_independent():

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmatops.cli import main
@@ -153,3 +155,43 @@ def test_bulk_conversion_is_the_per_entry_conversion():
 def test_bad_entries_are_named_first_in_order(data, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         payload_to_matrix({"rows": 2, "cols": 2, "data": data})
+
+
+# --- matrix documents through the command line -----------------------------------
+
+st_dimension = st.one_of(st.integers(0, 3), st.booleans(), st.floats(0, 3))
+st_entry = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(),
+    st.lists(st.one_of(st.floats(-2, 2), st.booleans()), max_size=3),
+    st.none(),
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def st_matrix_document(draw):
+    rows, cols = draw(st_dimension), draw(st_dimension)
+    size = int(rows) * int(cols)
+    return {"rows": rows, "cols": cols, "data": draw(st.lists(st_entry, min_size=size, max_size=size))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    document=st_matrix_document(),
+    argv=st.sampled_from(
+        [["row-add", "--k", "0", "--l", "1"], ["row-swap", "--k", "1", "--l", "0"],
+         ["trace"], ["transpose"], ["transpose-square"]]
+    ),
+)
+@example(document={"rows": True, "cols": True, "data": [1.0]}, argv=["transpose"])
+def test_any_matrix_document_succeeds_or_reports_an_error(tmp_path_factory, document, argv):
+    directory = tmp_path_factory.mktemp("document")
+    path = directory / "matrix.json"
+    path.write_text(json.dumps(document))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--input", str(path), "--output", str(directory / "report.json")])
+    assert code in (0, 1)
+    assert (code == 1) == err.getvalue().startswith("error:")

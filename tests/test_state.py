@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -133,6 +134,37 @@ def test_encode_extreme_magnitudes(exponent):
     for value in (math.ldexp(1.0, exponent), 1e200, 1e-170):
         flat = encode_matrix(np.full((2, 2), value))
         np.testing.assert_allclose(flat.entries, np.full((2, 2), 0.5), rtol=0, atol=1e-12)
+
+
+def test_encode_allocates_only_the_padded_matrix():
+    rng = np.random.default_rng(13)
+    matrix = rng.standard_normal((1000, 1000)) + 1j * rng.standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        encoded = encode_matrix(matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert encoded.entries.shape == (1024, 1024)
+    assert peak <= 1.2 * encoded.entries.nbytes
+
+
+# 2^482 and 2^-482 lie just outside NORM_SAFE_RANGE, so those inputs are
+# prescaled, yet their squares still sum in range for the plain division
+@pytest.mark.parametrize("exponent", [0, 482, -482])
+def test_encode_is_bitwise_the_plain_division(exponent):
+    rng = np.random.default_rng(14)
+    matrix = np.empty((3, 5), dtype=np.complex128)
+    matrix.real = np.ldexp(rng.standard_normal((3, 5)), exponent)
+    matrix.imag = np.ldexp(rng.standard_normal((3, 5)), exponent)
+    matrix.real[0, 1] = -0.0
+    matrix.imag[0, 1:3] = (-0.0, 0.0)
+    low, high = state_module.NORM_SAFE_RANGE
+    assert (exponent == 0) == (low <= np.max(np.abs(matrix.view(np.float64))) <= high)
+    expected = np.zeros((4, 8), dtype=np.complex128)
+    expected[:3, :5] = matrix / np.linalg.norm(matrix)
+    encoded = encode_matrix(matrix)
+    assert encoded.entries.tobytes() == expected.tobytes()
 
 
 def test_encode_rejects_norm_beyond_float_range():
