@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -133,6 +134,28 @@ def _plain_step(label: str, *gates: Gate) -> Step:
 
 def _snapshot(label: str, state: StateVector) -> StepState:
     return StepState(label, state.norm_squared, state.checksum(), state)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory of this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_room_for_records(circuit: Circuit) -> None:
+    """Refuse a recorded run whose states would not fit in physical memory,
+    before anything is allocated: one snapshot per step, the final state
+    and, when the circuit post-selects, the renormalized state."""
+    layout = circuit.layout
+    # a layout beyond the qubit cap gets the cap's error, as unrecorded runs do
+    require_dense_width(layout)
+    states = len(circuit.steps) + 1 + (circuit.accept is not None)
+    state_bytes = layout.size * np.dtype(np.complex128).itemsize
+    physical = _physical_memory()
+    if states * state_bytes > physical:
+        raise ValueError(
+            f"a recorded run of {layout.total_qubits} qubits keeps {states} states of {state_bytes} B, "
+            f"{states * state_bytes} B in all, more than the {physical} B of physical memory"
+        )
 
 
 # --- circuit builders ----------------------------------------------------------
@@ -330,12 +353,15 @@ def simulate(
     in place.  ``after_step`` gets that buffer after each stage; it is valid
     only during the callback.  With ``record_steps`` each stage's input is
     copied into a frozen snapshot before the stage runs, and the final
-    snapshot is the frozen buffer itself.
+    snapshot is the frozen buffer itself; a recorded run whose states would
+    not fit in physical memory is refused before preparation.
 
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
     """
     layout = circuit.layout
+    if record_steps:
+        _require_room_for_records(circuit)
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
     parts = itertools.chain(

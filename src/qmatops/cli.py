@@ -15,7 +15,7 @@ import numpy as np
 from .algorithms import RunReport, run_row_add, run_row_swap, run_trace, run_transpose, run_transpose_square
 from .complexity import CLAIMS, measure_scaling
 from .golden import GOLDEN_K, GOLDEN_L, GOLDEN_PROBABILITY, replay_walkthrough
-from .matio import json_text, load_matrix, matrix_to_payload
+from .matio import Columns, json_text, load_matrix, matrix_to_payload
 from .state import EncodedMatrix, encode_matrix, occupied_states
 from .verify import SCALING_WIDTHS, check_golden_walkthrough, run_all_checks
 
@@ -38,19 +38,17 @@ def _write_document(doc: dict, output: str | None) -> None:
 
 
 def _step_dump(report: RunReport) -> list[dict]:
+    """Each recorded stage, its first occupied states as one ``Columns``."""
     steps = []
     for record in report.step_states or ():
         values, occupied = occupied_states(record.state, AMPLITUDE_DUMP_CAP)
-        columns = {name: registers.tolist() for name, registers in values.items()}
-        columns["re"] = occupied.real.tolist()
-        columns["im"] = occupied.imag.tolist()
-        names = list(columns)
+        amplitudes = Columns({**values, "re": occupied.real.copy(), "im": occupied.imag.copy()})
         steps.append(
             {
                 "label": record.label,
                 "norm_squared": record.norm_squared,
                 "checksum": record.checksum,
-                "amplitudes": [dict(zip(names, row)) for row in zip(*columns.values())],
+                "amplitudes": amplitudes,
             }
         )
     return steps

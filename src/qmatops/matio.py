@@ -10,12 +10,13 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["load_matrix", "save_matrix", "matrix_to_payload", "payload_to_matrix", "json_text"]
+__all__ = ["load_matrix", "save_matrix", "matrix_to_payload", "payload_to_matrix", "json_text", "Columns"]
 
 INDENT = "  "
 
@@ -122,38 +123,107 @@ def save_matrix(path, matrix) -> None:
 
 # --- JSON writer -----------------------------------------------------------------
 
+class Columns(Mapping):
+    """A list of records held as one column per key, for ``json_text``.
+
+    Keys are str; each column is a list, a float64 array or an integer
+    array, all of one length.  ``json_text`` writes ``Columns(columns)`` as
+    ``json.dumps`` writes the records
+    ``[dict(zip(keys, row)) for row in zip(*columns.values())]`` with
+    ``indent=2, sort_keys=True``, byte for byte, and zero rows as ``[]``.
+    Columns of unequal length raise ValueError; an array of any other dtype
+    raises TypeError, as ``json.dumps`` refuses numpy values.
+    """
+
+    def __init__(self, columns: Mapping[str, list | np.ndarray]):
+        self._columns = dict(columns)
+        for key, column in self._columns.items():
+            if not isinstance(key, str):
+                raise TypeError(f"column keys must be str, not {key.__class__.__name__}")
+            if isinstance(column, np.ndarray):
+                if column.ndim != 1:
+                    raise ValueError(f"column {key!r} must be 1-D, got shape {column.shape}")
+                if column.dtype != np.float64 and column.dtype.kind not in "iu":
+                    raise TypeError(f"column {key!r} of dtype {column.dtype} is not JSON serializable")
+            elif not isinstance(column, list):
+                raise TypeError(f"column {key!r} must be a list or an array, not {column.__class__.__name__}")
+        if len(set(map(len, self._columns.values()))) > 1:
+            raise ValueError("columns must all have one length")
+
+    def __getitem__(self, key: str) -> list | np.ndarray:
+        return self._columns[key]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
+
+
 def json_text(doc) -> str:
     """``doc`` as ``json.dumps`` writes it with ``indent=2, sort_keys=True``,
-    byte for byte, with the same TypeError for what JSON cannot hold.
+    byte for byte, with the same TypeError for what JSON cannot hold; a
+    ``Columns`` value is written as the list of its records.
 
     The standard encoder yields one token at a time whenever it indents.
     This writer formats each list a column at a time instead: a list of one
-    scalar type is one ``map``; a list of dicts with one set of string keys
-    (the amplitude dumps), or of lists of one length (complex matrix
-    entries), fills one precomputed ``%`` template per item from the
-    formatted columns of its keys or positions; a list of several types is
-    formatted type by type.
+    scalar type is one ``map``; a list of lists of one length (complex
+    matrix entries) fills one ``%`` template per item from the formatted
+    columns of its positions; a list of several types is formatted type by
+    type.  A ``Columns`` value formats each column at once and interleaves
+    the texts with constant key labels by slice assignment, so writing it
+    makes no Python object per record.
+
+    Every float in a list or a column is formatted once per call for each
+    distinct bit pattern: a memo made for this call maps the patterns
+    already formatted to their texts.  It is keyed by the bits, not by the
+    value, because 0.0 == -0.0 while their texts differ.
     """
-    return _value(doc, "\n")
+    return _value(doc, "\n", {})
 
 
-def _value(value, newline: str) -> str:
+def _value(value, newline: str, memo: dict) -> str:
     """One value whose closing bracket, if any, starts the line ``newline``."""
+    if isinstance(value, Columns):
+        return _records(value, newline, memo)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + INDENT
-        return "[" + inner + ("," + inner).join(_column(value, inner)) + newline + "]"
+        return "[" + inner + ("," + inner).join(_column(value, inner, memo)) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = newline + INDENT
-        fields = (_key(key) + ": " + _value(item, inner) for key, item in sorted(value.items()))
+        fields = (_key(key) + ": " + _value(item, inner, memo) for key, item in sorted(value.items()))
         return "{" + inner + ("," + inner).join(fields) + newline + "}"
     return _scalar(value)
 
 
-def _column(values, newline: str) -> list[str]:
+def _records(table: Columns, newline: str, memo: dict) -> str:
+    """The list of ``table``'s records, joined once from a list that holds,
+    for each record, the label and the text of each field in key order."""
+    keys = sorted(table)
+    rows = len(table[keys[0]]) if keys else 0
+    if not rows:
+        return "[]"
+    inner = newline + INDENT
+    field = inner + INDENT
+    labels = [field + encode_basestring_ascii(key) + ": " for key in keys]
+    # the first label of a record also closes the record before it
+    separators = [inner + "}," + inner + "{" + labels[0]] + ["," + label for label in labels[1:]]
+    step = 2 * len(keys)
+    parts = [text for separator in separators for text in (separator, "")] * rows
+    parts[0] = "{" + labels[0]
+    for position, key in enumerate(keys):
+        column = table[key]
+        parts[2 * position + 1 :: step] = (
+            _column(column, field, memo) if isinstance(column, list) else _array_texts(column, memo)
+        )
+    return "[" + inner + "".join(parts) + inner + "}" + newline + "]"
+
+
+def _column(values, newline: str, memo: dict) -> list[str]:
     """The text of each of ``values``, all on the level of ``newline``."""
     types = list(map(type, values))
     kinds = set(types)
@@ -162,45 +232,49 @@ def _column(values, newline: str) -> list[str]:
         texts = {}
         for kind in kinds:
             chosen = itertools.compress(values, map(operator.is_, types, itertools.repeat(kind)))
-            texts[kind] = iter(_column(list(chosen), newline))
+            texts[kind] = iter(_column(list(chosen), newline, memo))
         return list(map(next, map(texts.__getitem__, types)))
     kind = kinds.pop()
     if kind is float:
-        # a finite sum means no NaN or infinity; an overflowing one only
-        # sends the column through the checked path
-        if math.isfinite(sum(values)):
-            return list(map(float.__repr__, values))
-        return list(map(_float, values))
+        return _array_texts(np.array(values, dtype=np.float64), memo)
     if kind is int:
         return list(map(int.__repr__, values))
     if kind is str:
         return list(map(encode_basestring_ascii, values))
-    # containers of one shape, as many as their items or more, are filled
-    # into one template column by column
-    if kind in (dict, list, tuple) and 0 < len(values[0]) <= len(values):
-        width = len(values[0])
-        if kind is dict and _one_key_set(values):
-            keys = sorted(values[0])
-            labels = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
-            return _filled(values, keys, labels, "{}", newline)
-        if kind is not dict and set(map(len, values)) == {width}:
-            return _filled(values, range(width), [""] * width, "[]", newline)
-    return [_value(value, newline) for value in values]
+    # lists of one length, as many as their items or more, are filled into
+    # one template position by position
+    if kind in (list, tuple) and 0 < len(values[0]) <= len(values) and len(set(map(len, values))) == 1:
+        return _filled(values, len(values[0]), newline, memo)
+    return [_value(value, newline, memo) for value in values]
 
 
-def _one_key_set(records) -> bool:
-    keys = records[0].keys()
-    return all(type(key) is str for key in keys) and all(map(keys.__eq__, map(dict.keys, records)))
-
-
-def _filled(containers, keys, labels: list[str], brackets: str, newline: str) -> list[str]:
-    """Containers of one shape: one template, filled per container from the
-    formatted column of each key or position."""
+def _filled(containers, width: int, newline: str, memo: dict) -> list[str]:
+    """Lists of ``width`` items: one template, filled per list from the
+    formatted column of each position."""
     inner = newline + INDENT
-    fields = ("," + inner).join(label + "%s" for label in labels)
-    template = brackets[0] + inner + fields + newline + brackets[1]
-    columns = [_column(list(map(operator.itemgetter(key), containers)), inner) for key in keys]
+    template = "[" + inner + ("," + inner).join(["%s"] * width) + newline + "]"
+    columns = [_column(list(map(operator.itemgetter(at), containers)), inner, memo) for at in range(width)]
     return list(map(template.__mod__, zip(*columns)))
+
+
+def _array_texts(values: np.ndarray, memo: dict) -> list[str]:
+    """The text of each item of a float64 or integer array, formatted once
+    per distinct item; for floats, only the bit patterns that ``memo``
+    lacks are formatted, and then added to it."""
+    if values.dtype != np.float64:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        texts = list(map(int.__repr__, distinct.tolist()))
+    else:
+        patterns, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+        patterns = patterns.tolist()
+        new = list(itertools.filterfalse(memo.__contains__, patterns))
+        if new:
+            floats = np.array(new, dtype=np.uint64).view(np.float64)
+            # NaN and infinities are spelled as json.dumps spells them
+            text = float.__repr__ if np.isfinite(floats).all() else _float
+            memo.update(zip(new, map(text, floats.tolist())))
+        texts = list(map(memo.__getitem__, patterns))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _key(key) -> str:

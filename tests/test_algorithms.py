@@ -476,6 +476,33 @@ def test_transpose_square_refuses_before_padding():
     assert peak < 1 << 20
 
 
+def test_recorded_run_refuses_states_beyond_physical_memory(monkeypatch):
+    # a 16x16 row-add has 15 qubits, so a 512 KiB state; a recorded run
+    # keeps one snapshot per step, the final state and the renormalized one
+    encoded = encode_matrix(np.random.default_rng(41).standard_normal((16, 16)))
+    state_bytes = 16 << 15
+    states = len(row_add_circuit(4, 4, 1, 2).steps) + 2
+    monkeypatch.setattr(algorithms, "_physical_memory", lambda: states * state_bytes - 1)
+    message = (
+        f"a recorded run of 15 qubits keeps {states} states of {state_bytes} B, "
+        f"{states * state_bytes} B in all, more than the {states * state_bytes - 1} B of physical memory"
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_row_add(encoded, 1, 2, record_steps=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state_bytes
+    assert run_row_add(encoded, 1, 2).success_probability > 0
+    # a layout beyond the qubit cap still gets the cap's error
+    with pytest.raises(ValueError, match="dense-array cap"):
+        run_row_swap(encode_matrix(np.ones((4096, 2))), 0, 1, record_steps=True)
+    monkeypatch.setattr(algorithms, "_physical_memory", lambda: states * state_bytes)
+    assert len(run_row_add(encoded, 1, 2, record_steps=True).step_states) == states
+
+
 def test_builders_need_no_matrix():
     circuit = row_swap_circuit(12, 12, 3, 7)
     assert circuit.layout.total_qubits == 52

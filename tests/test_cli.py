@@ -5,7 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from qmatops import cli, encode_matrix, oracle_row_swap, run_all_checks, run_trace, save_matrix, state
+from qmatops import (
+    algorithms,
+    cli,
+    encode_matrix,
+    oracle_row_swap,
+    run_all_checks,
+    run_row_add,
+    run_row_swap,
+    run_trace,
+    run_transpose,
+    run_transpose_square,
+    save_matrix,
+    state,
+)
 from qmatops.cli import main
 from qmatops.golden import replay_walkthrough
 from qmatops.matio import load_matrix, matrix_to_payload, payload_to_matrix
@@ -175,6 +188,83 @@ def test_verbose_dump_lists_the_first_occupied_states(matrix_file, tmp_path):
         assert (entry["re"], entry["im"]) == (amplitude.real, amplitude.imag)
 
 
+def standard_payload(matrix) -> dict:
+    data = [float(z.real) if z.imag == 0 else [float(z.real), float(z.imag)] for z in matrix.ravel()]
+    return {"rows": matrix.shape[0], "cols": matrix.shape[1], "data": data}
+
+
+def standard_steps(report) -> list[dict]:
+    """Each recorded stage with its first occupied states as a list of dicts."""
+    steps = []
+    for record in report.step_states:
+        amplitudes = record.state.amplitudes
+        indices = np.flatnonzero(amplitudes)[: cli.AMPLITUDE_DUMP_CAP]
+        registers = dict(zip(record.state.layout.names, np.unravel_index(indices, record.state.layout.shape)))
+        listed = [
+            {**{name: int(values[row]) for name, values in registers.items()}, "re": z.real, "im": z.imag}
+            for row, z in enumerate(amplitudes[indices].tolist())
+        ]
+        steps.append(
+            {"label": record.label, "norm_squared": record.norm_squared, "checksum": record.checksum,
+             "amplitudes": listed}
+        )
+    return steps
+
+
+ROUTINE_ROWS = {"row-add": [1, 3], "row-swap": [3, 0], "trace": [], "transpose": [], "transpose-square": []}
+# trace takes only square matrices; the others also a padded 3x4 one
+VERBOSE_CASES = [(command, (4, 4)) for command in ROUTINE_ROWS] + [
+    (command, (3, 4)) for command in ROUTINE_ROWS if command != "trace"
+]
+
+
+@pytest.mark.parametrize("command, shape", VERBOSE_CASES, ids=[f"{c}-{r}x{k}" for c, (r, k) in VERBOSE_CASES])
+def test_verbose_report_is_the_standard_encoding_of_the_run(matrix_file, tmp_path, command, shape):
+    rows = ROUTINE_ROWS[command]
+    rng = np.random.default_rng(31)
+    matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    matrix[0, 1], matrix[1, 2], matrix[2, 0] = -0.0, 0.0, 0.75
+    out = tmp_path / "report.json"
+    argv = [command, "--input", matrix_file(matrix), *[f"--{name}={row}" for name, row in zip("kl", rows)]]
+    assert main(argv + ["--verbose", "--output", str(out)]) == 0
+
+    encoded = encode_matrix(matrix)
+    runner = {"row-add": run_row_add, "row-swap": run_row_swap, "trace": run_trace,
+              "transpose": run_transpose, "transpose-square": run_transpose_square}[command]
+    report = runner(encoded, *rows, record_steps=True)
+    doc = {
+        "command": command,
+        "input": {
+            "rows": shape[0],
+            "cols": shape[1],
+            "padded_rows": encoded.rows,
+            "padded_cols": encoded.cols,
+        },
+        "frobenius_scale": encoded.frobenius_scale,
+        "probability": report.success_probability,
+        "predicted_probability": report.predicted_probability,
+        "gate_tally": report.gate_tally.to_dict(),
+        "seed": 0,
+        "matrix": None,
+        "matrix_restored": None,
+        "steps": standard_steps(report),
+    }
+    if report.output_matrix is not None:
+        factor = report.frobenius_scale * (report.normalization or 1.0)
+        out_rows, out_cols = report.output_unpadded_shape
+        restored = (report.output_matrix * factor)[:out_rows, :out_cols]
+        doc["matrix"] = standard_payload(report.output_matrix)
+        doc["matrix_restored"] = standard_payload(restored)
+    if report.recovered_trace is not None:
+        trace = report.recovered_trace
+        doc["recovered_trace"] = [trace.real, trace.imag]
+        restored_trace = trace * report.frobenius_scale
+        doc["recovered_trace_restored"] = [restored_trace.real, restored_trace.imag]
+    if report.normalization is not None:
+        doc["normalization_G"] = report.normalization
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("cap", [0, 3, 40, 10**6])
 def test_first_occupied_scan_crosses_chunks(cap):
     amplitudes = np.zeros(3 * state.OCCUPIED_SCAN_CHUNK + 5, dtype=complex)
@@ -271,6 +361,15 @@ def test_transpose_square_refuses_an_oversized_square_with_an_error(tmp_path, ca
     assert main(["transpose-square", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds the dense-array cap" in err
+
+
+def test_recorded_run_beyond_physical_memory_reports_error(matrix_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(algorithms, "_physical_memory", lambda: 1 << 16)
+    argv = ["row-add", "--input", matrix_file(np.ones((16, 16))), "--k", "1", "--l", "2"]
+    assert main(argv + ["--verbose"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a recorded run of 15 qubits") and "physical memory" in err
+    assert "steps" not in run_to_document(argv, tmp_path)
 
 
 @pytest.mark.parametrize(

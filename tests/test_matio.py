@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmatops.cli import main
-from qmatops.matio import json_text, load_matrix, matrix_to_payload, payload_to_matrix, save_matrix
+from qmatops.matio import Columns, json_text, load_matrix, matrix_to_payload, payload_to_matrix, save_matrix
 
 
 def standard(doc) -> str:
@@ -75,6 +75,68 @@ def test_writer_is_byte_identical_on_long_columns():
     pairs = [[v, 1.0] if i % 2 else v for i, v in enumerate(values)]
     for doc in (values, records, pairs, {"steps": [{"amplitudes": records[:50]}]}):
         assert json_text(doc) == standard(doc)
+
+
+# --- column tables -----------------------------------------------------------------
+
+# floats that recur often, so one document repeats values within and across columns
+st_column_floats = st.one_of(st_floats, st.sampled_from([0.0, -0.0, 0.1, -2.5, 5e-324]))
+st_column_kinds = {
+    "list": st.one_of(st_scalars, st_column_floats, st.lists(st_column_floats, max_size=2)),
+    "float64": st_column_floats,
+    "int64": st.integers(-(2**63), 2**63 - 1),
+    "uint64": st.integers(0, 2**64 - 1),
+}
+
+
+@st.composite
+def st_columns(draw):
+    keys = draw(st.lists(st_text, max_size=4, unique=True))
+    rows = draw(st.integers(0, 6))
+    columns = {}
+    for key in keys:
+        kind = draw(st.sampled_from(sorted(st_column_kinds)))
+        values = draw(st.lists(st_column_kinds[kind], min_size=rows, max_size=rows))
+        columns[key] = values if kind == "list" else np.array(values, dtype=kind)
+    return Columns(columns)
+
+
+def expanded(doc):
+    """``doc`` with each ``Columns`` written out as its list of records."""
+    if isinstance(doc, Columns):
+        columns = [column.tolist() if isinstance(column, np.ndarray) else column for column in doc.values()]
+        return [dict(zip(doc, row)) for row in zip(*columns)]
+    if isinstance(doc, (list, tuple)):
+        return [expanded(item) for item in doc]
+    if isinstance(doc, dict):
+        return {key: expanded(item) for key, item in doc.items()}
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.one_of(st_scalars, st_columns()), st_containers, max_leaves=20))
+# 0.0 == -0.0, so a memo keyed by value would write one of them wrongly
+@example(Columns({"re": np.array([0.0, -0.0, 0.0]), "im": [-0.0, 0.0, -0.0]}))
+# one memo serves every column and float list of a document
+@example(
+    {
+        "a": Columns({"x": np.array([0.1, -0.0])}),
+        "b": [Columns({"y": [0.1, 0.0], "z": np.array([-0.0, 0.1])})],
+        "c": [-0.0, 0.1, 0.0],
+    }
+)
+@example([Columns({"re": np.array([]), "R": np.array([], dtype=np.int64), "note": []}), Columns({})])
+def test_columns_are_written_as_their_records(doc):
+    assert json_text(doc) == standard(expanded(doc))
+
+
+def test_columns_refuse_unequal_lengths_and_other_dtypes():
+    with pytest.raises(ValueError):
+        json_text({"steps": Columns({"re": np.zeros(3), "R": [0, 1]})})
+    with pytest.raises(TypeError):
+        json_text(Columns({"amplitude": np.zeros(3, dtype=np.complex128)}))
+    with pytest.raises(TypeError):
+        standard([{"amplitude": np.complex128(0)}])
 
 
 @pytest.mark.parametrize(
