@@ -446,7 +446,7 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     trace itself is recovered from the accepted amplitude before measurement,
     so a traceless matrix reports probability 0 with recovered trace 0.
     """
-    if matrix.rows != matrix.cols:
+    if matrix.original_rows != matrix.original_cols:
         raise ValueError("trace needs a square matrix")
     n = matrix.row_qubits
     dimension = matrix.rows

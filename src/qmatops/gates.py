@@ -1,16 +1,18 @@
 """Projector-controlled primitives, Hadamard layers, and their netlists.
 
-Two gate kinds, a ``ControlledOp`` (a flip or register swap on a
-projector's subspace) and a ``HadamardLayer``, each have one kernel, which
-changes a run's ``StateBuffer`` array in place through scratch arrays of a
-fixed size, never one the size of the state or of a subspace.  A controlled
-op is a basis-state permutation, so it is exact: it exchanges pairs of
-blocks of its subspace piece by piece, and amplitudes move without being
-recombined.  A Hadamard layer runs its butterflies in place, cache block by
-cache block, with the arithmetic of one whole-state butterfly per qubit in
-the same order, so its result is bitwise the same as that.  ``lower`` turns a gate
-into the X, CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts;
-it checks a controlled op against the layout as the kernel does.
+Both gate kinds, a ``ControlledOp`` (a flip or register swap on a
+projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes,
+and ``apply_gate`` runs both through one loop over a cached plan.  The plan
+views the state, or each cache block of it, as passes whose pairs of sides
+are tiled into aligned pieces, and the loop changes a run's ``StateBuffer``
+array in place through scratch arrays of a fixed size, never one the size
+of the state or of a subspace.  A controlled op is one pass whose pieces
+are exchanged: a basis-state permutation, so it is exact.  A Hadamard layer
+is one flip pass per target whose pieces are combined by a butterfly, with
+the arithmetic of one whole-state butterfly per qubit in the same order, so
+its result is bitwise the same as that.  ``lower`` turns a gate into the X,
+CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts; it checks
+a gate against the layout as the plan does.
 """
 from __future__ import annotations
 
@@ -31,21 +33,18 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # than this many amplitudes apart (2^15 complex128, 512 KiB: a block that
 # stays in a 1-4 MiB L2 cache) is applied block by block.
 HADAMARD_BLOCK = 1 << 15
-# Butterflies run in pieces of at most this many pairs, through three scratch
-# arrays of that length (64 KiB each) instead of half-state temporaries.
-HADAMARD_PIECE = 1 << 12
+# A gate combines its amplitude pairs in pieces of at most this many pairs,
+# through two scratch arrays of that length (an exchange) or three (a
+# butterfly), 64 KiB each, instead of temporaries the size of a subspace.
+PIECE = 1 << 12
 # numpy loops over rows shorter than this more slowly than over a strided
-# column, so butterflies between closer amplitudes run column by column
-# wherever a column fills a piece.
-HADAMARD_MIN_ROW = 8
-# A controlled op exchanges its amplitudes in pieces of at most this many
-# pairs, through two scratch arrays of that length (64 KiB each) instead of
-# a temporary the size of its subspace.
-PERMUTE_PIECE = 1 << 12
-# Piece plans of (layout, controlled op) pairs and primitive counts of
-# (gate, layout) pairs kept for reuse.  Row-add and row-swap condition some
-# ops on the rows k and l, so a process that runs them over many row pairs
-# of a few shapes keeps a few hundred of each.
+# column, so a side whose rows are shorter and that spans more than one
+# piece is cut into columns.
+MIN_ROW = 8
+# Plans of (layout, gate) pairs and primitive counts of (gate, layout)
+# pairs kept for reuse.  Row-add and row-swap condition some ops on the
+# rows k and l, so a process that runs them over many row pairs of a few
+# shapes keeps a few hundred of each.
 CACHE_SIZE = 1024
 
 __all__ = [
@@ -168,22 +167,52 @@ def _resolve_controlled(layout: RegisterLayout, op: ControlledOp) -> tuple[int, 
     return mask, bits
 
 
+def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
+    positions: list[int] = []
+    for target in targets:
+        if isinstance(target, str):
+            offset = layout.offset(target)
+            positions.extend(range(offset, offset + layout.width(target)))
+        else:
+            positions.append(_qubit_axis(layout, *target))
+    if len(set(positions)) != len(positions):
+        raise ValueError("duplicate Hadamard target")
+    return positions
+
+
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _exchange_plan(
-    layout: RegisterLayout, op: ControlledOp
-) -> tuple[tuple[int, ...], tuple, tuple[int, ...], tuple[int, ...], int, int]:
-    """A checked controlled op as exchanges between pairs of equal-sized
-    views, in a plan of fixed size.  Returns the shape to view the state in,
-    one axis per run of qubits that are all conditioned, all free or all in
-    one moved register; each axis's entry in both sides' indices, a
-    conditioned run's bits or the whole axis; the axis order that aligns
-    one side of a pair with the other; the moved axes, a flip's target or a
-    swap's registers; how many rows a=i of a swap's subspace one of its
-    pairs covers, as many as fit in a piece and at least one; and the most
-    amplitudes a piece holds, PERMUTE_PIECE or, if smaller, the subspace.
+def _plan(layout: RegisterLayout, gate: Gate) -> tuple[bool, int, tuple]:
+    """A checked gate as passes over pairs of equal-sized views, in a plan
+    of fixed size.  Returns whether a pair's pieces are combined by a
+    butterfly rather than exchanged; the most amplitudes a piece holds; and
+    runs of (block size, passes), each block of the state taking its run's
+    passes in turn.
+
+    A pass is the shape to view a block in; each axis's entry in both
+    sides' indices, a conditioned run's bits or the whole axis; the axis
+    order that aligns one side of a pair with the other; the moved axes, a
+    flip's target or a swap's registers; and how many rows a=i of a swap's
+    subspace one of its pairs covers, as many as fit in a piece and at
+    least one.  A controlled op is one pass over the whole state, with one
+    axis per run of qubits that are all conditioned, all free or all in one
+    moved register, and pieces of PIECE or, if smaller, its subspace.  A
+    Hadamard target of stride s is a flip pass over a block viewed as
+    (rest, 2, s); consecutive targets with s < HADAMARD_BLOCK form one run
+    over blocks of that size, so each block stays in cache for all of them.
     """
-    mask, bits = _resolve_controlled(layout, op)
-    total, action = layout.total_qubits, op.action
+    total = layout.total_qubits
+    if isinstance(gate, HadamardLayer):
+        strides = [1 << (total - 1 - p) for p in _hadamard_positions(layout, gate.targets)]
+        runs = []
+        for inside, run in itertools.groupby(strides, key=lambda s: s < HADAMARD_BLOCK):
+            block = min(HADAMARD_BLOCK, layout.size) if inside else layout.size
+            flips = [((block // (2 * s), 2, s), (slice(None),) * 3, (0, 1, 2), (1,), 1) for s in run]
+            runs.append((block, tuple(flips)))
+        return True, min(PIECE, layout.size // 2), tuple(runs)
+    if not isinstance(gate, ControlledOp):
+        raise TypeError(f"unknown gate {gate!r}")
+    mask, bits = _resolve_controlled(layout, gate)
+    action = gate.action
     labels = ["c" if (mask >> (total - 1 - q)) & 1 else "f" for q in range(total)]
     if isinstance(action, FlipQubit):
         labels[_qubit_axis(layout, action.register, action.qubit)] = "t"
@@ -207,113 +236,88 @@ def _exchange_plan(
     else:
         moved = a, b = axis_of["a"], axis_of["b"]
         axes[kept.index(a)], axes[kept.index(b)] = kept.index(b), kept.index(a)
-        rows = max(1, PERMUTE_PIECE // (subspace // shape[a]))
-    piece = min(PERMUTE_PIECE, subspace)
-    return tuple(shape), tuple(base), tuple(axes), moved, rows, piece
+        rows = max(1, PIECE // (subspace // shape[a]))
+    exchange = (tuple(shape), tuple(base), tuple(axes), moved, rows)
+    return False, min(PIECE, subspace), ((layout.size, (exchange,)),)
 
 
-def _exchanged_sides(shape: tuple[int, ...], moved: tuple[int, ...], rows: int):
-    """(x, y) pairs of the moved axes' slices that an op exchanges.
+def _exchanged_sides(shape: tuple[int, ...], base: tuple, moved: tuple[int, ...], rows: int):
+    """Index tuples of the (x, y) pairs of sides that a pass combines: each
+    axis's ``base`` entry, with the moved axes sliced.
 
-    A flip exchanges the two halves of its subspace, its target at 0 and at
-    1.  A swap of registers a and b exchanges, for each block of ``rows``
-    rows from row i, the strip a in the block, b > i with the strip a > i,
-    b in the block, the first one transposed; one row per block gives the
-    strips a=i, b>i and a>i, b=i.  The two strips of a longer block share
-    the square a, b > i in the block and write it with the same values,
-    since the plan fits such a block in one piece, read whole before it is
+    A flip pairs the two halves of its subspace, its target at 0 and at 1.
+    A swap of registers a and b pairs, for each block of ``rows`` rows from
+    row i, the strip a in the block, b > i with the strip a > i, b in the
+    block, the first one transposed; one row per block gives the strips
+    a=i, b>i and a>i, b=i.  The two strips of a longer block share the
+    square a, b > i in the block and write it with the same values, since
+    the plan fits such a block in one piece, read whole before it is
     written.  Every other axis is kept, so both sides share one axis order.
+
+    Index tuples are built from lists: CPython builds a tuple from a
+    generator by shrinking a larger one and keeps each freed one on a free
+    list of its size, so the loop would keep one per strip (up to 2000 of a
+    size) after it ends.
     """
+    x, y = list(base), list(base)
     if len(moved) == 1:
         (t,) = moved
-        yield {t: slice(0, 1)}, {t: slice(1, 2)}
+        x[t], y[t] = slice(0, 1), slice(1, 2)
+        yield tuple(x), tuple(y)
         return
     a, b = moved
     for i in range(0, shape[a] - 1, rows):
-        block, rest = slice(i, i + rows), slice(i + 1, None)
-        yield {a: block, b: rest}, {a: rest, b: block}
+        x[a] = y[b] = slice(i, i + rows)
+        x[b] = y[a] = slice(i + 1, None)
+        yield tuple(x), tuple(y)
 
 
-def _cut(shape: tuple[int, ...], piece: int):
-    """Index tuples of boxes of at most ``piece`` points that tile an array
-    of ``shape``: the trailing axes whole, one axis in chunks and single
-    steps along the axes before it."""
-    cut, inner = len(shape), 1
-    while cut and inner * shape[cut - 1] <= piece:
-        cut -= 1
-        inner *= shape[cut]
-    whole = (slice(None),) * (len(shape) - cut)
-    if not cut:
-        yield whole
-        return
-    step = piece // inner
-    for outer in itertools.product(*map(range, shape[: cut - 1])):
-        steps = tuple([slice(k, k + 1) for k in outer])
-        for start in range(0, shape[cut - 1], step):
-            yield (*steps, slice(start, start + step), *whole)
+def _pieces(view: np.ndarray, base: tuple, axes: tuple[int, ...], moved, rows: int, piece: int):
+    """Aligned (x, y) views of at most ``piece`` amplitudes that tile each
+    pair of sides of a pass, y viewed in x's axis order.
 
-
-def _apply_controlled(layout: RegisterLayout, op: ControlledOp, amplitudes: np.ndarray) -> None:
-    """Exact permutation kernel of a projector-controlled flip or swap, in
-    place: piece by piece, both sides of each exchanged pair are copied
-    into scratch, each in its own memory order, and written over each other.
-
-    Index tuples in these loops are built from lists: CPython builds a
-    tuple from a generator by shrinking a larger one and keeps each freed
-    one on a free list of its size, so the loop would keep one per strip
-    (up to 2000 of a size) after it ends.
+    A side that spans more than one piece is cut into boxes: its trailing
+    axes whole, one axis in chunks and single steps along the axes before
+    it.  numpy loops over rows shorter than MIN_ROW more slowly than over a
+    strided column, so such short trailing axes are stepped one index at a
+    time instead, and the axes before them are cut into the boxes.
     """
-    shape, base, axes, moved, rows, piece = _exchange_plan(layout, op)
-    view = amplitudes.reshape(shape)
-    scratch = np.empty((2, piece), dtype=np.complex128)
-    for sides in _exchanged_sides(shape, moved, rows):
-        x_side, y_side = (
-            view[tuple([side.get(axis, entry) for axis, entry in enumerate(base)])]
-            for side in sides
-        )
-        for cut in _cut(x_side.shape, piece):
-            x, y = x_side[cut], y_side[tuple([cut[axis] for axis in axes])]
-            held_x = scratch[0, : x.size].reshape(x.shape)
-            held_y = scratch[1, : y.size].reshape(y.shape)
-            np.copyto(held_x, x)
-            np.copyto(held_y, y)
-            np.copyto(x, held_y.transpose(axes))
-            np.copyto(y, held_x.transpose(axes))
+    for x_index, y_index in _exchanged_sides(view.shape, base, moved, rows):
+        x_side, y_side = view[x_index], view[y_index].transpose(axes)
+        shape, size = x_side.shape, x_side.size
+        if size <= piece:
+            yield x_side, y_side
+            continue
+        boxed = len(shape)
+        while boxed > 1 and shape[boxed - 1] < MIN_ROW and size > piece:
+            boxed -= 1
+            size //= shape[boxed]
+        cuts, inner = [[slice(k, k + 1) for k in range(n)] for n in shape[boxed:]], 1
+        for n in reversed(shape[:boxed]):
+            step = max(1, piece // inner)
+            chunks = [slice(None)] if step >= n else [slice(k, k + step) for k in range(0, n, step)]
+            cuts.insert(0, chunks)
+            inner *= n
+        for cut in itertools.product(*cuts):
+            yield x_side[cut], y_side[cut]
 
 
-def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
-    positions: list[int] = []
-    for target in targets:
-        if isinstance(target, str):
-            offset = layout.offset(target)
-            positions.extend(range(offset, offset + layout.width(target)))
-        else:
-            positions.append(_qubit_axis(layout, *target))
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate Hadamard target")
-    return positions
-
-
-def _butterfly_halves(amplitudes: np.ndarray, stride: int, piece: int):
-    """(upper, lower) views of the butterflies between amplitudes ``stride``
-    apart, in pieces of at most ``piece`` pairs: blocks of whole rows,
-    single row segments, or, when rows are shorter than HADAMARD_MIN_ROW and
-    each column fills a piece, single strided columns."""
-    pairs = amplitudes.reshape(-1, 2, stride)
-    columns = stride < HADAMARD_MIN_ROW and pairs.shape[0] >= piece
-    width = 1 if columns else min(piece, stride)
-    height = piece // width
-    for row in range(0, pairs.shape[0], height):
-        for col in range(0, stride, width):
-            rows, cols = slice(row, row + height), slice(col, col + width)
-            yield pairs[rows, 0, cols], pairs[rows, 1, cols]
+def _exchange(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
+    """Write x and y over each other, both read whole into scratch first,
+    since the two sides of a swap block may share a square."""
+    held_x = scratch[0, : x.size].reshape(x.shape)
+    held_y = scratch[1, : x.size].reshape(x.shape)
+    np.copyto(held_x, x)
+    np.copyto(held_y, y)
+    np.copyto(x, held_y)
+    np.copyto(y, held_x)
 
 
 def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> None:
     """(u, l) -> ((u + l) * c, (u - l) * c) in place, c = 1/sqrt(2): the
     operations of a whole-state butterfly, so every bit is the same."""
     shape, size = upper.shape, upper.size
-    if 1 in shape:
+    if size in shape:
         # one row or column: numpy sees that the halves are disjoint, so the
         # difference goes straight into the lower half
         upper, lower = upper.reshape(-1), lower.reshape(-1)
@@ -323,8 +327,9 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> Non
         np.multiply(lower, _INV_SQRT2, out=lower)
         np.multiply(total, _INV_SQRT2, out=upper)
         return
-    # numpy loops over a 2-D view through buffers it allocates, so the piece
-    # is copied into contiguous scratch, computed there and copied back
+    # numpy loops over a view of several axes through buffers it allocates,
+    # so the piece is copied into contiguous scratch, computed there and
+    # copied back
     up, low, result = scratch[0, :size], scratch[1, :size], scratch[2, :size]
     np.copyto(up.reshape(shape), upper)
     np.copyto(low.reshape(shape), lower)
@@ -336,55 +341,35 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> Non
     np.copyto(lower, result.reshape(shape))
 
 
-def _apply_hadamard_layer(
-    layout: RegisterLayout, layer: HadamardLayer, amplitudes: np.ndarray
-) -> None:
-    """In-place butterflies, one per target in the layer's order; blocking
-    only regroups butterflies that touch disjoint amplitudes, so the result
-    is bitwise that of one whole-state butterfly per target."""
-    # distance between the two amplitudes of each butterfly, in order
-    strides = [
-        1 << (layout.total_qubits - 1 - position)
-        for position in _hadamard_positions(layout, layer.targets)
-    ]
-    piece = min(HADAMARD_PIECE, amplitudes.size // 2)
-    scratch = np.empty((3, piece), dtype=np.complex128)
-    for inside, run in itertools.groupby(strides, key=lambda s: s < HADAMARD_BLOCK):
-        run = list(run)
-        # a run of butterflies inside blocks finishes each block before it
-        # moves on, while the block is in cache
-        starts = range(0, amplitudes.size, HADAMARD_BLOCK) if inside else (0,)
-        for start in starts:
-            block = amplitudes[start : start + HADAMARD_BLOCK] if inside else amplitudes
-            for stride in run:
-                for upper, lower in _butterfly_halves(block, stride, piece):
-                    _butterfly(upper, lower, scratch)
-
-
 def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
     """Apply one gate to a run's ``StateBuffer`` in place and return it.
 
-    The buffer keeps its array: a kernel writes into it and allocates only
-    a fixed-size scratch (two arrays of PERMUTE_PIECE amplitudes for a
-    controlled op, three of HADAMARD_PIECE for a Hadamard layer).  A
-    controlled op only moves amplitudes, so its result is exact; a
-    Hadamard layer's result is bitwise that of whole-state butterflies.  The
-    gate is checked before any amplitude is written, and anything but a
-    ``StateBuffer`` (a frozen ``StateVector`` included) is refused with a
-    ``TypeError``; to apply a gate to a snapshot, wrap a copy of its
-    amplitudes in a ``StateBuffer``.
+    Every gate runs through one loop over its cached plan: block by block
+    and pass by pass, each pair of aligned pieces is exchanged (a
+    controlled op) or combined by a butterfly (a Hadamard target).  The
+    buffer keeps its array, and the loop allocates only a fixed-size
+    scratch, two arrays of PIECE amplitudes for an exchange and three for a
+    butterfly.  A controlled op only moves amplitudes, so its result is
+    exact; a Hadamard layer's result is bitwise that of whole-state
+    butterflies, one per target in order.  The gate is checked before any
+    amplitude is written, and anything but a ``StateBuffer`` (a frozen
+    ``StateVector`` included) is refused with a ``TypeError``; to apply a
+    gate to a snapshot, wrap a copy of its amplitudes in a ``StateBuffer``.
     """
     if not isinstance(state, StateBuffer):
         raise TypeError(
             f"apply_gate changes a StateBuffer in place, not a {type(state).__name__}"
         )
-    if isinstance(gate, ControlledOp):
-        kernel = _apply_controlled
-    elif isinstance(gate, HadamardLayer):
-        kernel = _apply_hadamard_layer
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-    kernel(state.layout, gate, state.amplitudes)
+    butterfly, piece, runs = _plan(state.layout, gate)
+    combine = _butterfly if butterfly else _exchange
+    amplitudes = state.amplitudes
+    scratch = np.empty((2 + butterfly, piece), dtype=np.complex128)
+    for block, passes in runs:
+        for start in range(0, amplitudes.size, block):
+            view = amplitudes[start : start + block]
+            for shape, base, axes, moved, rows in passes:
+                for x, y in _pieces(view.reshape(shape), base, axes, moved, rows, piece):
+                    combine(x, y, scratch)
     return state
 
 

@@ -200,7 +200,8 @@ def test_trace_identity_example():
 
 def test_trace_matches_oracle_on_random_matrices():
     rng = np.random.default_rng(14)
-    for dim in (2, 4):
+    # a 3x3 matrix runs padded to 4x4
+    for dim in (2, 4, 3):
         encoded = encode_matrix(random_matrix(rng, (dim, dim)))
         reference = oracle_trace(encoded.entries)
         report = run_trace(encoded)
@@ -231,8 +232,10 @@ def test_trace_marking_check_catches_a_dropped_flip(monkeypatch, dropped):
 
 
 def test_trace_rejects_non_square():
-    with pytest.raises(ValueError):
-        run_trace(encode_matrix(np.ones((4, 2))))
+    # a 3x4 or 4x3 matrix pads to a square 4x4 one, but has no trace
+    for shape in ((4, 2), (3, 4), (4, 3)):
+        with pytest.raises(ValueError, match="trace needs a square matrix"):
+            run_trace(encode_matrix(np.ones(shape)))
 
 
 def test_trace_scale_restoration():

@@ -418,9 +418,10 @@ def test_equal_rows_rejected(matrix_file, capsys):
 
 
 def test_non_square_trace_rejected(matrix_file, capsys):
-    code = main(["trace", "--input", matrix_file(np.ones((2, 4)))])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for shape in ((2, 4), (3, 4), (4, 3)):
+        code = main(["trace", "--input", matrix_file(np.ones(shape))])
+        assert code == 1
+        assert "error: trace needs a square matrix" in capsys.readouterr().err
 
 
 def test_zero_shots_rejected(matrix_file, capsys):

@@ -258,18 +258,18 @@ def test_gate_application_matches_dense_unitaries(circuit, seed):
 @pytest.mark.parametrize(
     "gate, scratch",
     [
-        # two scratch arrays of PERMUTE_PIECE amplitudes
+        # two scratch arrays of PIECE amplitudes
         (
             ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)),
-            2 * gates.PERMUTE_PIECE,
+            2 * gates.PIECE,
         ),
         (
             ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")),
-            2 * gates.PERMUTE_PIECE,
+            2 * gates.PIECE,
         ),
-        (RegisterSwapGate("X", "Y"), 2 * gates.PERMUTE_PIECE),
-        # three scratch arrays of HADAMARD_PIECE amplitudes
-        (HadamardLayer(("X", "Y", "B")), 3 * gates.HADAMARD_PIECE),
+        (RegisterSwapGate("X", "Y"), 2 * gates.PIECE),
+        # three scratch arrays of PIECE amplitudes
+        (HadamardLayer(("X", "Y", "B")), 3 * gates.PIECE),
     ],
     ids=["flip", "cswap", "regswap", "hadamard"],
 )
@@ -283,7 +283,7 @@ def test_in_place_gate_allocates_at_most_one_temporary(gate, scratch):
         buffer = StateBuffer(layout, random_state(layout, 12).amplitudes.copy())
         bound = min(0.4 * buffer.amplitudes.nbytes, scratch * 16 + (64 << 10))
         # a cold call, which builds the op's plan, and a warm one
-        gates._exchange_plan.cache_clear()
+        gates._plan.cache_clear()
         for _ in range(2):
             tracemalloc.start()
             try:
@@ -324,12 +324,12 @@ def _every_controlled_op():
 
 @pytest.fixture
 def piece_patched(monkeypatch, request):
-    """PERMUTE_PIECE set to the test's value, with no plan built under
+    """PIECE set to the test's value, with no plan built under
     another value in the cache during the test or after it."""
-    monkeypatch.setattr(gates, "PERMUTE_PIECE", 1 << request.param)
-    gates._exchange_plan.cache_clear()
+    monkeypatch.setattr(gates, "PIECE", 1 << request.param)
+    gates._plan.cache_clear()
     yield
-    gates._exchange_plan.cache_clear()
+    gates._plan.cache_clear()
 
 
 @pytest.mark.parametrize("piece_patched", [1, 2, 3], indirect=True)
@@ -358,32 +358,77 @@ def reference_hadamard(amplitudes, positions):
     return work
 
 
+def _routine_hadamard_cases():
+    """Every routine's Hadamard layer at two widths, under a block of 2^3
+    amplitudes and pieces of 2^1 (rows shorter than MIN_ROW cut into
+    columns) and under a block of 2^4 and pieces of 2^3 (a block's rows in
+    one piece, targets outside it in row pieces)."""
+    circuits = {
+        "row-add": (row_add_circuit(1, 2, 0, 1), row_add_circuit(2, 3, 1, 3)),
+        "row-swap": (row_swap_circuit(1, 2, 1, 0), row_swap_circuit(2, 2, 3, 0)),
+        "trace": (trace_circuit(2), trace_circuit(3)),
+    }
+    cases = []
+    for name, pair in circuits.items():
+        for circuit in pair:
+            layout = circuit.layout
+            for _, gate in circuit.gates():
+                if not isinstance(gate, HadamardLayer):
+                    continue
+                positions = []
+                for register in gate.targets:
+                    offset = layout.offset(register)
+                    positions += range(offset, offset + layout.width(register))
+                for block_qubits, piece_qubits in ((3, 1), (4, 3)):
+                    cases.append(
+                        pytest.param(
+                            block_qubits, piece_qubits, layout.registers, gate.targets, positions,
+                            id=f"{name}-{layout.total_qubits}q-block{block_qubits}-piece{piece_qubits}",
+                        )
+                    )
+    return cases
+
+
 @pytest.mark.parametrize(
     "block_qubits, piece_qubits, registers, targets, positions",
     [
         # the block split falls inside C: B and C's last qubit are inside a
         # block, R's qubit 2 and C's first two are not; the order is mixed
-        (3, 2, (("R", 3), ("C", 3), ("B", 2)), ("B", ("R", 2), "C"), [6, 7, 2, 3, 4, 5]),
-        (3, 1, (("R", 3), ("C", 3), ("B", 2)), (("C", 2), ("R", 0), "B", ("R", 1)), [5, 0, 6, 7, 1]),
+        pytest.param(
+            3, 2, (("R", 3), ("C", 3), ("B", 2)), ("B", ("R", 2), "C"), [6, 7, 2, 3, 4, 5],
+            id="split-in-register",
+        ),
+        pytest.param(
+            3, 1, (("R", 3), ("C", 3), ("B", 2)), (("C", 2), ("R", 0), "B", ("R", 1)), [5, 0, 6, 7, 1],
+            id="single-qubits",
+        ),
         # the module's own constants, with qubits on both sides of a block
-        (None, None, (("R", 6), ("C", 6), ("A", 5)), ("A", ("R", 0), "C"),
-         [12, 13, 14, 15, 16, 0, 6, 7, 8, 9, 10, 11]),
+        pytest.param(
+            None, None, (("R", 6), ("C", 6), ("A", 5)), ("A", ("R", 0), "C"),
+            [12, 13, 14, 15, 16, 0, 6, 7, 8, 9, 10, 11],
+            id="module-block",
+        ),
+        *_routine_hadamard_cases(),
     ],
-    ids=["split-in-register", "single-qubits", "module-block"],
 )
 def test_blocked_hadamard_is_bitwise_exact(
     monkeypatch, block_qubits, piece_qubits, registers, targets, positions
 ):
     if block_qubits is not None:
         monkeypatch.setattr(gates, "HADAMARD_BLOCK", 1 << block_qubits)
-        monkeypatch.setattr(gates, "HADAMARD_PIECE", 1 << piece_qubits)
+        monkeypatch.setattr(gates, "PIECE", 1 << piece_qubits)
     layout = RegisterLayout(registers)
     raw = random_state(layout, 14).amplitudes.copy()
     raw[::5] = 0
     raw[::7] *= -0.0
     expected = reference_hadamard(raw, positions).tobytes()
     layer = HadamardLayer(targets)
-    assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
+    # no plan built under other constants is read here or kept after the test
+    gates._plan.cache_clear()
+    try:
+        assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
+    finally:
+        gates._plan.cache_clear()
 
 
 def test_hadamard_layer_uniform_superposition():
