@@ -41,6 +41,7 @@ from .oracle import (
 from .state import (
     AncillaVector,
     RegisterLayout,
+    SparseBuffer,
     StateBuffer,
     StateVector,
     decode_matrix,
@@ -64,6 +65,7 @@ __all__ = [
     "RegisterLayout",
     "RegisterSwapGate",
     "SCALING_WIDTHS",
+    "SparseBuffer",
     "StateBuffer",
     "StateVector",
     "SwapRegisters",

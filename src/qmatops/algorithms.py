@@ -13,7 +13,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .gates import (
     RegisterSwapGate,
     SwapRegisters,
     apply_gate,
+    support_growth,
     tally_gates,
 )
 # a run calls post_select, prepare_product_state and decode_matrix by their
@@ -37,6 +38,7 @@ from .state import (
     EncodedMatrix,
     PostSelection,
     RegisterLayout,
+    SparseBuffer,
     StateBuffer,
     StateVector,
     decode_matrix,
@@ -307,16 +309,18 @@ def transpose_square_circuit(side_qubits: int) -> Circuit:
 class Simulation:
     """One simulated circuit run, before the routine's closed form is added.
 
-    ``state`` is the final state before post-selection; ``output`` is the
-    decoded matrix, or None when nothing was accepted or the circuit has no
-    matrix output.
+    ``state`` is the final state before post-selection, sparse when the run
+    stayed sparse; ``output`` is the decoded matrix, or None when nothing
+    was accepted or the circuit has no matrix output; ``amplitude`` is the
+    amplitude ``simulate`` was asked to read, or None.
     """
 
-    state: StateVector
+    state: StateVector | SparseBuffer
     gate_tally: GateTally
     probability: float
     selection: PostSelection | None
     output: np.ndarray | None
+    amplitude: complex | None
     records: list[StepState] | None
 
     def report(
@@ -343,44 +347,78 @@ def simulate(
     circuit: Circuit,
     entries: np.ndarray,
     record_steps: bool = False,
-    after_step: Callable[[str, StateBuffer], None] | None = None,
+    after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None = None,
+    read: Mapping[str, int] | None = None,
 ) -> Simulation:
     """Load ``entries`` into the circuit's matrix registers and run it.
 
     Prepares the product state, applies the steps, tallies the gates,
-    post-selects on the accept pattern and decodes the output.  The run owns
-    one ``StateBuffer``, the prepared array itself, that every gate changes
-    in place.  ``after_step`` gets that buffer after each stage; it is valid
-    only during the callback.  With ``record_steps`` each stage's input is
-    copied into a frozen snapshot before the stage runs, and the final
+    post-selects on the accept pattern, decodes the output and, when
+    ``read`` names a basis state, reads its final amplitude.  A run without
+    ``record_steps`` holds its support, a ``SparseBuffer``, while that
+    stays within ``state.DENSE_SHARE`` of a layout of more than
+    ``state.SPARSE_FLOOR`` amplitudes; when the preparation or the next gate
+    may take it past that share, the run goes on with the support copied
+    into a ``StateBuffer``, once.  When its decoded output or read amplitude
+    has an exact-zero part whose sign the support may not carry, the run is
+    done again densely, after the sparse one is released, so reports are
+    bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
+    prepared array itself, that every gate changes in place.  ``after_step``
+    gets the run's buffer after each stage; it is valid only during the
+    callback.  With ``record_steps`` the run is dense and each stage's input
+    is copied into a frozen snapshot before the stage runs, and the final
     snapshot is the frozen buffer itself; a recorded run whose states would
     not fit in physical memory is refused before preparation.
 
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
     """
-    layout = circuit.layout
     if record_steps:
         _require_room_for_records(circuit)
+    else:
+        run = _run(circuit, entries, False, after_step, read, sparse=True)
+        if run is not None:
+            return run
+    return _run(circuit, entries, record_steps, after_step, read, sparse=False)
+
+
+def _run(
+    circuit: Circuit,
+    entries: np.ndarray,
+    record_steps: bool,
+    after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
+    read: Mapping[str, int] | None,
+    sparse: bool,
+) -> Simulation | None:
+    """One run of ``simulate``; a sparse one gives None, and drops its state,
+    when a zero part of its read-out may differ in sign from the dense
+    run's."""
+    layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
     parts = itertools.chain(
         [(circuit.matrix_registers, entries.ravel())],
         ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
     )
-    buffer = StateBuffer.adopt(prepare_product_state(layout, parts))
+    buffer = prepare_product_state(layout, parts, sparse=sparse)
+    if isinstance(buffer, StateVector):
+        buffer = StateBuffer.adopt(buffer)
+    unsure = buffer.unsure_zero_parts if isinstance(buffer, SparseBuffer) else (False, False)
     records = [] if record_steps else None
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
+            # only a Hadamard layer grows a support; a controlled op permutes it
+            if isinstance(gate, HadamardLayer) and isinstance(buffer, SparseBuffer):
+                if buffer.outgrows(support_growth(layout, gate)):
+                    buffer = buffer.densify()
             apply_gate(buffer, gate)
         if after_step is not None:
             after_step(label, buffer)
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
-    tally = tally_gates(circuit.gates(), layout)
 
     selection = selected_mass = None
     if circuit.accept is None:
@@ -395,7 +433,41 @@ def simulate(
             output = decode_matrix(state, *circuit.decode, selected_mass)
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
-    return Simulation(state, tally, probability, selection, output, records)
+    amplitude = None if read is None else state.amplitude(read)
+    if any(unsure):
+        doubtful = [amplitude]
+        if not _keeps_zero_signs(circuit, state, divided=selected_mass is not None):
+            doubtful.append(output)
+        for value in (v for v in doubtful if v is not None):
+            for doubt, part in zip(unsure, ("real", "imag")):
+                if doubt and np.any(getattr(value, part) == 0.0):
+                    return None
+    tally = tally_gates(circuit.gates(), layout)
+    return Simulation(state, tally, probability, selection, output, amplitude, records)
+
+
+def _keeps_zero_signs(circuit: Circuit, state: StateBuffer | SparseBuffer, divided: bool) -> bool:
+    """Whether a run's decoded output has the dense run's zero signs, even
+    where its support lost a signed zero.
+
+    Without a Hadamard layer every listed amplitude is the dense one, so an
+    output is when its block is listed whole.  A Hadamard target makes
+    every amplitude ``(u +- l) * c``, a complex times ``(c, +0.0)``; such a
+    product has no real part -0.0 beside an imaginary part whose sign bit is
+    set, so no sum of two is ``(-0.0, -0.0)``, and after a second target no
+    amplitude has an imaginary part -0.0 beside a real part whose sign bit
+    is clear either.  numpy's complex division by ``(sqrt(p), +0.0)``, the
+    ratio 0/sqrt(p) being +0.0, turns every zero part of such an amplitude
+    into +0.0, on both paths.
+    """
+    targets = sum(
+        support_growth(circuit.layout, gate).bit_length() - 1
+        for _, gate in circuit.gates()
+        if isinstance(gate, HadamardLayer)
+    )
+    if targets == 0:
+        return isinstance(state, SparseBuffer) and state.lists(circuit.decode[2])
+    return targets >= 2 and divided
 
 
 # --- the routines --------------------------------------------------------------
@@ -446,7 +518,7 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
     trace itself is recovered from the accepted amplitude before measurement,
     so a traceless matrix reports probability 0 with recovered trace 0.
     """
-    if matrix.original_rows != matrix.original_cols:
+    if matrix.original_rows != matrix.original_cols or matrix.rows != matrix.cols:
         raise ValueError("trace needs a square matrix")
     n = matrix.row_qubits
     dimension = matrix.rows
@@ -461,12 +533,12 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
         if not supported_on(current, marked):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
-    run = simulate(circuit, matrix.entries, record_steps, check_marking)
-    accepted = run.state.amplitude({"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1})
+    accepted = {"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1}
+    run = simulate(circuit, matrix.entries, record_steps, check_marking, read=accepted)
     trace_of_entries = complex(np.trace(matrix.entries))
     predicted = abs(trace_of_entries) ** 2 / float(2 ** (3 * n))
     return run.report(
-        "trace", predicted, matrix, recovered_trace=accepted * math.sqrt(2.0 ** (3 * n))
+        "trace", predicted, matrix, recovered_trace=run.amplitude * math.sqrt(2.0 ** (3 * n))
     )
 
 

@@ -10,7 +10,10 @@ of the state or of a subspace.  A controlled op is one pass whose pieces
 are exchanged: a basis-state permutation, so it is exact.  A Hadamard layer
 is one flip pass per target whose pieces are combined by a butterfly, with
 the arithmetic of one whole-state butterfly per qubit in the same order, so
-its result is bitwise the same as that.  ``lower`` turns a gate into the X,
+its result is bitwise the same as that.  A run's ``SparseBuffer`` goes
+through sparse kernels instead, which permute its listed indices or combine
+each listed amplitude with its partners, +0.0 where none is listed, by the
+same butterfly.  ``lower`` turns a gate into the X,
 CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts; it checks
 a gate against the layout as the plan does.
 """
@@ -25,7 +28,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, StateBuffer
+from .state import RegisterLayout, SparseBuffer, StateBuffer
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -55,6 +58,7 @@ __all__ = [
     "HadamardLayer",
     "RegisterSwapGate",
     "apply_gate",
+    "support_growth",
     "NetworkGate",
     "Netlist",
     "decompose_mcx",
@@ -242,8 +246,8 @@ def _plan(layout: RegisterLayout, gate: Gate) -> tuple[bool, int, tuple]:
 
 
 def _exchanged_sides(shape: tuple[int, ...], base: tuple, moved: tuple[int, ...], rows: int):
-    """Index tuples of the (x, y) pairs of sides that a pass combines: each
-    axis's ``base`` entry, with the moved axes sliced.
+    """Index tuples of the (x, y) pairs of sides that a pass combines, each
+    axis's ``base`` entry with the moved axes sliced, and the x side's shape.
 
     A flip pairs the two halves of its subspace, its target at 0 and at 1.
     A swap of registers a and b pairs, for each block of ``rows`` rows from
@@ -260,21 +264,30 @@ def _exchanged_sides(shape: tuple[int, ...], base: tuple, moved: tuple[int, ...]
     size) after it ends.
     """
     x, y = list(base), list(base)
+    kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
+    side = [shape[axis] for axis in kept]
     if len(moved) == 1:
         (t,) = moved
         x[t], y[t] = slice(0, 1), slice(1, 2)
-        yield tuple(x), tuple(y)
+        side[kept.index(t)] = 1
+        yield tuple(x), tuple(y), tuple(side)
         return
     a, b = moved
+    side_a, side_b = kept.index(a), kept.index(b)
     for i in range(0, shape[a] - 1, rows):
         x[a] = y[b] = slice(i, i + rows)
         x[b] = y[a] = slice(i + 1, None)
-        yield tuple(x), tuple(y)
+        side[side_a], side[side_b] = min(rows, shape[a] - i), shape[b] - i - 1
+        yield tuple(x), tuple(y), tuple(side)
 
 
-def _pieces(view: np.ndarray, base: tuple, axes: tuple[int, ...], moved, rows: int, piece: int):
-    """Aligned (x, y) views of at most ``piece`` amplitudes that tile each
-    pair of sides of a pass, y viewed in x's axis order.
+def _tiles(shape: tuple[int, ...], base: tuple, axes: tuple[int, ...], moved, rows: int, piece: int):
+    """For each pair of sides of a pass: the two sides' index tuples over
+    the pass's view of ``shape``, the y side read in x's axis order,
+    ``view[y].transpose(axes)``, and the cuts that tile both sides into
+    aligned pieces of at most ``piece`` amplitudes, or None when a side is
+    one piece.  Only indices are built, so one tiling serves every block of
+    a run.
 
     A side that spans more than one piece is cut into boxes: its trailing
     axes whole, one axis in chunks and single steps along the axes before
@@ -282,24 +295,22 @@ def _pieces(view: np.ndarray, base: tuple, axes: tuple[int, ...], moved, rows: i
     strided column, so such short trailing axes are stepped one index at a
     time instead, and the axes before them are cut into the boxes.
     """
-    for x_index, y_index in _exchanged_sides(view.shape, base, moved, rows):
-        x_side, y_side = view[x_index], view[y_index].transpose(axes)
-        shape, size = x_side.shape, x_side.size
+    for x_index, y_index, side in _exchanged_sides(shape, base, moved, rows):
+        size = math.prod(side)
         if size <= piece:
-            yield x_side, y_side
+            yield x_index, y_index, None
             continue
-        boxed = len(shape)
-        while boxed > 1 and shape[boxed - 1] < MIN_ROW and size > piece:
+        boxed = len(side)
+        while boxed > 1 and side[boxed - 1] < MIN_ROW and size > piece:
             boxed -= 1
-            size //= shape[boxed]
-        cuts, inner = [[slice(k, k + 1) for k in range(n)] for n in shape[boxed:]], 1
-        for n in reversed(shape[:boxed]):
+            size //= side[boxed]
+        cuts, inner = [[slice(k, k + 1) for k in range(n)] for n in side[boxed:]], 1
+        for n in reversed(side[:boxed]):
             step = max(1, piece // inner)
             chunks = [slice(None)] if step >= n else [slice(k, k + step) for k in range(0, n, step)]
             cuts.insert(0, chunks)
             inner *= n
-        for cut in itertools.product(*cuts):
-            yield x_side[cut], y_side[cut]
+        yield x_index, y_index, list(itertools.product(*cuts))
 
 
 def _exchange(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
@@ -341,36 +352,134 @@ def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> Non
     np.copyto(lower, result.reshape(shape))
 
 
-def apply_gate(state: StateBuffer, gate: Gate) -> StateBuffer:
-    """Apply one gate to a run's ``StateBuffer`` in place and return it.
+def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | SparseBuffer:
+    """Apply one gate to a run's state in place and return it.
 
-    Every gate runs through one loop over its cached plan: block by block
-    and pass by pass, each pair of aligned pieces is exchanged (a
-    controlled op) or combined by a butterfly (a Hadamard target).  The
-    buffer keeps its array, and the loop allocates only a fixed-size
-    scratch, two arrays of PIECE amplitudes for an exchange and three for a
-    butterfly.  A controlled op only moves amplitudes, so its result is
-    exact; a Hadamard layer's result is bitwise that of whole-state
-    butterflies, one per target in order.  The gate is checked before any
-    amplitude is written, and anything but a ``StateBuffer`` (a frozen
-    ``StateVector`` included) is refused with a ``TypeError``; to apply a
-    gate to a snapshot, wrap a copy of its amplitudes in a ``StateBuffer``.
+    A ``StateBuffer`` keeps its array.  Every gate runs through one loop over
+    its cached plan: block by block and pass by pass, each pair of aligned
+    pieces is exchanged (a controlled op) or combined by a butterfly (a
+    Hadamard target), and the loop allocates only a fixed-size scratch, two
+    arrays of PIECE amplitudes for an exchange and three for a butterfly.
+    A ``SparseBuffer`` gets new index and amplitude arrays from the sparse
+    kernels (``_apply_sparse``), which do the same arithmetic on its support.
+    A controlled op only moves amplitudes, so its result is exact; a
+    Hadamard layer's result is bitwise that of whole-state butterflies, one
+    per target in order.  The gate is checked before any amplitude is
+    written, and anything else (a frozen ``StateVector`` included) is
+    refused with a ``TypeError``; to apply a gate to a snapshot, wrap a copy
+    of its amplitudes in a ``StateBuffer``.
     """
+    if isinstance(state, SparseBuffer):
+        _apply_sparse(state, _sparse_plan(state.layout, gate))
+        return state
     if not isinstance(state, StateBuffer):
         raise TypeError(
-            f"apply_gate changes a StateBuffer in place, not a {type(state).__name__}"
+            f"apply_gate changes a StateBuffer or a SparseBuffer in place, not a {type(state).__name__}"
         )
     butterfly, piece, runs = _plan(state.layout, gate)
     combine = _butterfly if butterfly else _exchange
     amplitudes = state.amplitudes
     scratch = np.empty((2 + butterfly, piece), dtype=np.complex128)
     for block, passes in runs:
+        # every block of a run has the same shape, so a run over several
+        # blocks tiles each of its passes once; a whole-state pass is tiled
+        # as it is applied
+        shared = [list(_tiles(*each, piece)) for each in passes] if block < amplitudes.size else None
         for start in range(0, amplitudes.size, block):
             view = amplitudes[start : start + block]
-            for shape, base, axes, moved, rows in passes:
-                for x, y in _pieces(view.reshape(shape), base, axes, moved, rows, piece):
-                    combine(x, y, scratch)
+            for number, each in enumerate(passes):
+                grid = view.reshape(each[0])
+                for x_index, y_index, cuts in shared[number] if shared else _tiles(*each, piece):
+                    x_side, y_side = grid[x_index], grid[y_index].transpose(each[2])
+                    if cuts is None:
+                        combine(x_side, y_side, scratch)
+                        continue
+                    for cut in cuts:
+                        combine(x_side[cut], y_side[cut], scratch)
     return state
+
+
+# --- support-sparse kernels ----------------------------------------------------
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _sparse_plan(layout: RegisterLayout, gate: Gate) -> tuple:
+    """A checked gate as the bit masks the sparse kernels read: a flip's
+    (mask, bits, target bit), a swap's (mask, bits, shift a, shift b, field
+    mask) or a Hadamard layer's target bits in the layer's order."""
+    total = layout.total_qubits
+    if isinstance(gate, HadamardLayer):
+        return ("hadamard", tuple(1 << (total - 1 - p) for p in _hadamard_positions(layout, gate.targets)))
+    if not isinstance(gate, ControlledOp):
+        raise TypeError(f"unknown gate {gate!r}")
+    mask, bits = _resolve_controlled(layout, gate)
+    action = gate.action
+    if isinstance(action, FlipQubit):
+        return ("flip", mask, bits, _qubit_bit(layout, action.register, action.qubit))
+    width = layout.width(action.reg_a)
+    return ("swap", mask, bits, layout.field_shift(action.reg_a), layout.field_shift(action.reg_b), (1 << width) - 1)
+
+
+def support_growth(layout: RegisterLayout, gate: Gate) -> int:
+    """The most times a gate can multiply a support's size: 2 per Hadamard
+    target, 1 for a controlled op, which permutes basis states."""
+    if isinstance(gate, HadamardLayer):
+        return 1 << len(_sparse_plan(layout, gate)[1])
+    return 1
+
+
+def _apply_sparse(state: SparseBuffer, plan: tuple) -> None:
+    """A gate on a support: a flip XORs its target bit into the selected
+    indices, a swap exchanges two bit fields of them, and a Hadamard layer
+    goes through ``_sparse_hadamard``; the support is then sorted again."""
+    indices, amplitudes = state.indices, state.amplitudes
+    if plan[0] == "hadamard":
+        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan[1])
+    else:
+        hit = (indices & plan[1]) == plan[2]
+        if plan[0] == "flip":
+            change = hit * plan[3]
+        else:
+            _, _, _, shift_a, shift_b, field = plan
+            differ = ((indices >> shift_a) ^ (indices >> shift_b)) & field
+            differ *= hit
+            change = (differ << shift_a) | (differ << shift_b)
+        indices = indices ^ change
+    order = np.argsort(indices, kind="stable")
+    state.indices, state.amplitudes = indices[order], amplitudes[order]
+
+
+def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[int, ...]):
+    """A Hadamard layer on a support, unsorted.
+
+    The listed indices fall into groups that agree off the target bits.
+    Each group is laid out as a ``(2,) * t`` block, one axis per target in
+    layout order, with +0.0 where nothing is listed, and each target in the
+    layer's order combines the block's halves along its axis with the dense
+    butterfly's operations.  A +0.0 partner gives a lone amplitude what the
+    dense butterfly gives it, and every slot of a group's block is computed,
+    so each stays in the support.
+    """
+    targets = sorted(bits, reverse=True)
+    keys, group = np.unique(indices & ~sum(bits), return_inverse=True)
+    slots = np.zeros(indices.size, dtype=np.int64)
+    offsets = np.zeros(1 << len(targets), dtype=np.int64)
+    for axis, bit in enumerate(targets):
+        place = len(targets) - 1 - axis
+        slots |= ((indices & bit) != 0) << place
+        offsets |= ((np.arange(offsets.size) >> place) & 1) * bit
+    block = np.zeros((keys.size, offsets.size), dtype=np.complex128)
+    block[group, slots] = amplitudes
+    view = block.reshape((keys.size,) + (2,) * len(targets))
+    total = np.empty(view[(slice(None), 0)].shape, dtype=np.complex128)
+    for bit in bits:
+        axis = 1 + targets.index(bit)
+        upper = view[(slice(None),) * axis + (0,)]
+        lower = view[(slice(None),) * axis + (1,)]
+        np.add(upper, lower, out=total)
+        np.subtract(upper, lower, out=lower)
+        np.multiply(lower, _INV_SQRT2, out=lower)
+        np.multiply(total, _INV_SQRT2, out=upper)
+    return (keys[:, None] | offsets).reshape(-1), block.reshape(-1)
 
 
 # --- Toffoli netlists ----------------------------------------------------

@@ -1,4 +1,11 @@
-"""Dense state-vector core: register layouts and matrix amplitude encoding.
+"""State-vector core: register layouts, matrix amplitude encoding, the two
+state representations and every read of a state's amplitudes.
+
+A state is dense, one complex128 amplitude per basis index (``StateVector``
+frozen, ``StateBuffer`` writable), or support-sparse (``SparseBuffer``):
+sorted int64 basis indices and their amplitudes, every other index holding
++0.0.  Preparation and every readout give a sparse state the bits that the
+dense arithmetic gives the same amplitudes.
 
 Basis convention: registers are packed into the basis index
 most-significant-first in declaration order, and qubit 0 of a register is
@@ -31,10 +38,28 @@ OCCUPIED_SCAN_CHUNK = 1 << 16
 # pairwise block
 MASS_BLOCK = 1 << 13
 
+# numpy sums a float64 array pairwise, halving it down to blocks of this many
+# values; a sparse squared mass lays out at most MASS_ROWS such blocks at a
+# time (2^16 float64, 512 KiB) and sums them with np.sum
+PAIRWISE_BLOCK = 1 << 7
+MASS_ROWS = 1 << 9
+
 # prepare_product_state writes the product block by block of its leading
 # factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
 # so the partial products of a block stay in L2 cache
 PREPARE_BLOCK = 1 << 15
+
+# A sparse run holds at most this share of its layout's amplitudes; a support
+# that a preparation or the next gate may take past it is copied into a dense
+# buffer once.  The copy holds the support (24 B an amplitude) next to the
+# dense state (16 B), so it peaks under 1 + 1.5 / 8 = 1.19x the state.
+DENSE_SHARE = 1 / 8
+
+# A layout of at most this many amplitudes (64 KiB) runs dense from the start:
+# there a whole dense run takes 0.05-0.4 ms, and a sparse one, paying numpy's
+# per-call cost on every kernel, is at best a sixth faster and at the smallest
+# shapes slower
+SPARSE_FLOOR = 1 << 12
 
 # range of the largest matrix component in which encode_matrix takes the
 # Frobenius norm directly: inside it the squared entries of any matrix that
@@ -46,6 +71,7 @@ __all__ = [
     "RegisterLayout",
     "StateVector",
     "StateBuffer",
+    "SparseBuffer",
     "EncodedMatrix",
     "AncillaVector",
     "PostSelection",
@@ -261,6 +287,61 @@ class StateBuffer:
         return StateVector(self.layout, self.amplitudes)
 
 
+@dataclass(eq=False)
+class SparseBuffer:
+    """A run's state as its support: ``indices``, sorted distinct int64 basis
+    indices, and ``amplitudes``, their complex128 values; every other basis
+    index holds +0.0.  An amplitude that a gate computed stays listed even
+    when it is zero.
+
+    ``unsure_zero_parts`` says, for the real and the imaginary part, whether
+    an exact-zero part computed from the support may differ in sign from
+    the dense run's, which holds a zero of either sign where the support
+    lists nothing; preparation sets it.  ``apply_gate`` replaces both arrays
+    with the gate's result; ``freeze`` makes them read-only, and the frozen
+    buffer is the run's final state.
+    """
+
+    layout: RegisterLayout
+    indices: np.ndarray
+    amplitudes: np.ndarray
+    unsure_zero_parts: tuple[bool, bool] = (True, True)
+
+    @property
+    def norm_squared(self) -> float:
+        return _sparse_mass(self, 0)
+
+    def amplitude(self, values: Mapping[str, int]) -> complex:
+        """Amplitude of one fully specified basis state."""
+        index = self.layout.basis_index(values)
+        at = int(np.searchsorted(self.indices, index))
+        if at < self.indices.size and self.indices[at] == index:
+            return complex(self.amplitudes[at])
+        return 0j
+
+    def lists(self, values: Mapping[str, int]) -> bool:
+        """Whether the support lists every basis state that matches a
+        register pattern."""
+        mask, hit = _selected(self, values)
+        return np.count_nonzero(hit) == self.layout.size >> bin(mask).count("1")
+
+    def outgrows(self, growth: int) -> bool:
+        """Whether ``growth`` times the support passes DENSE_SHARE of the layout."""
+        return self.indices.size * growth > DENSE_SHARE * self.layout.size
+
+    def densify(self) -> StateBuffer:
+        """The state as a dense buffer: the support in place, +0.0 elsewhere."""
+        amplitudes = np.zeros(self.layout.size, dtype=np.complex128)
+        amplitudes[self.indices] = self.amplitudes
+        return StateBuffer(self.layout, amplitudes)
+
+    def freeze(self) -> "SparseBuffer":
+        """The buffer itself, read-only; it must not be written afterwards."""
+        self.indices.setflags(write=False)
+        self.amplitudes.setflags(write=False)
+        return self
+
+
 def _pow2_at_least(x: int) -> int:
     # register widths are >= 1, so dimensions never drop below 2
     return 1 << max(1, (x - 1).bit_length())
@@ -418,7 +499,8 @@ def require_dense_width(layout: RegisterLayout) -> None:
 def prepare_product_state(
     layout: RegisterLayout,
     parts: Iterable[tuple[Sequence[str], np.ndarray]],
-) -> StateVector:
+    sparse: bool = False,
+) -> StateVector | SparseBuffer:
     """Tensor together amplitude tables over consecutive register groups.
 
     Each part covers one run of consecutive registers (in layout order) and
@@ -432,11 +514,18 @@ def prepare_product_state(
     PREPARE_BLOCK amplitudes).  Each
     amplitude is the left-to-right chain of complex multiplies of
     ``reduce(np.kron, factors)``, so its bytes are the same.
+
+    With ``sparse`` the product is a ``SparseBuffer`` over the first part's
+    whole table, zeros and their signs included, and the nonzero entries of
+    every other table, unless the layout has at most SPARSE_FLOOR amplitudes
+    or that support passes DENSE_SHARE of it; each listed amplitude has the
+    dense product's bytes.
     """
     require_dense_width(layout)
     names = list(layout.names)
     spans: list[tuple[int, int, np.ndarray]] = []
     covered: set[int] = set()
+    support = 1
     for part_names, table in parts:
         part_names = [str(n) for n in part_names]
         if not part_names:
@@ -464,8 +553,11 @@ def prepare_product_state(
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > PART_NORM_TOL:
             raise ValueError(f"part over {part_names} has norm {norm!r}, expected 1")
+        # a sparse product lists the first table whole and the others' nonzero entries
+        support *= np.count_nonzero(arr) if spans else arr.size
         spans.append((start, len(part_names), arr))
 
+    whole = spans[0][2] if spans else None
     spans.sort(key=lambda s: s[0])
     factors: list[np.ndarray] = []
     pos = 0
@@ -480,6 +572,9 @@ def prepare_product_state(
             ground[0] = 1.0
             factors.append(ground)
             pos += 1
+    if sparse and SPARSE_FLOOR < layout.size and support <= DENSE_SHARE * layout.size:
+        listed = [np.arange(f.size) if f is whole else np.flatnonzero(f) for f in factors]
+        return _prepare_support(layout, factors, listed)
     leading, rest = factors[0], factors[1:]
     tail = math.prod(factor.size for factor in rest)
     rows = max(1, PREPARE_BLOCK // tail)
@@ -499,6 +594,52 @@ def prepare_product_state(
     return StateVector(layout, amplitudes)
 
 
+def _prepare_support(layout: RegisterLayout, factors: list[np.ndarray], listed: list[np.ndarray]) -> SparseBuffer:
+    """The product over each factor's listed entries, in layout order, so
+    the indices come out sorted; each amplitude is the dense product's chain
+    of multiplies."""
+    indices = np.asarray(listed[0], dtype=np.int64)
+    amplitudes = factors[0][listed[0]]
+    for factor, entries in zip(factors[1:], listed[1:]):
+        width = factor.size.bit_length() - 1
+        if entries.size == 1:
+            # one listed entry, as of every |0> register: a shift and a scalar multiply
+            indices = (indices << width) | entries[0]
+            amplitudes = np.multiply(amplitudes, factor[entries[0]])
+            continue
+        indices = ((indices[:, None] << width) | entries).ravel()
+        partial, amplitudes = amplitudes, np.empty(indices.size, dtype=np.complex128)
+        _multiply_outer(partial, factor[entries], amplitudes)
+    return SparseBuffer(layout, indices, amplitudes, _unsure_zero_parts(factors))
+
+
+def _unsure_zero_parts(factors: list[np.ndarray]) -> tuple[bool, bool]:
+    """For the real and the imaginary part, whether a sparse product's
+    exact-zero parts may come out of a run with other signs than the dense
+    product's.
+
+    Where the support lists nothing, the dense product holds a factor's
+    zero entry times the others, a zero whose signs follow theirs.  Added,
+    subtracted or multiplied by a finite constant, a zero changes no nonzero
+    result, so only exact-zero results can differ, and only in sign.  None
+    can when every factor is real with non-negative real parts and +0.0
+    imaginary parts: each such product is (+0.0, +0.0), as the support's.
+    No imaginary part can when the first factor is real too, with +0.0
+    imaginary parts but real parts of either sign: times the others,
+    through every butterfly's ``(u +- l) * c`` and a read-out's division or
+    multiplication by a positive real, every imaginary part stays +0.0 on
+    both paths.
+    """
+    def plus_zero(part: np.ndarray) -> bool:
+        return not np.any(np.signbit(part) | (part != 0.0))
+
+    imaginary = all(plus_zero(f.imag) for f in factors) and not any(
+        np.any(np.signbit(f.real)) for f in factors[1:]
+    )
+    real = imaginary and not np.any(np.signbit(factors[0].real))
+    return not real, not imaginary
+
+
 def _multiply_outer(partial: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:
     """``out[i * factor.size + j] = partial[i] * factor[j]``, the operands in
     ``np.kron``'s order (numpy's complex multiply is not commutative bit for
@@ -513,7 +654,7 @@ def _multiply_outer(partial: np.ndarray, factor: np.ndarray, out: np.ndarray) ->
 
 
 def decode_matrix(
-    state: StateVector,
+    state: StateVector | SparseBuffer,
     row_register: str,
     col_register: str,
     fixed: Mapping[str, int],
@@ -526,7 +667,8 @@ def decode_matrix(
     is divided by its square root, bitwise as the renormalized state holds
     it.  Without it the block is copied out as it is, with no
     renormalization.  Either way the pinned block is the only array
-    allocated, the size of the returned matrix.
+    allocated the size of the returned matrix; a sparse state's block holds
+    its pinned entries and +0.0 elsewhere.
 
     Rejects the read when more than DECODE_MASS_TOL of the squared
     amplitude mass lies outside the pinned subspace: outside it but inside
@@ -549,17 +691,25 @@ def decode_matrix(
         raise ValueError(f"selected_mass must be positive, got {selected_mass!r}")
     n = layout.width(row_register)
     m = layout.width(col_register)
-    pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
-    if layout.offset(col_register) < layout.offset(row_register):
-        # the pinned view keeps layout order; move the column axes last
-        pinned = np.moveaxis(pinned, range(m), range(n, n + m))
-    out = np.empty((1 << n, 1 << m), dtype=np.complex128)
-    if selected_mass is None:
-        np.copyto(out.reshape(pinned.shape), pinned)
-        total = _mass(state.amplitudes)
+    if isinstance(state, SparseBuffer):
+        # the pinned entries, renormalized in their own copy, then placed
+        _, hit = _selected(state, fixed)
+        at, pinned = state.indices[hit], state.amplitudes[hit]
+        out = np.zeros((1 << n, 1 << m), dtype=np.complex128)
+        if selected_mass is not None:
+            _renormalize(pinned, selected_mass, pinned)
+        out[_field_values(layout, row_register, at), _field_values(layout, col_register, at)] = pinned
     else:
-        _renormalize(pinned, selected_mass, out.reshape(pinned.shape))
-        total = 1.0
+        pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
+        if layout.offset(col_register) < layout.offset(row_register):
+            # the pinned view keeps layout order; move the column axes last
+            pinned = np.moveaxis(pinned, range(m), range(n, n + m))
+        out = np.empty((1 << n, 1 << m), dtype=np.complex128)
+        if selected_mass is None:
+            np.copyto(out.reshape(pinned.shape), pinned)
+        else:
+            _renormalize(pinned, selected_mass, out.reshape(pinned.shape))
+    total = _mass(state.amplitudes) if selected_mass is None else 1.0
     outside = total - _mass(out)
     if outside > DECODE_MASS_TOL:
         raise ValueError(
@@ -588,31 +738,44 @@ class PostSelection:
 
     pattern: dict[str, int]
     probability: float
-    state: StateVector = field(repr=False)
+    state: StateVector | SparseBuffer = field(repr=False)
 
     @cached_property
     def renormalized_state(self) -> StateVector | None:
         if self.probability <= ZERO_PROBABILITY_FLOOR:
             return None
         layout = self.state.layout
-        selected = qubit_index(layout, self.pattern)
-        kept = qubit_view(self.state.amplitudes, layout)[selected]
         amplitudes = np.zeros(layout.size, dtype=np.complex128)
-        _renormalize(kept, self.probability, qubit_view(amplitudes, layout)[selected])
+        if isinstance(self.state, SparseBuffer):
+            _, hit = _selected(self.state, self.pattern)
+            kept = self.state.amplitudes[hit]
+            _renormalize(kept, self.probability, kept)
+            amplitudes[self.state.indices[hit]] = kept
+        else:
+            selected = qubit_index(layout, self.pattern)
+            kept = qubit_view(self.state.amplitudes, layout)[selected]
+            _renormalize(kept, self.probability, qubit_view(amplitudes, layout)[selected])
         amplitudes.setflags(write=False)
         return StateVector(layout, amplitudes)
 
 
-def post_select(state: StateVector, pattern: Mapping[str, int]) -> PostSelection:
+def post_select(state: StateVector | SparseBuffer, pattern: Mapping[str, int]) -> PostSelection:
     """Project ``state`` onto ``pattern``; nothing the size of the state is
     allocated."""
+    if isinstance(state, SparseBuffer):
+        return PostSelection(dict(pattern), _sparse_mass(state, *_selected(state, pattern)), state)
     kept = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, pattern)]
     return PostSelection(dict(pattern), squared_mass(kept), state)
 
 
-def pinned_share(state: StateVector, fixed: Mapping[str, int]) -> float:
+def pinned_share(state: StateVector | SparseBuffer, fixed: Mapping[str, int]) -> float:
     """Share of the squared mass inside the subspace ``fixed`` pins; an exact
     1.0 when no amplitude outside it is nonzero, as after a pure permutation."""
+    if isinstance(state, SparseBuffer):
+        mask, hit = _selected(state, fixed)
+        if np.count_nonzero(state.amplitudes[hit]) == np.count_nonzero(state.amplitudes):
+            return 1.0
+        return _sparse_mass(state, mask, hit) / state.norm_squared
     inside = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, fixed)]
     if np.count_nonzero(inside) == np.count_nonzero(state.amplitudes):
         return 1.0
@@ -643,6 +806,76 @@ def squared_mass(amplitudes: np.ndarray) -> float:
     return sums[0]
 
 
+def _sparse_mass(state: SparseBuffer, mask: int, hit=slice(None)) -> float:
+    """``squared_mass`` of the subspace that fixes the ``mask`` bits, from
+    the listed entries ``hit`` that lie in it.
+
+    A subspace of up to MASS_ROWS blocks is laid out whole, zeros
+    included, and summed by one np.sum, as the dense sum sums it.  A larger
+    one is cut into blocks of PAIRWISE_BLOCK.  Each touched block is laid
+    out with its zeros and summed by np.sum, MASS_ROWS blocks at a time, and
+    the block sums are added in the dense sum's halving tree, built over
+    the touched nodes only: a node without a sibling stands for a sum with
+    an exact 0.0, which leaves it as it is.
+    """
+    layout = state.layout
+    subspace = layout.size >> bin(mask).count("1")
+    positions = _compress(state.indices[hit], (layout.size - 1) & ~mask)
+    weights = np.abs(state.amplitudes[hit])
+    np.square(weights, out=weights)
+    if subspace <= MASS_ROWS * PAIRWISE_BLOCK:
+        laid = np.zeros(subspace)
+        laid[positions] = weights
+        return float(np.sum(laid))
+    ids = positions >> (PAIRWISE_BLOCK.bit_length() - 1)
+    first = np.flatnonzero(np.diff(ids, prepend=-1))
+    bounds = np.append(first, ids.size)
+    sums = np.empty(first.size)
+    rows = np.empty((min(first.size, MASS_ROWS), PAIRWISE_BLOCK))
+    for low in range(0, first.size, MASS_ROWS):
+        high = min(low + MASS_ROWS, first.size)
+        laid = rows[: high - low]
+        laid.fill(0.0)
+        take = slice(bounds[low], bounds[high])
+        row = np.repeat(np.arange(high - low), np.diff(bounds[low : high + 1]))
+        laid[row, positions[take] & (PAIRWISE_BLOCK - 1)] = weights[take]
+        sums[low:high] = np.sum(laid, axis=1)
+    nodes = ids[first]
+    for _ in range(subspace.bit_length() - PAIRWISE_BLOCK.bit_length()):
+        parents = nodes >> 1
+        left = np.flatnonzero(parents[1:] == parents[:-1])
+        sums[left] += sums[left + 1]
+        alone = np.ones(nodes.size, dtype=bool)
+        alone[left + 1] = False
+        nodes, sums = parents[alone], sums[alone]
+    return float(sums[0]) if sums.size else 0.0
+
+
+def _selected(state: SparseBuffer, values: Mapping[str, int]) -> tuple[int, np.ndarray]:
+    """The fixed bits of a register pattern and which listed entries match it."""
+    mask, bits = state.layout.pattern(values)
+    return mask, (state.indices & mask) == bits
+
+
+def _compress(indices: np.ndarray, keep: int) -> np.ndarray:
+    """The ``keep`` bits of each index packed together in order: the index's
+    position in the subspace that fixes every other bit."""
+    out = np.zeros_like(indices)
+    packed = 0
+    while keep:
+        low = (keep & -keep).bit_length() - 1
+        width = ((keep >> low) ^ ((keep >> low) + 1)).bit_length() - 1
+        out |= ((indices >> low) & ((1 << width) - 1)) << packed
+        packed += width
+        keep &= ~(((1 << width) - 1) << low)
+    return out
+
+
+def _field_values(layout: RegisterLayout, name: str, indices: np.ndarray) -> np.ndarray:
+    """Each index's value of one register."""
+    return (indices >> layout.field_shift(name)) & ((1 << layout.width(name)) - 1)
+
+
 def occupied_states(
     state: StateVector | StateBuffer, cap: int | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -653,15 +886,22 @@ def occupied_states(
     return dict(zip(state.layout.names, values)), state.amplitudes[indices]
 
 
-def supported_on(state: StateVector | StateBuffer, values: Mapping[str, np.ndarray | int]) -> bool:
+def supported_on(
+    state: StateVector | StateBuffer | SparseBuffer, values: Mapping[str, np.ndarray | int]
+) -> bool:
     """Whether every nonzero amplitude of ``state`` lies on a basis state that
     ``values`` lists: each register's values as arrays (or ints) that
     broadcast together and name each basis state once.  Counts nonzero
     float parts on those states and overall, so it allocates only the
-    listed amplitudes."""
+    listed amplitudes (of a sparse state, those its support holds)."""
     layout = state.layout
     index = sum(values[name] << layout.field_shift(name) for name in layout.names)
-    listed = state.amplitudes[index]
+    if isinstance(state, SparseBuffer):
+        index = np.ravel(index)
+        at = np.minimum(np.searchsorted(state.indices, index), state.indices.size - 1)
+        listed = state.amplitudes[at[state.indices[at] == index]]
+    else:
+        listed = state.amplitudes[index]
     return np.count_nonzero(listed.view(np.float64)) == np.count_nonzero(state.amplitudes.view(np.float64))
 
 

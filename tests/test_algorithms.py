@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from qmatops import (
 )
 from qmatops import algorithms
 from qmatops.algorithms import row_add_circuit, row_swap_circuit, trace_circuit
-from qmatops.state import qubit_index, qubit_view
+from qmatops import state as state_module
+from qmatops.state import DENSE_SHARE, EncodedMatrix, SparseBuffer, qubit_index, qubit_view
 from qmatops.golden import (
     GOLDEN_FROBENIUS_SCALE,
     GOLDEN_K,
@@ -238,6 +240,84 @@ def test_trace_rejects_non_square():
             run_trace(encode_matrix(np.ones(shape)))
 
 
+def test_trace_refuses_non_square_padded_entries_before_preparation(monkeypatch):
+    # a 3x3 matrix in a 4x8 zero padding, which EncodedMatrix accepts
+    entries = np.zeros((4, 8), dtype=complex)
+    entries[:3, :3] = np.eye(3) / math.sqrt(3)
+    monkeypatch.setattr(algorithms, "prepare_product_state", None)
+    with pytest.raises(ValueError, match="trace needs a square matrix"):
+        run_trace(EncodedMatrix(entries, 3, 3, 1.0))
+
+
+def test_sparse_run_is_done_again_densely_only_for_an_unsure_zero_read(monkeypatch):
+    # a real matrix's imaginary parts are +0.0 on both paths, a matrix with
+    # no negative parts holds +0.0 wherever its support lists nothing, and a
+    # decoded output keeps its zero signs (algorithms._keeps_zero_signs), so
+    # only a read amplitude with an exact-zero part that a negative part may
+    # sign makes the run go again, densely
+    kinds = []
+    plain = algorithms.prepare_product_state
+
+    def noted(layout, parts, sparse=False):
+        state = plain(layout, parts, sparse=sparse)
+        kinds.append(type(state).__name__)
+        return state
+
+    monkeypatch.setattr(algorithms, "prepare_product_state", noted)
+    real = random_matrix(np.random.default_rng(25), (16, 16)).real
+    traceless = real.copy()
+    np.fill_diagonal(traceless, 0.0)
+    traceless[0, 0], traceless[1, 1] = 1.0, -1.0
+    # a complex matrix of 12 or 24 rows decodes its padding to exact zeros
+    padded = random_matrix(np.random.default_rng(26), (24, 32))
+    cases = [
+        (run_trace, real, ["SparseBuffer"]),
+        (run_trace, np.ones((16, 16)) - np.eye(16), ["SparseBuffer"]),
+        (run_trace, traceless, ["SparseBuffer", "StateVector"]),
+        (lambda m: run_row_add(m, 0, 1), padded[:12, :16], ["SparseBuffer"]),
+        (lambda m: run_row_swap(m, 0, 1), padded[:12, :8], ["SparseBuffer"]),
+        (run_transpose, padded, ["SparseBuffer"]),
+    ]
+    for runner, matrix, expected in cases:
+        kinds.clear()
+        runner(encode_matrix(matrix))
+        assert kinds == expected
+    # an output that might not keep them is checked like a read amplitude
+    monkeypatch.setattr(algorithms, "_keeps_zero_signs", lambda *args, **kwargs: False)
+    for runner, matrix in ((lambda m: run_row_add(m, 0, 1), padded[:12, :16]), (run_transpose, padded)):
+        kinds.clear()
+        runner(encode_matrix(matrix))
+        assert kinds == ["SparseBuffer", "StateVector"]
+
+
+@pytest.mark.parametrize(
+    "real, imag",
+    [
+        # -0.0 real parts: the dense trace's real part reads -0.0
+        ([[-0.0, -0.0], [-0.0, -0.0]], [[0.0, 0.0], [0.0, 1.0]]),
+        ([[-0.0, -1.0], [-1.0, -0.0]], [[-0.0, -0.0], [-0.0, -0.0]]),
+    ],
+)
+def test_sparse_trace_keeps_the_sign_of_a_zero_part(monkeypatch, real, imag):
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    matrix = hand_encoded(np.array(real) + 1j * np.array(imag))
+    sparse, dense = run_trace(matrix), run_trace(matrix, record_steps=True)
+    assert np.complex128(sparse.recovered_trace).tobytes() == np.complex128(dense.recovered_trace).tobytes()
+    assert sparse.success_probability.hex() == dense.success_probability.hex()
+
+
+def hand_encoded(matrix):
+    """``matrix`` as an EncodedMatrix that keeps the signs of its zero parts,
+    which encode_matrix's complex division would not."""
+    matrix = np.asarray(matrix, dtype=complex)
+    rows, cols = matrix.shape
+    norm = float(np.linalg.norm(matrix))
+    entries = np.zeros((1 << max(1, (rows - 1).bit_length()), 1 << max(1, (cols - 1).bit_length())), dtype=complex)
+    entries.real[:rows, :cols] = np.divide(matrix.real, norm)
+    entries.imag[:rows, :cols] = np.divide(matrix.imag, norm)
+    return EncodedMatrix(entries, rows, cols, 1.0)
+
+
 def test_trace_scale_restoration():
     matrix = 5.0 * np.eye(4)
     encoded = encode_matrix(matrix)
@@ -323,13 +403,19 @@ ROUTINES = {
 @pytest.mark.parametrize("routine", sorted(ROUTINES))
 def test_runs_call_apply_gate_with_state_and_gate_only(monkeypatch, routine, record_steps):
     # perfbench/spans.py wraps algorithms.apply_gate with exactly this
-    # signature, reading the layout and the state's bytes after each call
+    # signature, reading the layout and the state's bytes after each call:
+    # 16 B per amplitude the state holds, every amplitude of a dense state
+    # and at most DENSE_SHARE of them of a sparse one; these small layouts
+    # run sparse only below the floor
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     calls = []
     plain = algorithms.apply_gate
 
     def probed(state, gate):
         result = plain(state, gate)
-        calls.append((state.layout.total_qubits, state.amplitudes.nbytes))
+        sparse = isinstance(state, SparseBuffer)
+        held = state.indices.size if sparse else state.amplitudes.size
+        calls.append((sparse, held, state.layout.size, state.amplitudes.nbytes))
         return result
 
     monkeypatch.setattr(algorithms, "apply_gate", probed)
@@ -337,7 +423,12 @@ def test_runs_call_apply_gate_with_state_and_gate_only(monkeypatch, routine, rec
     encoded = encode_matrix(random_matrix(np.random.default_rng(19), shape))
     runner(encoded, record_steps=record_steps)
     assert calls
-    assert all(nbytes == 16 << qubits for qubits, nbytes in calls)
+    for sparse, held, size, nbytes in calls:
+        assert nbytes == 16 * held
+        assert 0 < held <= DENSE_SHARE * size if sparse else held == size
+    # recorded runs are dense; these unrecorded ones hold a support that is
+    # at most an eighth of the layout until their mixing layer
+    assert any(sparse for sparse, *_ in calls) == (not record_steps and routine in ("row-add", "row-swap", "trace"))
 
 
 @pytest.mark.parametrize("routine", sorted(ROUTINES))
@@ -379,6 +470,188 @@ def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
     assert peak <= 1.1 * (16 << qubits)
 
 
+def test_unrecorded_row_add_holds_only_its_support():
+    # 21 qubits, a 32 MiB dense state; the run holds at most 32768 amplitudes
+    encoded = encode_matrix(random_matrix(np.random.default_rng(24), (64, 64)))
+    run_row_add(encoded, 3, 17)
+    tracemalloc.start()
+    try:
+        run_row_add(encoded, 3, 17)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * (16 << 21)
+
+
+# --- sparse runs against dense runs ---------------------------------------------
+# An unrecorded run holds its support; a recorded run is dense throughout, so
+# the two reports of one input compare the sparse path with the dense one.
+
+def _with_rows(runner):
+    return lambda matrix, **kw: runner(matrix, matrix.original_rows - 1, 0, **kw)
+
+
+SPARSE_ROUTINES = {
+    "row-add": (_with_rows(run_row_add), (64, 64)),
+    "row-swap": (_with_rows(run_row_swap), (16, 32)),
+    "trace": (run_trace, (64, 64)),
+    "transpose": (run_transpose, (128, 128)),
+    "transpose-square": (run_transpose_square, (64, 64)),
+}
+SUITE_SHAPES = [(n, n) for n in range(2, 9)] + [(3, 5), (5, 3), (6, 2)]
+
+
+def awkward_matrix(rng, shape, variant):
+    """A complex matrix with -0.0 real and imaginary parts, exact zeros and a
+    zero row; "traceless" puts signed zeros on the diagonal and "cancelling"
+    a diagonal whose sum is exactly zero.  "negative" has a -0.0 diagonal
+    and negative real parts elsewhere, so its dense trace reads -0.0, a
+    sign that no sparse stage holds.  "real" and "real-traceless" are real
+    matrices with -0.0 entries."""
+    if variant == "negative":
+        matrix = np.empty(shape, dtype=complex)
+        matrix.real = -(rng.random(shape) + 0.5)
+        matrix.imag = -0.0
+        np.fill_diagonal(matrix, complex(-0.0, -0.0))
+        return matrix
+    if variant in ("real", "real-traceless"):
+        matrix = rng.standard_normal(shape)
+        matrix[rng.random(shape) < 0.3] = -0.0
+        matrix[shape[0] - 1] = 0.0
+        matrix[0, 0] = 1.0
+        if variant == "real-traceless":
+            np.fill_diagonal(matrix, -0.0)
+            matrix[0, 1] = -1.0
+        return matrix
+    matrix = random_matrix(rng, shape)
+    picked = rng.random(shape)
+    matrix[picked < 0.3] = complex(-0.0, -0.0)
+    matrix[(picked >= 0.3) & (picked < 0.4)] = complex(0.0, -0.0)
+    matrix[(picked >= 0.4) & (picked < 0.5)] = -1.0
+    matrix[shape[0] - 1] = 0.0
+    matrix[0, 0] = 1.0
+    if variant == "traceless":
+        np.fill_diagonal(matrix, complex(-0.0, -0.0))
+    elif variant == "cancelling":
+        np.fill_diagonal(matrix, 0.0)
+        matrix[0, 0], matrix[1, 1] = 0.5 - 0.25j, -0.5 + 0.25j
+    return matrix
+
+
+def _sparse_cases():
+    cases = []
+    for routine, (_, wide) in sorted(SPARSE_ROUTINES.items()):
+        for shape in [*SUITE_SHAPES, wide]:
+            square = shape[0] == shape[1]
+            if routine == "trace" and not square:
+                continue
+            variants = ["plain", "real"]
+            if square and shape != wide:
+                variants += ["traceless", "cancelling", "negative", "real-traceless"]
+            cases += [pytest.param(routine, shape, v, id=f"{routine}-{shape[0]}x{shape[1]}-{v}") for v in variants]
+    return cases
+
+
+@pytest.mark.parametrize("routine, shape, variant", _sparse_cases())
+def test_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, routine, shape, variant):
+    # the suite's small shapes run sparse only below the floor
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    runner, _ = SPARSE_ROUTINES[routine]
+    encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, variant))
+    dense = runner(encoded, record_steps=True)
+    kinds = set()
+    plain = algorithms.apply_gate
+
+    def noted(state, gate):
+        kinds.add(type(state).__name__)
+        return plain(state, gate)
+
+    monkeypatch.setattr(algorithms, "apply_gate", noted)
+    sparse = runner(encoded)
+    # a wide run stays sparse until its last stages, unless its support is
+    # its whole state from the start
+    if shape == SPARSE_ROUTINES[routine][1]:
+        assert ("SparseBuffer" in kinds) == (routine != "transpose-square")
+    assert_reports_bitwise(sparse, dense)
+
+
+def assert_reports_bitwise(sparse, dense):
+    for name in ("success_probability", "output_matrix", "recovered_trace", "normalization"):
+        ours, theirs = getattr(sparse, name), getattr(dense, name)
+        assert (ours is None) == (theirs is None), name
+        if theirs is not None:
+            assert np.asarray(ours).tobytes() == np.asarray(theirs).tobytes(), name
+    if dense.post_selection is not None:
+        ours, theirs = sparse.post_selection.renormalized_state, dense.post_selection.renormalized_state
+        assert (ours is None) == (theirs is None)
+        if theirs is not None:
+            # only the signs of zeros no report reads may differ
+            assert np.array_equal(ours.amplitudes, theirs.amplitudes)
+            nonzero = theirs.amplitudes != 0
+            assert ours.amplitudes[nonzero].tobytes() == theirs.amplitudes[nonzero].tobytes()
+
+
+NEGATIVE_ROW_K = [[-1, 1], [1, 1], [complex(-0.0, -0.0), 1], [1, 1]]
+
+
+def negative_row_k(rng, shape):
+    """Row 0 with negative real parts and imaginary parts of both signs,
+    zeros among them; row 2 alternating -0-0j with nonzero entries."""
+    matrix = random_matrix(rng, shape)
+    matrix.real[0] = -(rng.random(shape[1]) + 0.5)
+    matrix.imag[0] = rng.choice([-1.0, -0.0, 0.0, 1.0], shape[1])
+    matrix[2, ::2] = complex(-0.0, -0.0)
+    return matrix
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_outputs_keep_zero_signs_without_a_second_run(monkeypatch, seed):
+    # hand-built matrices whose parts are signed zeros, +-1, +-0.5 and
+    # subnormals: the sparse decoded outputs are bitwise the dense ones
+    # with no dense run behind them
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    prepared = []
+    plain = algorithms.prepare_product_state
+
+    def noted(layout, parts, sparse=False):
+        prepared.append(sparse)
+        return plain(layout, parts, sparse=sparse)
+
+    monkeypatch.setattr(algorithms, "prepare_product_state", noted)
+    rng = np.random.default_rng(seed)
+    values = [-0.0, 0.0, -1.0, 1.0, -0.5, 0.5, -5e-324, 5e-324]
+    for _ in range(25):
+        shape = (int(rng.integers(2, 9)), int(rng.integers(1, 9)))
+        matrix = rng.choice(values, shape) + 1j * rng.choice(values, shape)
+        matrix.real, matrix.imag = rng.choice(values, shape), rng.choice(values, shape)
+        if not np.any(np.abs(matrix) >= 0.5):
+            continue
+        encoded = hand_encoded(matrix)
+        k, l = (int(v) for v in rng.choice(shape[0], 2, replace=False))
+        for runner in (partial(run_row_add, k=k, l=l), partial(run_row_swap, k=k, l=l), run_transpose):
+            prepared.clear()
+            sparse = runner(encoded)
+            assert prepared == [True]
+            assert_reports_bitwise(sparse, runner(encoded, record_steps=True))
+
+
+@pytest.mark.parametrize("hand_built", [False, True], ids=["encoded", "hand-built"])
+@pytest.mark.parametrize("k, l", [(0, 1), (0, 2)])
+@pytest.mark.parametrize("shape", [None, (4, 4), (5, 3), (8, 8), (12, 16), (16, 16)])
+@pytest.mark.parametrize("runner", [run_row_add, run_row_swap], ids=["row-add", "row-swap"])
+def test_sparse_row_ops_match_dense_with_a_negative_row_k(monkeypatch, runner, shape, k, l, hand_built):
+    # the dense state holds row 0's entries times zero ancilla entries, zeros
+    # signed by row 0's parts where the support lists nothing; row 2's
+    # -0-0j entries are exact zeros that the row ops move and mix with them
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    if shape is None:
+        matrix = np.array(NEGATIVE_ROW_K, dtype=complex)
+    else:
+        matrix = negative_row_k(np.random.default_rng(sum(shape) + 7), shape)
+    encoded = hand_encoded(matrix) if hand_built else encode_matrix(matrix)
+    assert_reports_bitwise(runner(encoded, k, l), runner(encoded, k, l, record_steps=True))
+
+
 def test_post_select_allocates_less_than_the_state():
     layout = RegisterLayout((("A", 15), ("B", 3)))
     raw = random_matrix(np.random.default_rng(22), layout.size)
@@ -404,7 +677,9 @@ READOUTS = {
 
 
 @pytest.mark.parametrize("routine", sorted(READOUTS))
-def test_readout_is_bitwise_the_renormalized_state(routine):
+def test_readout_is_bitwise_the_renormalized_state(monkeypatch, routine):
+    # below the floor, so that a run whose read-out is sure stays sparse
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     build, runner = READOUTS[routine]
     matrix = random_matrix(np.random.default_rng(23), (4, 4))
     matrix[0, 1] = complex(-0.0, 0.0)
@@ -415,6 +690,8 @@ def test_readout_is_bitwise_the_renormalized_state(routine):
     layout = circuit.layout
     # the readout as a full-size renormalized state, written out by hand
     final = algorithms.simulate(circuit, encoded.entries).state
+    if isinstance(final, SparseBuffer):
+        final = final.densify()
     selected = qubit_index(layout, circuit.accept)
     kept = qubit_view(final.amplitudes, layout)[selected]
     probability = float(np.sum(np.abs(kept).ravel() ** 2))

@@ -15,6 +15,7 @@ from qmatops import (
     Projector,
     RegisterLayout,
     RegisterSwapGate,
+    SparseBuffer,
     StateBuffer,
     StateVector,
     SwapRegisters,
@@ -26,6 +27,7 @@ from qmatops import (
     tally_gates,
 )
 from qmatops import gates
+from qmatops.gates import support_growth
 from qmatops.algorithms import (
     row_add_circuit,
     row_swap_circuit,
@@ -253,6 +255,68 @@ def test_gate_application_matches_dense_unitaries(circuit, seed):
         else:
             # permutations move amplitudes without arithmetic
             np.testing.assert_array_equal(state.amplitudes, dense)
+
+
+def random_support(layout, seed, share=0.3):
+    """A sparse state over about ``share`` of the basis states, with signed
+    and exact zeros among its amplitudes."""
+    rng = np.random.default_rng(seed)
+    indices = np.union1d(np.flatnonzero(rng.random(layout.size) < share), [0]).astype(np.int64)
+    amplitudes = rng.standard_normal(indices.size) + 1j * rng.standard_normal(indices.size)
+    zeros = np.array([0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+    picked = rng.random(indices.size) < 0.25
+    amplitudes[picked] = zeros[rng.integers(zeros.size, size=np.count_nonzero(picked))]
+    return SparseBuffer(layout, indices, amplitudes)
+
+
+def assert_sparse_matches_dense(sparse, dense, gates_in_order):
+    """Each gate on the support and on the dense buffer of the same state:
+    the support stays sorted and holds the dense result's bits, +0.0
+    wherever it lists nothing."""
+    for gate in gates_in_order:
+        assert apply_gate(sparse, gate) is sparse
+        apply_gate(dense, gate)
+        assert np.all(np.diff(sparse.indices) > 0)
+        assert sparse.densify().amplitudes.tobytes() == dense.amplitudes.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_gates_are_bitwise_the_dense_gates(circuit, seed):
+    layout, gate_list = circuit
+    sparse = random_support(layout, seed)
+    assert_sparse_matches_dense(sparse, sparse.densify(), gate_list)
+
+
+@pytest.mark.parametrize(
+    "circuit",
+    [row_add_circuit(2, 2, 1, 3), row_swap_circuit(2, 1, 0, 2), trace_circuit(2), transpose_circuit(2, 3)],
+    ids=["row-add", "row-swap", "trace", "transpose"],
+)
+def test_routine_gates_on_a_support_are_bitwise_the_dense_gates(circuit):
+    sparse = random_support(circuit.layout, 41, share=0.05)
+    assert_sparse_matches_dense(sparse, sparse.densify(), [gate for _, gate in circuit.gates()])
+
+
+def test_sparse_hadamard_keeps_every_computed_amplitude():
+    layout = RegisterLayout((("A", 1), ("B", 2)))
+    # along A, |000> and |100> cancel in their lower output; |001> is alone
+    state = SparseBuffer(layout, np.array([0b000, 0b001, 0b100]), np.array([0.5, 1.0, 0.5], dtype=complex))
+    apply_gate(state, HadamardLayer(("A",)))
+    c = 1 / math.sqrt(2)
+    assert state.indices.tolist() == [0b000, 0b001, 0b100, 0b101]
+    assert state.amplitudes.tolist() == [(0.5 + 0.5) * c, (1.0 + 0.0) * c, 0.0, (1.0 - 0.0) * c]
+    assert support_growth(layout, HadamardLayer(("A", "B"))) == 8
+    assert support_growth(layout, ControlledOp(Projector(), FlipQubit("B", 0))) == 1
+
+
+@pytest.mark.parametrize("gate", UNRUNNABLE_GATES, ids=UNRUNNABLE_IDS)
+def test_sparse_apply_gate_refuses_what_the_dense_one_refuses(gate):
+    state = random_support(LAYOUT, 42)
+    indices, amplitudes = state.indices.tobytes(), state.amplitudes.tobytes()
+    with pytest.raises(ValueError):
+        apply_gate(state, gate)
+    assert state.indices.tobytes() == indices and state.amplitudes.tobytes() == amplitudes
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ from qmatops import (
 )
 from qmatops import state as state_module
 from qmatops.state import (
+    SparseBuffer,
     occupied_states,
+    post_select,
     pinned_share,
     qubit_index,
     qubit_view,
@@ -318,6 +320,164 @@ def test_prepare_copies_a_lone_factor():
     assert table.flags.writeable
     table[0] = 1.0
     assert state.amplitudes.tobytes() == original
+
+
+SPARSE_PREPARATIONS = {
+    "row-add": ((("R1", 2), ("C1", 3), ("R2", 2), ("B1", 1), ("B2", 1), ("B3", 1)),
+                [(("R1", "C1"), None), (("R2",), AncillaVector("row-add", 3, 1, 2))]),
+    "row-swap": ((("R1", 2), ("C1", 2), ("R2", 2), ("C2", 2), ("B1", 1), ("B2", 2), ("B3", 1)),
+                 [(("R1", "C1"), None), (("R2", "C2"), AncillaVector("row-swap", 1, 2, 2))]),
+    "ground-leading": ((("D", 3), ("R", 2), ("C", 3)), [(("R", "C"), None)]),
+    # the whole table is the first part given, not the leading factor
+    "whole-table-last": ((("K", 2), ("B", 3), ("R", 2), ("C", 2)),
+                         [(("R", "C"), None), (("K",), AncillaVector("row-add", 0, 2, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_PREPARATIONS))
+def test_sparse_prepare_is_bitwise_the_kron_fold_on_its_support(monkeypatch, name):
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    registers, tables = SPARSE_PREPARATIONS[name]
+    layout = RegisterLayout(registers)
+    rng = np.random.default_rng(33)
+    parts = []
+    for names, ancilla in tables:
+        if ancilla is None:
+            table = signed_unit(rng, 1 << sum(layout.width(name) for name in names))
+        else:
+            table = ancilla.amplitudes()
+        parts.append((names, table))
+    state = prepare_product_state(layout, parts, sparse=True)
+    assert isinstance(state, SparseBuffer)
+    assert np.all(np.diff(state.indices) > 0)
+    reference = kron_reference(layout, parts)
+    assert state.amplitudes.tobytes() == reference[state.indices].tobytes()
+    # the first table whole, signed zeros included, times the others' nonzero entries
+    listed = parts[0][1].size * math.prod(np.count_nonzero(table) for _, table in parts[1:])
+    assert state.indices.size == listed
+    unlisted = np.ones(layout.size, dtype=bool)
+    unlisted[state.indices] = False
+    assert not np.any(reference[unlisted])
+
+
+def test_sparse_prepare_goes_dense_past_the_dense_share(monkeypatch):
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    table = random_unit(np.random.default_rng(34), 4)
+    # 4 of 32 amplitudes is the share itself, 4 of 16 is past it
+    at_share = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 3))), [(("R", "C"), table)], sparse=True)
+    assert isinstance(at_share, SparseBuffer)
+    past = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 2))), [(("R", "C"), table)], sparse=True)
+    assert isinstance(past, StateVector)
+
+
+def test_sparse_prepare_goes_dense_up_to_the_floor():
+    table = random_unit(np.random.default_rng(34), 4)
+    # 4 of 2^12 and 4 of 2^13 amplitudes are far inside the share
+    at_floor = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 10))), [(("R", "C"), table)], sparse=True)
+    assert isinstance(at_floor, StateVector)
+    past = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 11))), [(("R", "C"), table)], sparse=True)
+    assert isinstance(past, SparseBuffer)
+
+
+@pytest.mark.parametrize("kind", ["non-negative", "real", "complex", "signed-zero-imaginary"])
+def test_sparse_prepare_knows_which_zero_parts_it_may_lose(monkeypatch, kind):
+    # where the support lists nothing the dense product holds signed zeros;
+    # a part is sure only when the dense product holds +0.0 parts there
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    layout = RegisterLayout((("R", 2), ("C", 2), ("K", 2), ("B", 2)))
+    rng = np.random.default_rng(36)
+    table = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    table[rng.random(16) < 0.3] = complex(-0.0, -0.0)
+    if kind == "non-negative":
+        table = np.abs(table).astype(complex)
+    elif kind == "real":
+        table = table.real.astype(complex)
+    elif kind == "signed-zero-imaginary":
+        table.imag = -0.0
+    table /= np.linalg.norm(table)
+    parts = [(("R", "C"), table), (("K",), AncillaVector("row-add", 1, 3, 2).amplitudes())]
+    state = prepare_product_state(layout, parts, sparse=True)
+    reference = kron_reference(layout, parts)
+    unlisted = np.ones(layout.size, dtype=bool)
+    unlisted[state.indices] = False
+    signs = np.signbit(reference[unlisted].view(np.float64).reshape(-1, 2))
+    real, imaginary = state.unsure_zero_parts
+    assert (real, imaginary) == {
+        "non-negative": (False, False),
+        "real": (True, False),
+        "complex": (True, True),
+        "signed-zero-imaginary": (True, True),
+    }[kind]
+    if not real:
+        assert not np.any(signs)
+    if not imaginary:
+        # every imaginary part of the dense product is +0.0, listed or not
+        assert not np.any(np.signbit(reference.imag))
+    if kind == "complex":
+        assert np.any(signs)
+
+
+def random_support(rng, layout, share, inside=None):
+    """A sparse state listing about ``share`` of the layout's basis states,
+    or of those matching the (mask, bits) pattern ``inside``, with signed
+    zeros and exact zeros among its amplitudes."""
+    indices = np.flatnonzero(rng.random(layout.size) < share)
+    if inside is not None:
+        indices = indices[(indices & inside[0]) == inside[1]]
+    indices = np.union1d(indices, [inside[1] if inside else 0]).astype(np.int64)
+    amplitudes = rng.standard_normal(indices.size) + 1j * rng.standard_normal(indices.size)
+    amplitudes *= np.exp2(rng.integers(-30, 30, indices.size))
+    zeros = rng.random(indices.size) < 0.2
+    amplitudes[zeros] = np.array(SIGNED_ZEROS)[rng.integers(len(SIGNED_ZEROS), size=np.count_nonzero(zeros))]
+    return SparseBuffer(layout, indices, amplitudes)
+
+
+@pytest.mark.parametrize("rows", [None, 1 << 2])
+@pytest.mark.parametrize("qubits, share", [(4, 0.5), (9, 0.2), (14, 0.02), (17, 0.01), (17, 0.6)])
+def test_sparse_squared_mass_is_bitwise_the_dense_sum(monkeypatch, qubits, share, rows):
+    # subspaces below and above numpy's 128-value block, laid out whole or
+    # block by block, with more touched blocks than are laid out at once
+    if rows is not None:
+        monkeypatch.setattr(state_module, "MASS_ROWS", rows)
+    layout = RegisterLayout((("A", qubits - 3), ("M", 1), ("B", 2)))
+    rng = np.random.default_rng(qubits)
+    sparse = random_support(rng, layout, share)
+    dense = sparse.densify().amplitudes
+    assert sparse.norm_squared.hex() == squared_mass(dense).hex()
+    for pattern in ({"M": 1}, {"A": 1, "B": 2}, {"M": 0, "B": 3}):
+        kept = qubit_view(dense, layout)[qubit_index(layout, pattern)]
+        assert post_select(sparse, pattern).probability.hex() == squared_mass(kept).hex()
+        assert pinned_share(sparse, pattern).hex() == pinned_share(StateVector(layout, dense), pattern).hex()
+
+
+def test_sparse_readouts_are_bitwise_the_dense_ones():
+    layout = RegisterLayout((("K", 2), ("C", 3), ("R", 3), ("B", 1)))
+    rng = np.random.default_rng(35)
+    pinned = {"K": 2, "B": 1}
+    # the pinned block holds all of the selected subspace B=1; B=0 the rest
+    block = random_support(rng, layout, 0.5, layout.pattern(pinned))
+    rest = random_support(rng, layout, 0.1, layout.pattern({"B": 0}))
+    indices = np.concatenate([block.indices, rest.indices])
+    order = np.argsort(indices)
+    sparse = SparseBuffer(layout, indices[order], np.concatenate([block.amplitudes, rest.amplitudes])[order])
+    dense = StateVector(layout, sparse.densify().amplitudes)
+
+    selection, reference = post_select(sparse, {"B": 1}), post_select(dense, {"B": 1})
+    assert selection.probability.hex() == reference.probability.hex()
+    assert selection.renormalized_state.amplitudes.tobytes() == reference.renormalized_state.amplitudes.tobytes()
+    decoded = decode_matrix(sparse, "R", "C", pinned, selection.probability)
+    assert decoded.tobytes() == decode_matrix(dense, "R", "C", pinned, reference.probability).tobytes()
+    # without a selection, from a state whose mass lies in the pinned block
+    block_dense = StateVector(layout, block.densify().amplitudes)
+    assert decode_matrix(block, "C", "R", pinned).tobytes() == decode_matrix(block_dense, "C", "R", pinned).tobytes()
+    for index in (*sparse.indices[:5], 1, layout.size - 1):
+        values = dict(zip(layout.names, (int(v) for v in np.unravel_index(index, layout.shape))))
+        assert np.complex128(sparse.amplitude(values)).tobytes() == np.complex128(dense.amplitude(values)).tobytes()
+    rows = np.arange(8)[:, None]
+    for b in (1, np.arange(2)[:, None, None]):
+        listed = {"K": 2, "C": rows, "R": rows.T, "B": b}
+        assert supported_on(sparse, listed) == supported_on(dense, listed)
+        assert supported_on(block, listed) == supported_on(block_dense, listed)
 
 
 # --- decoding ------------------------------------------------------------
