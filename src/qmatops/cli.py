@@ -24,6 +24,16 @@ AMPLITUDE_DUMP_CAP = 4096
 SHOT_CHUNK = 1 << 20
 # largest --shots accepted: drawing 2^32 shots takes about half a minute
 MAX_SHOTS = 1 << 32
+# The routine commands in help order: the runner's name in this module,
+# looked up when the command runs so that a wrapper set on that name is the
+# one called; the help text; and whether the command takes rows --k and --l.
+_ROUTINES = {
+    "row-add": ("run_row_add", "add row k into row l", True),
+    "row-swap": ("run_row_swap", "exchange rows k and l", True),
+    "trace": ("run_trace", "recover the trace of a square matrix", False),
+    "transpose": ("run_transpose", "transpose via a destination register", False),
+    "transpose-square": ("run_transpose_square", "transpose by padding to a square", False),
+}
 
 
 def _write_document(doc: dict, output: str | None) -> None:
@@ -109,17 +119,9 @@ def _run_algorithm(command: str, args) -> int:
         raise ValueError(f"--shots must be at most {MAX_SHOTS}")
     matrix = load_matrix(args.input)
     encoded = encode_matrix(matrix)
-    record = bool(args.verbose)
-    if command == "row-add":
-        report = run_row_add(encoded, args.k, args.l, record_steps=record)
-    elif command == "row-swap":
-        report = run_row_swap(encoded, args.k, args.l, record_steps=record)
-    elif command == "trace":
-        report = run_trace(encoded, record_steps=record)
-    elif command == "transpose":
-        report = run_transpose(encoded, record_steps=record)
-    else:
-        report = run_transpose_square(encoded, record_steps=record)
+    runner, _, with_rows = _ROUTINES[command]
+    rows = (args.k, args.l) if with_rows else ()
+    report = globals()[runner](encoded, *rows, record_steps=bool(args.verbose))
     _write_document(_algorithm_document(command, args, encoded, report), args.output)
     return 0
 
@@ -202,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def algorithm_parser(name: str, help_text: str, with_rows: bool):
+    for name, (_, help_text, with_rows) in _ROUTINES.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="matrix JSON file")
         if with_rows:
@@ -212,13 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--shots", type=int, default=None, help="sample the accept/reject outcome")
         p.add_argument("--output", default=None, help="write the JSON report here instead of stdout")
         p.add_argument("--verbose", action="store_true", help="include per-stage state records")
-        return p
-
-    algorithm_parser("row-add", "add row k into row l", True)
-    algorithm_parser("row-swap", "exchange rows k and l", True)
-    algorithm_parser("trace", "recover the trace of a square matrix", False)
-    algorithm_parser("transpose", "transpose via a destination register", False)
-    algorithm_parser("transpose-square", "transpose by padding to a square", False)
 
     p = sub.add_parser("verify", help="run the full oracle-equivalence suite")
     p.add_argument("--seed", type=int, default=0)
@@ -241,7 +236,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("row-add", "row-swap", "trace", "transpose", "transpose-square"):
+        if args.command in _ROUTINES:
             return _run_algorithm(args.command, args)
         if args.command == "verify":
             return _cmd_verify(args)

@@ -1,21 +1,25 @@
 """Projector-controlled primitives, Hadamard layers, and their netlists.
 
+Each gate is checked against a layout once, by ``_plan``, which resolves it
+to basis-index bits: the projector's (mask, bits), a flip's target bit, a
+swap's two fields or a Hadamard layer's target bits.  The dense passes, the
+sparse kernels and ``lower`` all read that one cached plan.
+
 Both gate kinds, a ``ControlledOp`` (a flip or register swap on a
 projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes,
-and ``apply_gate`` runs both through one loop over a cached plan.  The plan
-views the state, or each cache block of it, as passes whose pairs of sides
-are tiled into aligned pieces, and the loop changes a run's ``StateBuffer``
-array in place through scratch arrays of a fixed size, never one the size
-of the state or of a subspace.  A controlled op is one pass whose pieces
-are exchanged: a basis-state permutation, so it is exact.  A Hadamard layer
-is one flip pass per target whose pieces are combined by a butterfly, with
-the arithmetic of one whole-state butterfly per qubit in the same order, so
-its result is bitwise the same as that.  A run's ``SparseBuffer`` goes
-through sparse kernels instead, which permute its listed indices or combine
-each listed amplitude with its partners, +0.0 where none is listed, by the
-same butterfly.  ``lower`` turns a gate into the X,
-CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts; it checks
-a gate against the layout as the plan does.
+and ``apply_gate`` runs both through one loop over the plan's passes.  They
+view the state, or each cache block of it, as pairs of sides tiled into
+aligned pieces, and the loop changes a run's ``StateBuffer`` array in place
+through scratch arrays of a fixed size, never one the size of the state or
+of a subspace.  A controlled op is one pass whose pieces are exchanged: a
+basis-state permutation, so it is exact.  A Hadamard layer is one flip pass
+per target whose pieces are combined by a butterfly, with the arithmetic of
+one whole-state butterfly per qubit in the same order, so its result is
+bitwise the same as that.  A run's ``SparseBuffer`` goes through sparse
+kernels instead, which permute its listed indices or combine each listed
+amplitude with its partners, +0.0 where none is listed, by the same
+butterfly.  ``lower`` turns a gate into the X, CNOT, Toffoli, SWAP and H
+``Netlist`` that the gate tally counts.
 """
 from __future__ import annotations
 
@@ -136,61 +140,43 @@ class RegisterSwapGate(ControlledOp):
 Gate = Union[ControlledOp, HadamardLayer]
 
 
-def _qubit_axis(layout: RegisterLayout, register: str, qubit: int) -> int:
-    """Axis of one qubit in the qubit view; axis 0 is the most significant bit."""
+def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
+    """The basis-index bit of one qubit; qubit 0 is its register's most
+    significant."""
     if not 0 <= qubit < layout.width(register):
         raise ValueError(f"qubit {qubit} out of range for register {register!r}")
-    return layout.offset(register) + qubit
+    return 1 << (layout.total_qubits - 1 - layout.offset(register) - qubit)
 
 
-def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
-    return 1 << (layout.total_qubits - 1 - _qubit_axis(layout, register, qubit))
+class _Plan(NamedTuple):
+    """A gate checked against a layout and resolved to basis-index bits, with
+    the dense passes built from them.
 
+    A basis index s is selected iff s & mask == bits; a Hadamard layer
+    selects every one.  ``targets`` holds a flip's target bit, or a Hadamard
+    layer's target bits in the layer's order; ``fields`` a swap's two field
+    shifts and field mask, else ().  The dense passes are ``butterfly``,
+    whether a pair's pieces are combined by a butterfly (a Hadamard layer)
+    rather than exchanged; ``piece``, the most amplitudes a piece holds; and
+    ``runs`` of (block size, passes), each block of the state taking its
+    run's passes in turn.
+    """
 
-def _resolve_controlled(layout: RegisterLayout, op: ControlledOp) -> tuple[int, int]:
-    """The projector's (mask, bits) once ``op`` is checked against the
-    layout: the projector resolves, a flip's qubit is in range, a swap's
-    registers are distinct and of equal width, and no target qubit is one
-    the projector conditions on."""
-    mask, bits = op.projector.resolve(layout)
-    action = op.action
-    if isinstance(action, FlipQubit):
-        if _qubit_bit(layout, action.register, action.qubit) & mask:
-            raise ValueError("flip target overlaps the projector's qubits")
-    elif isinstance(action, SwapRegisters):
-        for name in (action.reg_a, action.reg_b):
-            if layout.field_mask(name) & mask:
-                raise ValueError("swap target overlaps the projector's qubits")
-        widths = layout.width(action.reg_a), layout.width(action.reg_b)
-        if widths[0] != widths[1]:
-            raise ValueError(f"cannot swap {action.reg_a!r} and {action.reg_b!r}: widths {widths}")
-        if action.reg_a == action.reg_b:
-            raise ValueError("cannot swap a register with itself")
-    else:
-        raise TypeError(f"unknown action {action!r}")
-    return mask, bits
-
-
-def _hadamard_positions(layout: RegisterLayout, targets) -> list[int]:
-    positions: list[int] = []
-    for target in targets:
-        if isinstance(target, str):
-            offset = layout.offset(target)
-            positions.extend(range(offset, offset + layout.width(target)))
-        else:
-            positions.append(_qubit_axis(layout, *target))
-    if len(set(positions)) != len(positions):
-        raise ValueError("duplicate Hadamard target")
-    return positions
+    mask: int
+    bits: int
+    targets: tuple[int, ...]
+    fields: tuple[int, ...]
+    butterfly: bool
+    piece: int
+    runs: tuple
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _plan(layout: RegisterLayout, gate: Gate) -> tuple[bool, int, tuple]:
-    """A checked gate as passes over pairs of equal-sized views, in a plan
-    of fixed size.  Returns whether a pair's pieces are combined by a
-    butterfly rather than exchanged; the most amplitudes a piece holds; and
-    runs of (block size, passes), each block of the state taking its run's
-    passes in turn.
+def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
+    """The gate's plan, once it is checked: its registers and qubits exist,
+    no Hadamard target repeats, the projector resolves, a swap's registers
+    are distinct and of equal width, and no moved qubit is one the
+    projector conditions on.
 
     A pass is the shape to view a block in; each axis's entry in both
     sides' indices, a conditioned run's bits or the whole axis; the axis
@@ -206,24 +192,49 @@ def _plan(layout: RegisterLayout, gate: Gate) -> tuple[bool, int, tuple]:
     """
     total = layout.total_qubits
     if isinstance(gate, HadamardLayer):
-        strides = [1 << (total - 1 - p) for p in _hadamard_positions(layout, gate.targets)]
+        targets: list[int] = []
+        for target in gate.targets:
+            if isinstance(target, str):
+                targets.extend(_qubit_bit(layout, target, q) for q in range(layout.width(target)))
+            else:
+                targets.append(_qubit_bit(layout, *target))
+        if len(set(targets)) != len(targets):
+            raise ValueError("duplicate Hadamard target")
         runs = []
-        for inside, run in itertools.groupby(strides, key=lambda s: s < HADAMARD_BLOCK):
+        for inside, run in itertools.groupby(targets, key=lambda s: s < HADAMARD_BLOCK):
             block = min(HADAMARD_BLOCK, layout.size) if inside else layout.size
             flips = [((block // (2 * s), 2, s), (slice(None),) * 3, (0, 1, 2), (1,), 1) for s in run]
             runs.append((block, tuple(flips)))
-        return True, min(PIECE, layout.size // 2), tuple(runs)
+        return _Plan(0, 0, tuple(targets), (), True, min(PIECE, layout.size // 2), tuple(runs))
     if not isinstance(gate, ControlledOp):
         raise TypeError(f"unknown gate {gate!r}")
-    mask, bits = _resolve_controlled(layout, gate)
+    mask, bits = gate.projector.resolve(layout)
     action = gate.action
-    labels = ["c" if (mask >> (total - 1 - q)) & 1 else "f" for q in range(total)]
     if isinstance(action, FlipQubit):
-        labels[_qubit_axis(layout, action.register, action.qubit)] = "t"
+        target = _qubit_bit(layout, action.register, action.qubit)
+        if target & mask:
+            raise ValueError("flip target overlaps the projector's qubits")
+        targets, fields, moved_bits = (target,), (), [(target, "t")]
+    elif isinstance(action, SwapRegisters):
+        for name in (action.reg_a, action.reg_b):
+            if layout.field_mask(name) & mask:
+                raise ValueError("swap target overlaps the projector's qubits")
+        widths = layout.width(action.reg_a), layout.width(action.reg_b)
+        if widths[0] != widths[1]:
+            raise ValueError(f"cannot swap {action.reg_a!r} and {action.reg_b!r}: widths {widths}")
+        if action.reg_a == action.reg_b:
+            raise ValueError("cannot swap a register with itself")
+        field = (1 << widths[0]) - 1
+        shifts = layout.field_shift(action.reg_a), layout.field_shift(action.reg_b)
+        targets, fields = (), (*shifts, field)
+        # register a is the more significant of the two
+        moved_bits = [(field << max(shifts), "a"), (field << min(shifts), "b")]
     else:
-        for label, name in zip("ab", sorted((action.reg_a, action.reg_b), key=layout.offset)):
-            offset, width = layout.offset(name), layout.width(name)
-            labels[offset : offset + width] = label * width
+        raise TypeError(f"unknown action {action!r}")
+    # each qubit's label, most significant first: conditioned (c), moved
+    # (t, a or b) or free (f)
+    labelled = [(mask, "c"), *moved_bits]
+    labels = [next((label for m, label in labelled if (m >> q) & 1), "f") for q in reversed(range(total))]
     shape, base, axis_of = [], [], {}
     shift = total
     for label, run in itertools.groupby(labels):
@@ -235,14 +246,14 @@ def _plan(layout: RegisterLayout, gate: Gate) -> tuple[bool, int, tuple]:
     kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
     axes = list(range(len(kept)))
     subspace = math.prod(shape[axis] for axis in kept)
-    if isinstance(action, FlipQubit):
+    if targets:
         moved, rows = (axis_of["t"],), 1
     else:
         moved = a, b = axis_of["a"], axis_of["b"]
         axes[kept.index(a)], axes[kept.index(b)] = kept.index(b), kept.index(a)
         rows = max(1, PIECE // (subspace // shape[a]))
     exchange = (tuple(shape), tuple(base), tuple(axes), moved, rows)
-    return False, min(PIECE, subspace), ((layout.size, (exchange,)),)
+    return _Plan(mask, bits, targets, fields, False, min(PIECE, subspace), ((layout.size, (exchange,)),))
 
 
 def _exchanged_sides(shape: tuple[int, ...], base: tuple, moved: tuple[int, ...], rows: int):
@@ -365,22 +376,23 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
     A controlled op only moves amplitudes, so its result is exact; a
     Hadamard layer's result is bitwise that of whole-state butterflies, one
     per target in order.  The gate is checked before any amplitude is
-    written, and anything else (a frozen ``StateVector`` included) is
-    refused with a ``TypeError``; to apply a gate to a snapshot, wrap a copy
-    of its amplitudes in a ``StateBuffer``.
+    written, and anything else (a frozen ``StateVector`` or ``SparseBuffer``
+    included) is refused with a ``TypeError``; to apply a gate to a
+    snapshot, wrap a copy of its arrays in a new buffer.
     """
+    refused = "apply_gate changes a StateBuffer or a SparseBuffer in place, not a"
     if isinstance(state, SparseBuffer):
-        _apply_sparse(state, _sparse_plan(state.layout, gate))
+        if not state.amplitudes.flags.writeable:
+            raise TypeError(f"{refused} frozen SparseBuffer")
+        _apply_sparse(state, _plan(state.layout, gate))
         return state
     if not isinstance(state, StateBuffer):
-        raise TypeError(
-            f"apply_gate changes a StateBuffer or a SparseBuffer in place, not a {type(state).__name__}"
-        )
-    butterfly, piece, runs = _plan(state.layout, gate)
-    combine = _butterfly if butterfly else _exchange
-    amplitudes = state.amplitudes
-    scratch = np.empty((2 + butterfly, piece), dtype=np.complex128)
-    for block, passes in runs:
+        raise TypeError(f"{refused} {type(state).__name__}")
+    plan = _plan(state.layout, gate)
+    combine = _butterfly if plan.butterfly else _exchange
+    amplitudes, piece = state.amplitudes, plan.piece
+    scratch = np.empty((2 + plan.butterfly, piece), dtype=np.complex128)
+    for block, passes in plan.runs:
         # every block of a run has the same shape, so a run over several
         # blocks tiles each of its passes once; a whole-state pass is tiled
         # as it is applied
@@ -401,48 +413,30 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
 
 # --- support-sparse kernels ----------------------------------------------------
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
-def _sparse_plan(layout: RegisterLayout, gate: Gate) -> tuple:
-    """A checked gate as the bit masks the sparse kernels read: a flip's
-    (mask, bits, target bit), a swap's (mask, bits, shift a, shift b, field
-    mask) or a Hadamard layer's target bits in the layer's order."""
-    total = layout.total_qubits
-    if isinstance(gate, HadamardLayer):
-        return ("hadamard", tuple(1 << (total - 1 - p) for p in _hadamard_positions(layout, gate.targets)))
-    if not isinstance(gate, ControlledOp):
-        raise TypeError(f"unknown gate {gate!r}")
-    mask, bits = _resolve_controlled(layout, gate)
-    action = gate.action
-    if isinstance(action, FlipQubit):
-        return ("flip", mask, bits, _qubit_bit(layout, action.register, action.qubit))
-    width = layout.width(action.reg_a)
-    return ("swap", mask, bits, layout.field_shift(action.reg_a), layout.field_shift(action.reg_b), (1 << width) - 1)
-
-
 def support_growth(layout: RegisterLayout, gate: Gate) -> int:
     """The most times a gate can multiply a support's size: 2 per Hadamard
     target, 1 for a controlled op, which permutes basis states."""
     if isinstance(gate, HadamardLayer):
-        return 1 << len(_sparse_plan(layout, gate)[1])
+        return 1 << len(_plan(layout, gate).targets)
     return 1
 
 
-def _apply_sparse(state: SparseBuffer, plan: tuple) -> None:
+def _apply_sparse(state: SparseBuffer, plan: _Plan) -> None:
     """A gate on a support: a flip XORs its target bit into the selected
     indices, a swap exchanges two bit fields of them, and a Hadamard layer
     goes through ``_sparse_hadamard``; the support is then sorted again."""
     indices, amplitudes = state.indices, state.amplitudes
-    if plan[0] == "hadamard":
-        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan[1])
+    if plan.butterfly:
+        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan.targets)
     else:
-        hit = (indices & plan[1]) == plan[2]
-        if plan[0] == "flip":
-            change = hit * plan[3]
-        else:
-            _, _, _, shift_a, shift_b, field = plan
+        hit = (indices & plan.mask) == plan.bits
+        if plan.fields:
+            shift_a, shift_b, field = plan.fields
             differ = ((indices >> shift_a) ^ (indices >> shift_b)) & field
             differ *= hit
             change = (differ << shift_a) | (differ << shift_b)
+        else:
+            change = hit * plan.targets[0]
         indices = indices ^ change
     order = np.argsort(indices, kind="stable")
     state.indices, state.amplitudes = indices[order], amplitudes[order]
@@ -568,36 +562,31 @@ def lower(gate: Gate, layout: RegisterLayout) -> Netlist:
     A flip under c controls is the ``_mcx_gates`` ladder.  A register swap
     under c controls is, per qubit pair (a, b), CNOT(b->a), a flip of b under
     the c controls and a, then CNOT(b->a); with no control it is one SWAP
-    per pair.  A Hadamard layer is one H per target.  The gate is checked as
-    ``apply_gate`` checks it, so a gate that cannot run is not lowered.
+    per pair.  A Hadamard layer is one H per target.  The gate is read from
+    the plan that ``apply_gate`` runs, so a gate that cannot run is not
+    lowered.
     """
-    top = layout.total_qubits - 1
-    if isinstance(gate, HadamardLayer):
-        positions = _hadamard_positions(layout, gate.targets)
-        return Netlist(layout.total_qubits, tuple(NetworkGate("h", (top - p,)) for p in positions))
-    if not isinstance(gate, ControlledOp):
-        raise TypeError(f"unknown gate {gate!r}")
-
-    mask, bits = _resolve_controlled(layout, gate)
-    controls = [(q, (bits >> q) & 1) for q in range(layout.total_qubits) if (mask >> q) & 1]
-    action = gate.action
-    if isinstance(action, FlipQubit):
-        target = top - _qubit_axis(layout, action.register, action.qubit)
-        gates = _mcx_gates(controls, target, layout.total_qubits)
+    num_qubits = layout.total_qubits
+    plan = _plan(layout, gate)
+    if plan.butterfly:
+        return Netlist(num_qubits, tuple(NetworkGate("h", (bit.bit_length() - 1,)) for bit in plan.targets))
+    controls = [(q, (plan.bits >> q) & 1) for q in range(num_qubits) if (plan.mask >> q) & 1]
+    if not plan.fields:
+        gates = _mcx_gates(controls, plan.targets[0].bit_length() - 1, num_qubits)
         work = len(controls) - 1
     else:
-        shift_a, shift_b = layout.field_shift(action.reg_a), layout.field_shift(action.reg_b)
+        shift_a, shift_b, field = plan.fields
         gates = []
-        for i in range(layout.width(action.reg_a)):
+        for i in range(field.bit_length()):
             a, b = shift_a + i, shift_b + i
             if not controls:
                 gates.append(NetworkGate("swap", (a, b)))
                 continue
             cnot = NetworkGate("cx", (b, a))
-            gates += [cnot, *_mcx_gates([*controls, (a, 1)], b, layout.total_qubits), cnot]
+            gates += [cnot, *_mcx_gates([*controls, (a, 1)], b, num_qubits), cnot]
         # each pair's flip has one control more, so every pair reuses c work qubits
         work = len(controls)
-    return Netlist(layout.total_qubits, tuple(gates), max(0, work))
+    return Netlist(num_qubits, tuple(gates), max(0, work))
 
 
 # --- gate accounting ---------------------------------------------------------

@@ -292,20 +292,39 @@ class SparseBuffer:
     """A run's state as its support: ``indices``, sorted distinct int64 basis
     indices, and ``amplitudes``, their complex128 values; every other basis
     index holds +0.0.  An amplitude that a gate computed stays listed even
-    when it is zero.
+    when it is zero.  Both arrays are checked when the buffer is made.
 
     ``unsure_zero_parts`` says, for the real and the imaginary part, whether
     an exact-zero part computed from the support may differ in sign from
     the dense run's, which holds a zero of either sign where the support
     lists nothing; preparation sets it.  ``apply_gate`` replaces both arrays
     with the gate's result; ``freeze`` makes them read-only, and the frozen
-    buffer is the run's final state.
+    buffer is the run's final state, which ``apply_gate`` refuses.
     """
 
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
     unsure_zero_parts: tuple[bool, bool] = (True, True)
+
+    def __post_init__(self):
+        indices, amplitudes = self.indices, self.amplitudes
+        if not (
+            isinstance(indices, np.ndarray)
+            and isinstance(amplitudes, np.ndarray)
+            and indices.dtype == np.int64
+            and amplitudes.dtype == np.complex128
+            and indices.ndim == amplitudes.ndim == 1
+            and indices.size == amplitudes.size
+            and indices.size > 0
+            and 0 <= indices[0]
+            and indices[-1] < self.layout.size
+            and np.all(indices[1:] > indices[:-1])
+        ):
+            raise ValueError(
+                f"a sparse buffer needs one or more strictly increasing int64 indices in "
+                f"[0, {self.layout.size}) and a complex128 array of as many amplitudes, both 1-D"
+            )
 
     @property
     def norm_squared(self) -> float:
@@ -877,13 +896,15 @@ def _field_values(layout: RegisterLayout, name: str, indices: np.ndarray) -> np.
 
 
 def occupied_states(
-    state: StateVector | StateBuffer, cap: int | None = None
+    state: StateVector | StateBuffer | SparseBuffer, cap: int | None = None
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Each register's values and the amplitude of the occupied basis states,
-    in index order; only the first ``cap`` of them if given."""
-    indices = _first_occupied(state.amplitudes, cap)
+    in index order; only the first ``cap`` of them if given.  Of a sparse
+    state, those are its support's nonzero entries."""
+    at = _first_occupied(state.amplitudes, cap)
+    indices = state.indices[at] if isinstance(state, SparseBuffer) else at
     values = np.unravel_index(indices, state.layout.shape)
-    return dict(zip(state.layout.names, values)), state.amplitudes[indices]
+    return dict(zip(state.layout.names, values)), state.amplitudes[at]
 
 
 def supported_on(

@@ -27,7 +27,7 @@ from qmatops import (
 from qmatops import algorithms
 from qmatops.algorithms import row_add_circuit, row_swap_circuit, trace_circuit
 from qmatops import state as state_module
-from qmatops.state import DENSE_SHARE, EncodedMatrix, SparseBuffer, qubit_index, qubit_view
+from qmatops.state import DENSE_SHARE, EncodedMatrix, SparseBuffer, occupied_states, qubit_index, qubit_view
 from qmatops.golden import (
     GOLDEN_FROBENIUS_SCALE,
     GOLDEN_K,
@@ -481,6 +481,21 @@ def test_unrecorded_row_add_holds_only_its_support():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * (16 << 21)
+
+
+def test_sparse_final_state_lists_the_occupied_states_of_its_dense_form(monkeypatch):
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(25), (16, 16)))
+    state = run_row_add(encoded, 1, 2).post_selection.state
+    assert isinstance(state, SparseBuffer)
+    dense = state.densify()
+    for cap in (None, 5):
+        values, listed = occupied_states(state, cap)
+        dense_values, dense_listed = occupied_states(dense, cap)
+        assert list(values) == list(dense_values)
+        for name in values:
+            np.testing.assert_array_equal(values[name], dense_values[name])
+        assert listed.tobytes() == dense_listed.tobytes()
 
 
 # --- sparse runs against dense runs ---------------------------------------------

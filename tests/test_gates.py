@@ -150,15 +150,15 @@ def test_dense_oracle_rejects_every_gate_apply_gate_rejects(gate):
         dense_unitary_of(gate, LAYOUT)
 
 
-@pytest.mark.parametrize(
-    "gate",
-    [
-        ControlledOp(Projector(register_values=(("R", 1),)), FlipQubit("B", 0)),
-        HadamardLayer(("R",)),
-        RegisterSwapGate("R", "C"),
-    ],
-    ids=["flip", "hadamard", "regswap"],
-)
+FROZEN_GATES = [
+    ControlledOp(Projector(register_values=(("R", 1),)), FlipQubit("B", 0)),
+    HadamardLayer(("R",)),
+    RegisterSwapGate("R", "C"),
+]
+FROZEN_IDS = ["flip", "hadamard", "regswap"]
+
+
+@pytest.mark.parametrize("gate", FROZEN_GATES, ids=FROZEN_IDS)
 def test_apply_gate_refuses_a_frozen_state(gate):
     state = random_state(LAYOUT, 10)
     before = state.amplitudes.tobytes()
@@ -166,6 +166,16 @@ def test_apply_gate_refuses_a_frozen_state(gate):
         apply_gate(state, gate)
     assert state.amplitudes.tobytes() == before
     assert not state.amplitudes.flags.writeable
+
+
+@pytest.mark.parametrize("gate", FROZEN_GATES, ids=FROZEN_IDS)
+def test_apply_gate_refuses_a_frozen_sparse_state(gate):
+    # the frozen arrays are read-only, so keeping them keeps the state
+    state = random_support(LAYOUT, 10).freeze()
+    indices, amplitudes = state.indices, state.amplitudes
+    with pytest.raises(TypeError, match="frozen SparseBuffer"):
+        apply_gate(state, gate)
+    assert state.indices is indices and state.amplitudes is amplitudes
 
 
 def test_register_swap_gate_is_a_swap_under_the_empty_projector():

@@ -450,6 +450,30 @@ def test_sparse_squared_mass_is_bitwise_the_dense_sum(monkeypatch, qubits, share
         assert pinned_share(sparse, pattern).hex() == pinned_share(StateVector(layout, dense), pattern).hex()
 
 
+@pytest.mark.parametrize(
+    "indices, amplitudes",
+    [
+        ([5, 1], [1.0, 2.0]),
+        ([1, 1], [1.0, 2.0]),
+        ([1, 9], [1.0, 2.0]),
+        ([-1, 2], [1.0, 2.0]),
+        ([1, 2], [1.0]),
+        ([], []),
+        (np.array([1, 2], dtype=np.int32), [1.0, 2.0]),
+        ([1, 2], np.array([1.0, 2.0])),
+        ([[1, 2]], [[1.0, 2.0]]),
+    ],
+    ids=["unsorted", "repeated", "past-the-end", "negative", "short", "empty", "int32", "float", "2-d"],
+)
+def test_sparse_buffer_refuses_a_malformed_support(indices, amplitudes):
+    layout = RegisterLayout((("X", 2), ("Y", 1)))
+    indices = np.asarray(indices, dtype=getattr(indices, "dtype", np.int64))
+    amplitudes = np.asarray(amplitudes, dtype=getattr(amplitudes, "dtype", np.complex128))
+    with pytest.raises(ValueError, match="sparse buffer"):
+        SparseBuffer(layout, indices, amplitudes)
+    SparseBuffer(layout, np.array([0, 7]), np.array([1.0, 2.0], dtype=complex))
+
+
 def test_sparse_readouts_are_bitwise_the_dense_ones():
     layout = RegisterLayout((("K", 2), ("C", 3), ("R", 3), ("B", 1)))
     rng = np.random.default_rng(35)
