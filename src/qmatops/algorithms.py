@@ -27,6 +27,8 @@ from .gates import (
     RegisterSwapGate,
     SwapRegisters,
     apply_gate,
+    lower,
+    pull_back,
     support_growth,
     tally_gates,
 )
@@ -310,8 +312,10 @@ class Simulation:
     """One simulated circuit run, before the routine's closed form is added.
 
     ``state`` is the final state before post-selection, sparse when the run
-    stayed sparse; ``output`` is the decoded matrix, or None when nothing
-    was accepted or the circuit has no matrix output; ``amplitude`` is the
+    stayed sparse; a sparse run's Hadamard layers compute only what the
+    accept pattern reads, so its state is exact only on the accepted
+    subspace.  ``output`` is the decoded matrix, or None when nothing was
+    accepted or the circuit has no matrix output; ``amplitude`` is the
     amplitude ``simulate`` was asked to read, or None.
     """
 
@@ -359,16 +363,22 @@ def simulate(
     stays within ``state.DENSE_SHARE`` of a layout of more than
     ``state.SPARSE_FLOOR`` amplitudes; when the preparation or the next gate
     may take it past that share, the run goes on with the support copied
-    into a ``StateBuffer``, once.  When its decoded output or read amplitude
+    into a ``StateBuffer``, once.  Before a Hadamard layer on the support,
+    the accept pattern is pulled back through the gates after the layer
+    (``gates.pull_back``) into the buffer's ``reads``, and the layer
+    computes only those outputs; the final state is then exact only on the
+    accepted subspace, which is all that post-selection, decoding and a
+    read amplitude look at.  When its decoded output or read amplitude
     has an exact-zero part whose sign the support may not carry, the run is
     done again densely, after the sparse one is released, so reports are
     bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
     prepared array itself, that every gate changes in place.  ``after_step``
-    gets the run's buffer after each stage; it is valid only during the
-    callback.  With ``record_steps`` the run is dense and each stage's input
-    is copied into a frozen snapshot before the stage runs, and the final
-    snapshot is the frozen buffer itself; a recorded run whose states would
-    not fit in physical memory is refused before preparation.
+    gets the run's buffer after each stage, pruned as above; it is valid
+    only during the callback.  With ``record_steps`` the run is dense and
+    each stage's input is copied into a frozen snapshot before the stage
+    runs, and the final snapshot is the frozen buffer itself; a recorded
+    run whose states would not fit in physical memory is refused before
+    preparation.
 
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
@@ -405,13 +415,16 @@ def _run(
         buffer = StateBuffer.adopt(buffer)
     unsure = buffer.unsure_zero_parts if isinstance(buffer, SparseBuffer) else (False, False)
     records = [] if record_steps else None
+    applied = 0
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
+            applied += 1
             # only a Hadamard layer grows a support; a controlled op permutes it
             if isinstance(gate, HadamardLayer) and isinstance(buffer, SparseBuffer):
-                if buffer.outgrows(support_growth(layout, gate)):
+                buffer.reads = _reads(circuit, applied)
+                if buffer.outgrows(support_growth(buffer, gate)):
                     buffer = buffer.densify()
             apply_gate(buffer, gate)
         if after_step is not None:
@@ -446,6 +459,16 @@ def _run(
     return Simulation(state, tally, probability, selection, output, amplitude, records)
 
 
+def _reads(circuit: Circuit, applied: int) -> tuple[tuple[int, int], ...] | None:
+    """The outputs that the circuit's ``applied``-th gate, counting from 1,
+    must compute: the accept pattern pulled back through the gates after
+    it, or None, every output, when the circuit discards nothing."""
+    if circuit.accept is None:
+        return None
+    later = tuple(gate for _, gate in circuit.gates()[applied:])
+    return pull_back(circuit.layout, later, circuit.layout.pattern(circuit.accept))
+
+
 def _keeps_zero_signs(circuit: Circuit, state: StateBuffer | SparseBuffer, divided: bool) -> bool:
     """Whether a run's decoded output has the dense run's zero signs, even
     where its support lost a signed zero.
@@ -461,7 +484,7 @@ def _keeps_zero_signs(circuit: Circuit, state: StateBuffer | SparseBuffer, divid
     into +0.0, on both paths.
     """
     targets = sum(
-        support_growth(circuit.layout, gate).bit_length() - 1
+        len(lower(gate, circuit.layout).gates)
         for _, gate in circuit.gates()
         if isinstance(gate, HadamardLayer)
     )

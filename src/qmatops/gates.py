@@ -3,7 +3,7 @@
 Each gate is checked against a layout once, by ``_plan``, which resolves it
 to basis-index bits: the projector's (mask, bits), a flip's target bit, a
 swap's two fields or a Hadamard layer's target bits.  The dense passes, the
-sparse kernels and ``lower`` all read that one cached plan.
+sparse kernels, ``pull_back`` and ``lower`` all read that one cached plan.
 
 Both gate kinds, a ``ControlledOp`` (a flip or register swap on a
 projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes,
@@ -18,8 +18,11 @@ one whole-state butterfly per qubit in the same order, so its result is
 bitwise the same as that.  A run's ``SparseBuffer`` goes through sparse
 kernels instead, which permute its listed indices or combine each listed
 amplitude with its partners, +0.0 where none is listed, by the same
-butterfly.  ``lower`` turns a gate into the X, CNOT, Toffoli, SWAP and H
-``Netlist`` that the gate tally counts.
+butterfly.  The sparse Hadamard kernel computes only the outputs in the
+buffer's ``reads``, the (mask, bits) cubes that ``pull_back`` gives: the
+basis states from which the gates after the layer can reach the run's
+accept pattern.  ``lower`` turns a gate into the X, CNOT, Toffoli, SWAP
+and H ``Netlist`` that the gate tally counts.
 """
 from __future__ import annotations
 
@@ -48,6 +51,9 @@ PIECE = 1 << 12
 # column, so a side whose rows are shorter and that spans more than one
 # piece is cut into columns.
 MIN_ROW = 8
+# A read set (``pull_back``) of more (mask, bits) cubes than this is given
+# up for every output; the routines' read sets hold one or two.
+READ_CUBES = 64
 # Plans of (layout, gate) pairs and primitive counts of (gate, layout)
 # pairs kept for reuse.  Row-add and row-swap condition some ops on the
 # rows k and l, so a process that runs them over many row pairs of a few
@@ -63,6 +69,7 @@ __all__ = [
     "RegisterSwapGate",
     "apply_gate",
     "support_growth",
+    "pull_back",
     "NetworkGate",
     "Netlist",
     "decompose_mcx",
@@ -372,22 +379,24 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
     Hadamard target), and the loop allocates only a fixed-size scratch, two
     arrays of PIECE amplitudes for an exchange and three for a butterfly.
     A ``SparseBuffer`` gets new index and amplitude arrays from the sparse
-    kernels (``_apply_sparse``), which do the same arithmetic on its support.
-    A controlled op only moves amplitudes, so its result is exact; a
-    Hadamard layer's result is bitwise that of whole-state butterflies, one
-    per target in order.  The gate is checked before any amplitude is
-    written, and anything else (a frozen ``StateVector`` or ``SparseBuffer``
-    included) is refused with a ``TypeError``; to apply a gate to a
-    snapshot, wrap a copy of its arrays in a new buffer.
+    kernels (``_apply_sparse``), which do the same arithmetic on its support;
+    a Hadamard layer there computes only the outputs in the buffer's
+    ``reads``.  A controlled op only moves amplitudes, so its result is
+    exact; a Hadamard layer's result is bitwise that of whole-state
+    butterflies, one per target in order.  The gate is checked before any
+    amplitude is written, and anything else (a ``StateVector``, or a
+    buffer that ``freeze`` has made read-only) is refused with a
+    ``TypeError``; to apply a gate to a snapshot, wrap a copy of its arrays
+    in a new buffer.
     """
     refused = "apply_gate changes a StateBuffer or a SparseBuffer in place, not a"
+    if not isinstance(state, (StateBuffer, SparseBuffer)):
+        raise TypeError(f"{refused} {type(state).__name__}")
+    if not state.amplitudes.flags.writeable:
+        raise TypeError(f"{refused} frozen {type(state).__name__}")
     if isinstance(state, SparseBuffer):
-        if not state.amplitudes.flags.writeable:
-            raise TypeError(f"{refused} frozen SparseBuffer")
         _apply_sparse(state, _plan(state.layout, gate))
         return state
-    if not isinstance(state, StateBuffer):
-        raise TypeError(f"{refused} {type(state).__name__}")
     plan = _plan(state.layout, gate)
     combine = _butterfly if plan.butterfly else _exchange
     amplitudes, piece = state.amplitudes, plan.piece
@@ -413,67 +422,150 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
 
 # --- support-sparse kernels ----------------------------------------------------
 
-def support_growth(layout: RegisterLayout, gate: Gate) -> int:
-    """The most times a gate can multiply a support's size: 2 per Hadamard
-    target, 1 for a controlled op, which permutes basis states."""
-    if isinstance(gate, HadamardLayer):
-        return 1 << len(_plan(layout, gate).targets)
-    return 1
+def support_growth(state: SparseBuffer, gate: Gate) -> int:
+    """The most times a gate can multiply the size of a support.
+
+    A controlled op permutes basis states, so 1.  A Hadamard layer gives 2
+    per target; with ``state.reads`` set, the sum over the cubes that some
+    listed index agrees with off the targets of 2 per target the cube
+    leaves free, if that is less, since the kernel computes a group of
+    listed entries only at the outputs such a cube holds.
+    """
+    plan = _plan(state.layout, gate)
+    if not plan.butterfly:
+        return 1
+    growth = 1 << len(plan.targets)
+    if state.reads is None:
+        return growth
+    free = sum(plan.targets)
+    reached = sum(
+        1 << bin(free & ~mask).count("1")
+        for mask, bits in state.reads
+        if _reached(state.indices, [(mask, bits)], free).any()
+    )
+    # with none in reach, the kernel lists one +0.0
+    return min(growth, reached) or 1
 
 
 def _apply_sparse(state: SparseBuffer, plan: _Plan) -> None:
     """A gate on a support: a flip XORs its target bit into the selected
     indices, a swap exchanges two bit fields of them, and a Hadamard layer
-    goes through ``_sparse_hadamard``; the support is then sorted again."""
+    goes through ``_sparse_hadamard``, using up ``state.reads``; the
+    support is then sorted again."""
     indices, amplitudes = state.indices, state.amplitudes
     if plan.butterfly:
-        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan.targets)
+        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan.targets, state.reads)
+        state.reads = None
     else:
         hit = (indices & plan.mask) == plan.bits
         if plan.fields:
-            shift_a, shift_b, field = plan.fields
-            differ = ((indices >> shift_a) ^ (indices >> shift_b)) & field
-            differ *= hit
-            change = (differ << shift_a) | (differ << shift_b)
+            indices = indices ^ _swapped_bits(indices, plan.fields) * hit
         else:
-            change = hit * plan.targets[0]
-        indices = indices ^ change
+            indices = indices ^ hit * plan.targets[0]
     order = np.argsort(indices, kind="stable")
     state.indices, state.amplitudes = indices[order], amplitudes[order]
 
 
-def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[int, ...]):
-    """A Hadamard layer on a support, unsorted.
+def _swapped_bits(values, fields: tuple[int, ...]):
+    """What to XOR into basis indices, or a cube's mask or bits, to exchange
+    a swap's two fields of them."""
+    shift_a, shift_b, field = fields
+    differ = ((values >> shift_a) ^ (values >> shift_b)) & field
+    return (differ << shift_a) | (differ << shift_b)
 
-    The listed indices fall into groups that agree off the target bits.
-    Each group is laid out as a ``(2,) * t`` block, one axis per target in
-    layout order, with +0.0 where nothing is listed, and each target in the
-    layer's order combines the block's halves along its axis with the dense
-    butterfly's operations.  A +0.0 partner gives a lone amplitude what the
-    dense butterfly gives it, and every slot of a group's block is computed,
-    so each stays in the support.
+
+def _reached(indices: np.ndarray, cubes, free: int) -> np.ndarray:
+    """Which indices agree with one of the (mask, bits) cubes off the
+    ``free`` bits."""
+    hit = np.zeros(indices.size, dtype=bool)
+    for mask, bits in cubes:
+        hit |= (indices & (mask & ~free)) == bits & ~free
+    return hit
+
+
+def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[int, ...], reads):
+    """A Hadamard layer on a support, unsorted, computing only the outputs
+    that the ``reads`` cubes hold, or every output when they are None.
+
+    An entry that agrees with no cube off the target bits feeds no read
+    output, so such entries go first.  Then each target in the layer's
+    order pairs the entries that differ only in its bit, +0.0 standing for
+    an absent partner, and combines each pair with the dense butterfly's
+    operations.  Of the two outputs of a pair it keeps those that agree
+    with a cube off the targets still to come: the later targets mix an
+    output only with outputs that agree with it off them, and both inputs
+    of a kept output are kept outputs of the target before.  So every kept
+    output has the dense result's bits, and stays listed, zeros included;
+    without ``reads`` every output is kept.  When no entry is kept, one
+    read output is listed as the +0.0 that every unlisted one holds, so
+    the support is never empty.
     """
-    targets = sorted(bits, reverse=True)
-    keys, group = np.unique(indices & ~sum(bits), return_inverse=True)
-    slots = np.zeros(indices.size, dtype=np.int64)
-    offsets = np.zeros(1 << len(targets), dtype=np.int64)
-    for axis, bit in enumerate(targets):
-        place = len(targets) - 1 - axis
-        slots |= ((indices & bit) != 0) << place
-        offsets |= ((np.arange(offsets.size) >> place) & 1) * bit
-    block = np.zeros((keys.size, offsets.size), dtype=np.complex128)
-    block[group, slots] = amplitudes
-    view = block.reshape((keys.size,) + (2,) * len(targets))
-    total = np.empty(view[(slice(None), 0)].shape, dtype=np.complex128)
+    def kept(indices, amplitudes, free):
+        if reads is None:
+            return indices, amplitudes
+        hit = _reached(indices, reads, free)
+        return indices[hit], amplitudes[hit]
+
+    later = sum(bits)
+    indices, amplitudes = kept(indices, amplitudes, later)
     for bit in bits:
-        axis = 1 + targets.index(bit)
-        upper = view[(slice(None),) * axis + (0,)]
-        lower = view[(slice(None),) * axis + (1,)]
-        np.add(upper, lower, out=total)
+        later &= ~bit
+        keys, slot = np.unique(indices & ~bit, return_inverse=True)
+        halves = np.zeros((2, keys.size), dtype=np.complex128)
+        halves[(indices >> (bit.bit_length() - 1)) & 1, slot] = amplitudes
+        upper, lower = halves
+        total = np.add(upper, lower)
         np.subtract(upper, lower, out=lower)
         np.multiply(lower, _INV_SQRT2, out=lower)
         np.multiply(total, _INV_SQRT2, out=upper)
-    return (keys[:, None] | offsets).reshape(-1), block.reshape(-1)
+        indices, amplitudes = kept(np.concatenate((keys, keys | bit)), halves.reshape(-1), later)
+    if not indices.size:
+        return np.array([reads[0][1]], dtype=np.int64), np.zeros(1, dtype=np.complex128)
+    return indices, amplitudes
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def pull_back(
+    layout: RegisterLayout, gates: tuple[Gate, ...], accept: tuple[int, int]
+) -> tuple[tuple[int, int], ...] | None:
+    """The basis states from which ``gates``, applied in order, can reach
+    one that matches the (mask, bits) pattern ``accept``, as a tuple of
+    (mask, bits) cubes, or None, every basis state, past READ_CUBES cubes.
+
+    The cubes are pulled back from the last gate to the first, each read
+    off the gate's plan.  A controlled op is its own inverse, so it sends
+    into a cube Q the states of Q outside its projector P and the image of
+    Q and P's intersection under its action; each cube Q stays, and that
+    image joins it.  A Hadamard layer mixes only states that agree off its
+    targets, so it frees their bits.  A cube inside another is dropped.
+    """
+    cubes = [accept]
+    for gate in reversed(gates):
+        plan = _plan(layout, gate)
+        if plan.butterfly:
+            free = sum(plan.targets)
+            cubes = [(mask & ~free, bits & ~free) for mask, bits in cubes]
+        else:
+            meets = [
+                (mask | plan.mask, bits | plan.bits)
+                for mask, bits in cubes
+                if not mask & plan.mask & (bits ^ plan.bits)
+            ]
+            if plan.fields:
+                moved = [(m ^ _swapped_bits(m, plan.fields), b ^ _swapped_bits(b, plan.fields)) for m, b in meets]
+            else:
+                moved = [(mask, bits ^ (mask & plan.targets[0])) for mask, bits in meets]
+            cubes += moved
+        cubes = list(dict.fromkeys(cubes))
+        cubes = [inner for inner in cubes if not any(_contains(outer, inner) for outer in cubes if outer != inner)]
+        if len(cubes) > READ_CUBES:
+            return None
+    return tuple(cubes)
+
+
+def _contains(outer: tuple[int, int], inner: tuple[int, int]) -> bool:
+    """Whether every basis state of the cube ``inner`` lies in ``outer``."""
+    return not outer[0] & ~inner[0] and inner[1] & outer[0] == outer[1]
 
 
 # --- Toffoli netlists ----------------------------------------------------

@@ -297,15 +297,20 @@ class SparseBuffer:
     ``unsure_zero_parts`` says, for the real and the imaginary part, whether
     an exact-zero part computed from the support may differ in sign from
     the dense run's, which holds a zero of either sign where the support
-    lists nothing; preparation sets it.  ``apply_gate`` replaces both arrays
-    with the gate's result; ``freeze`` makes them read-only, and the frozen
-    buffer is the run's final state, which ``apply_gate`` refuses.
+    lists nothing; preparation sets it.  ``reads`` is the set of outputs
+    the next Hadamard layer must compute, as (mask, bits) cubes, a basis
+    index s being read iff s & mask == bits for one of them; None means
+    every output.  The layer uses it up, leaving None.  ``apply_gate``
+    replaces both arrays with the gate's result; ``freeze`` makes them
+    read-only, and the frozen buffer is the run's final state, which
+    ``apply_gate`` refuses.
     """
 
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
     unsure_zero_parts: tuple[bool, bool] = (True, True)
+    reads: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
         indices, amplitudes = self.indices, self.amplitudes

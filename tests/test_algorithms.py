@@ -583,11 +583,55 @@ def test_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, routine, shap
 
     monkeypatch.setattr(algorithms, "apply_gate", noted)
     sparse = runner(encoded)
-    # a wide run stays sparse until its last stages, unless its support is
-    # its whole state from the start
+    # a wide run stays sparse to the end, unless its support is its whole
+    # state from the start: a mixing layer computes only what is read of it
     if shape == SPARSE_ROUTINES[routine][1]:
-        assert ("SparseBuffer" in kinds) == (routine != "transpose-square")
+        assert kinds == ({"StateBuffer"} if routine == "transpose-square" else {"SparseBuffer"})
     assert_reports_bitwise(sparse, dense)
+
+
+@pytest.mark.parametrize(
+    "runner, shape",
+    [
+        (lambda m, **kw: run_row_add(m, 3, 1, **kw), (4, 64)),
+        (lambda m, **kw: run_row_swap(m, 1, 0, **kw), (2, 64)),
+    ],
+    ids=["row-add-4-rows", "row-swap-2-rows"],
+)
+def test_narrow_row_ops_stay_sparse_above_the_floor(monkeypatch, runner, shape):
+    # their mixing layer could grow the support past DENSE_SHARE (4 times
+    # 1/16 and 8 times 3/64 of the layout), but the accept pattern reads
+    # one of its outputs in 4 and in 8
+    encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, "plain"))
+    dense = runner(encoded, record_steps=True)
+    assert dense.post_selection.state.layout.size > state_module.SPARSE_FLOOR
+    kinds = set()
+    plain = algorithms.apply_gate
+
+    def noted(state, gate):
+        kinds.add(type(state).__name__)
+        return plain(state, gate)
+
+    monkeypatch.setattr(algorithms, "apply_gate", noted)
+    sparse = runner(encoded)
+    assert kinds == {"SparseBuffer"}
+    assert_reports_bitwise(sparse, dense)
+
+
+def test_trace_at_26_qubits_holds_a_small_share_of_its_state():
+    # the Hadamard sum computes the one amplitude the accept pattern reads,
+    # so the 1 GiB dense state is never allocated
+    encoded = encode_matrix(random_matrix(np.random.default_rng(7), (256, 256)))
+    tracemalloc.start()
+    try:
+        report = run_trace(encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * (16 << 26)
+    reference = oracle_trace(encoded.entries)
+    assert abs(report.recovered_trace - reference.scalar) <= TOL
+    assert abs(report.success_probability - reference.predicted_probability) <= TOL
 
 
 def assert_reports_bitwise(sparse, dense):

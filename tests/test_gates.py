@@ -178,6 +178,18 @@ def test_apply_gate_refuses_a_frozen_sparse_state(gate):
     assert state.indices is indices and state.amplitudes is amplitudes
 
 
+@pytest.mark.parametrize("gate", FROZEN_GATES, ids=FROZEN_IDS)
+def test_apply_gate_refuses_a_frozen_state_buffer(gate):
+    # freeze makes the buffer's own array read-only; the refusal comes
+    # before any write, not as numpy's read-only error
+    buffer = buffer_of(random_state(LAYOUT, 10))
+    before = buffer.amplitudes.tobytes()
+    buffer.freeze()
+    with pytest.raises(TypeError, match="frozen StateBuffer"):
+        apply_gate(buffer, gate)
+    assert buffer.amplitudes.tobytes() == before
+
+
 def test_register_swap_gate_is_a_swap_under_the_empty_projector():
     gate = RegisterSwapGate("R", "C")
     assert isinstance(gate, ControlledOp)
@@ -252,6 +264,101 @@ def random_circuits(draw):
     return RegisterLayout(registers), gates
 
 
+def accept_pattern(data, layout):
+    """A random (mask, bits) pattern over the layout's basis indices."""
+    mask = data.draw(st.integers(0, layout.size - 1))
+    return mask, data.draw(st.integers(0, layout.size - 1)) & mask
+
+
+def in_cubes(layout, cubes):
+    """Which basis indices of the layout lie in one of the (mask, bits) cubes."""
+    states = np.arange(layout.size)
+    return np.logical_or.reduce([(states & mask) == bits for mask, bits in cubes])
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), data=st.data())
+def test_pull_back_holds_every_state_that_reaches_the_accept_pattern(circuit, data):
+    # outside the cubes, the gates applied densely leave exact zeros on the
+    # accepted subspace: no product of their matrix entries links the two
+    layout, gate_list = circuit
+    accept = accept_pattern(data, layout)
+    cubes = gates.pull_back(layout, tuple(gate_list), accept)
+    # six gates at most double one cube six times, within READ_CUBES
+    assert cubes is not None
+    unitary = np.eye(layout.size, dtype=complex)
+    for gate in gate_list:
+        unitary = dense_unitary_of(gate, layout) @ unitary
+    accepted, read = in_cubes(layout, [accept]), in_cubes(layout, cubes)
+    assert np.all(unitary[np.ix_(accepted, ~read)] == 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuit=random_circuits(), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_hadamard_computes_the_outputs_it_is_given_bitwise(circuit, data, seed):
+    # each Hadamard layer computes only the outputs that the gates after it
+    # can carry into the accept pattern; after every gate, the states the
+    # rest can carry there hold the dense bits, +0.0 where the support lists
+    # nothing, and after the last gate those are the accepted subspace
+    layout, gate_list = circuit
+    accept = accept_pattern(data, layout)
+    sparse = random_support(layout, seed)
+    dense = sparse.densify()
+    for position, gate in enumerate(gate_list):
+        live = gates.pull_back(layout, tuple(gate_list[position + 1 :]), accept)
+        if isinstance(gate, HadamardLayer):
+            sparse.reads = live
+        bound = sparse.indices.size * support_growth(sparse, gate)
+        apply_gate(sparse, gate)
+        apply_gate(dense, gate)
+        assert sparse.reads is None
+        assert np.all(np.diff(sparse.indices) > 0) and sparse.indices.size <= bound
+        read = in_cubes(layout, live)
+        assert sparse.densify().amplitudes[read].tobytes() == dense.amplitudes[read].tobytes()
+    assert live == (accept,)
+
+
+def test_sparse_hadamard_keeps_the_half_its_cubes_fix():
+    # |000> and |100> read along A: only A = 0 is read, so only their sum is
+    # computed; |011> agrees with no cube off the target and is dropped
+    layout = RegisterLayout((("A", 1), ("B", 2)))
+    state = SparseBuffer(layout, np.array([0b000, 0b011, 0b100]), np.array([0.5, 1.0, 0.25], dtype=complex))
+    mask, bits = layout.pattern({"A": 0, "B": 0})
+    state.reads = ((mask, bits),)
+    assert support_growth(state, HadamardLayer(("A",))) == 1
+    apply_gate(state, HadamardLayer(("A",)))
+    assert state.indices.tolist() == [0b000]
+    assert state.amplitudes.tolist() == [(0.5 + 0.25) / math.sqrt(2)]
+    assert state.reads is None
+    # with no listed entry in reach, one read output is listed as +0.0
+    state.reads = ((mask, bits | 0b001),)
+    assert support_growth(state, HadamardLayer(("A",))) == 1
+    apply_gate(state, HadamardLayer(("A",)))
+    assert state.indices.tolist() == [0b001]
+    assert state.amplitudes.tobytes() == np.zeros(1, dtype=complex).tobytes()
+
+
+def test_pull_back_of_the_trace_circuit():
+    # the remark flip after trace's Hadamard sum: B2 = 1 reads either an
+    # accepted state itself or R = C = A = 0, B1 = 1 and B2 = 0, which the
+    # flip sends there
+    circuit = trace_circuit(2)
+    layout = circuit.layout
+    after_sum = tuple(gate for label, gate in circuit.gates() if label == "step5-remark-useful")
+    cubes = gates.pull_back(layout, after_sum, layout.pattern(circuit.accept))
+    assert cubes == (layout.pattern({"B2": 1}), layout.pattern({"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 0}))
+    # a later Hadamard layer frees its targets
+    assert gates.pull_back(layout, (HadamardLayer(("B2",)),), layout.pattern(circuit.accept)) == ((0, 0),)
+
+
+def test_pull_back_past_read_cubes_reads_every_state():
+    # each unconditional flip of a fixed qubit doubles the cubes
+    layout = RegisterLayout((("Q", 7),))
+    flips = tuple(ControlledOp(Projector(), FlipQubit("Q", q)) for q in range(7))
+    assert len(gates.pull_back(layout, flips[:6], (127, 0))) == gates.READ_CUBES
+    assert gates.pull_back(layout, flips, (127, 0)) is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
 def test_gate_application_matches_dense_unitaries(circuit, seed):
@@ -316,8 +423,8 @@ def test_sparse_hadamard_keeps_every_computed_amplitude():
     c = 1 / math.sqrt(2)
     assert state.indices.tolist() == [0b000, 0b001, 0b100, 0b101]
     assert state.amplitudes.tolist() == [(0.5 + 0.5) * c, (1.0 + 0.0) * c, 0.0, (1.0 - 0.0) * c]
-    assert support_growth(layout, HadamardLayer(("A", "B"))) == 8
-    assert support_growth(layout, ControlledOp(Projector(), FlipQubit("B", 0))) == 1
+    assert support_growth(state, HadamardLayer(("A", "B"))) == 8
+    assert support_growth(state, ControlledOp(Projector(), FlipQubit("B", 0))) == 1
 
 
 @pytest.mark.parametrize("gate", UNRUNNABLE_GATES, ids=UNRUNNABLE_IDS)
