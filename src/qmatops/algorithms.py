@@ -28,6 +28,7 @@ from .gates import (
     SwapRegisters,
     apply_gate,
     lower,
+    moved_bits,
     pull_back,
     support_growth,
     tally_gates,
@@ -50,6 +51,7 @@ from .state import (
     require_dense_width,
     supported_on,
 )
+from . import state as state_module  # for SPARSE_FLOOR and DENSE_SHARE as they are at a call
 
 __all__ = [
     "StepState",
@@ -145,21 +147,49 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _require_room_for_records(circuit: Circuit) -> None:
-    """Refuse a recorded run whose states would not fit in physical memory,
-    before anything is allocated: one snapshot per step, the final state
-    and, when the circuit post-selects, the renormalized state."""
+def _plan_run(circuit: Circuit, record_steps: bool) -> tuple | None:
+    """How ``simulate`` holds a run, from the circuit alone before anything
+    is allocated: None if dense, else each gate's read cubes, None but for a
+    Hadamard layer's (``gates.pull_back`` of the accept pattern after it).
+
+    It refuses a circuit with neither an accept pattern nor a decode, a
+    layout beyond the qubit cap, and a recorded run whose states (a
+    snapshot per step, the final state and the renormalized one) would not
+    fit in physical memory.  Recorded runs and layouts of at most
+    ``state.SPARSE_FLOOR`` amplitudes are dense; any other run is sparse
+    when its support stays within ``state.DENSE_SHARE`` of the layout: the
+    matrix table's size times each ancilla table's listed entries and each
+    Hadamard layer's ``gates.support_growth``, where a cube that needs a 1
+    in a register that is still |0>, no gate having moved it, reads nothing.
+    """
     layout = circuit.layout
-    # a layout beyond the qubit cap gets the cap's error, as unrecorded runs do
-    require_dense_width(layout)
-    states = len(circuit.steps) + 1 + (circuit.accept is not None)
-    state_bytes = layout.size * np.dtype(np.complex128).itemsize
-    physical = _physical_memory()
-    if states * state_bytes > physical:
-        raise ValueError(
-            f"a recorded run of {layout.total_qubits} qubits keeps {states} states of {state_bytes} B, "
-            f"{states * state_bytes} B in all, more than the {physical} B of physical memory"
-        )
+    if circuit.accept is None and circuit.decode is None:
+        raise ValueError("a circuit that discards nothing needs a decode pattern to report its share")
+    require_dense_width(layout)  # so a recorded run past the cap gets the cap's error, as others do
+    if record_steps:
+        states = len(circuit.steps) + 1 + (circuit.accept is not None)
+        state_bytes = layout.size * np.dtype(np.complex128).itemsize
+        if states * state_bytes > (physical := _physical_memory()):
+            raise ValueError(
+                f"a recorded run of {layout.total_qubits} qubits keeps {states} states of {state_bytes} B, "
+                f"{states * state_bytes} B in all, more than the {physical} B of physical memory"
+            )
+    if record_steps or layout.size <= state_module.SPARSE_FLOOR:
+        return None
+    support = 1 << sum(layout.width(name) for name in circuit.matrix_registers)
+    support *= math.prod(len(ancilla.listed()) for _, ancilla in circuit.ancillas)
+    loaded = [*circuit.matrix_registers, *(name for names, _ in circuit.ancillas for name in names)]
+    zeros = layout.size - 1 - sum(layout.field_mask(name) for name in loaded)
+    gates = tuple(gate for _, gate in circuit.gates())
+    reads = [None] * len(gates)
+    for position, gate in enumerate(gates):
+        # only a Hadamard layer grows a support; a controlled op permutes it
+        if isinstance(gate, HadamardLayer):
+            if circuit.accept is not None:
+                reads[position] = pull_back(layout, gates[position + 1 :], layout.pattern(circuit.accept))
+            support *= support_growth(layout, gate, reads[position], zeros)
+        zeros &= ~moved_bits(layout, gate)
+    return tuple(reads) if support <= state_module.DENSE_SHARE * layout.size else None
 
 
 # --- circuit builders ----------------------------------------------------------
@@ -312,7 +342,7 @@ class Simulation:
     """One simulated circuit run, before the routine's closed form is added.
 
     ``state`` is the final state before post-selection, sparse when the run
-    stayed sparse; a sparse run's Hadamard layers compute only what the
+    was planned sparse; a sparse run's Hadamard layers compute only what the
     accept pattern reads, so its state is exact only on the accepted
     subspace.  ``output`` is the decoded matrix, or None when nothing was
     accepted or the circuit has no matrix output; ``amplitude`` is the
@@ -358,38 +388,32 @@ def simulate(
 
     Prepares the product state, applies the steps, tallies the gates,
     post-selects on the accept pattern, decodes the output and, when
-    ``read`` names a basis state, reads its final amplitude.  A run without
-    ``record_steps`` holds its support, a ``SparseBuffer``, while that
-    stays within ``state.DENSE_SHARE`` of a layout of more than
-    ``state.SPARSE_FLOOR`` amplitudes; when the preparation or the next gate
-    may take it past that share, the run goes on with the support copied
-    into a ``StateBuffer``, once.  Before a Hadamard layer on the support,
-    the accept pattern is pulled back through the gates after the layer
-    (``gates.pull_back``) into the buffer's ``reads``, and the layer
-    computes only those outputs; the final state is then exact only on the
-    accepted subspace, which is all that post-selection, decoding and a
-    read amplitude look at.  When its decoded output or read amplitude
-    has an exact-zero part whose sign the support may not carry, the run is
-    done again densely, after the sparse one is released, so reports are
-    bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
-    prepared array itself, that every gate changes in place.  ``after_step``
-    gets the run's buffer after each stage, pruned as above; it is valid
-    only during the callback.  With ``record_steps`` the run is dense and
-    each stage's input is copied into a frozen snapshot before the stage
-    runs, and the final snapshot is the frozen buffer itself; a recorded
-    run whose states would not fit in physical memory is refused before
-    preparation.
+    ``read`` names a basis state, reads its final amplitude.  ``_plan_run``
+    first refuses, or plans how to hold, the run from the circuit alone.  A
+    sparse run holds its support, a ``SparseBuffer``, to the end; each
+    Hadamard layer on it computes only the outputs its planned cubes read,
+    the accept pattern pulled back through the gates after it.  So the
+    final state is exact only on the accepted subspace, which is all that
+    post-selection, decoding and a read amplitude look at.  When its
+    decoded output or read amplitude has an exact-zero part whose sign the
+    support may not carry, the run is done again densely, after the sparse
+    one is released, so reports are bitwise the dense run's.  A dense run
+    owns one ``StateBuffer``, the prepared array itself, that every gate
+    changes in place.  ``after_step`` gets the run's buffer after each
+    stage, pruned as above; it is valid only during the callback.  With
+    ``record_steps`` the run is dense and each stage's input is copied into
+    a frozen snapshot before the stage runs, and the final snapshot is the
+    frozen buffer itself.
 
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
     """
-    if record_steps:
-        _require_room_for_records(circuit)
-    else:
-        run = _run(circuit, entries, False, after_step, read, sparse=True)
+    reads = _plan_run(circuit, record_steps)
+    if reads is not None:
+        run = _run(circuit, entries, False, after_step, read, reads)
         if run is not None:
             return run
-    return _run(circuit, entries, record_steps, after_step, read, sparse=False)
+    return _run(circuit, entries, record_steps, after_step, read, None)
 
 
 def _run(
@@ -398,11 +422,11 @@ def _run(
     record_steps: bool,
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
     read: Mapping[str, int] | None,
-    sparse: bool,
+    reads: tuple | None,
 ) -> Simulation | None:
-    """One run of ``simulate``; a sparse one gives None, and drops its state,
-    when a zero part of its read-out may differ in sign from the dense
-    run's."""
+    """One run of ``simulate``, sparse given the plan's ``reads``, else dense;
+    a sparse one gives None, and drops its state, when a zero part of its
+    read-out may differ in sign from the dense run's."""
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
@@ -410,22 +434,18 @@ def _run(
         [(circuit.matrix_registers, entries.ravel())],
         ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
     )
-    buffer = prepare_product_state(layout, parts, sparse=sparse)
+    buffer = prepare_product_state(layout, parts, sparse=reads is not None)
     if isinstance(buffer, StateVector):
         buffer = StateBuffer.adopt(buffer)
     unsure = buffer.unsure_zero_parts if isinstance(buffer, SparseBuffer) else (False, False)
     records = [] if record_steps else None
-    applied = 0
+    planned = iter(reads or ())
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
-            applied += 1
-            # only a Hadamard layer grows a support; a controlled op permutes it
-            if isinstance(gate, HadamardLayer) and isinstance(buffer, SparseBuffer):
-                buffer.reads = _reads(circuit, applied)
-                if buffer.outgrows(support_growth(buffer, gate)):
-                    buffer = buffer.densify()
+            if reads is not None:
+                buffer.reads = next(planned)
             apply_gate(buffer, gate)
         if after_step is not None:
             after_step(label, buffer)
@@ -449,7 +469,7 @@ def _run(
     amplitude = None if read is None else state.amplitude(read)
     if any(unsure):
         doubtful = [amplitude]
-        if not _keeps_zero_signs(circuit, state, divided=selected_mass is not None):
+        if output is not None and not _keeps_zero_signs(circuit, state, divided=selected_mass is not None):
             doubtful.append(output)
         for value in (v for v in doubtful if v is not None):
             for doubt, part in zip(unsure, ("real", "imag")):
@@ -459,17 +479,7 @@ def _run(
     return Simulation(state, tally, probability, selection, output, amplitude, records)
 
 
-def _reads(circuit: Circuit, applied: int) -> tuple[tuple[int, int], ...] | None:
-    """The outputs that the circuit's ``applied``-th gate, counting from 1,
-    must compute: the accept pattern pulled back through the gates after
-    it, or None, every output, when the circuit discards nothing."""
-    if circuit.accept is None:
-        return None
-    later = tuple(gate for _, gate in circuit.gates()[applied:])
-    return pull_back(circuit.layout, later, circuit.layout.pattern(circuit.accept))
-
-
-def _keeps_zero_signs(circuit: Circuit, state: StateBuffer | SparseBuffer, divided: bool) -> bool:
+def _keeps_zero_signs(circuit: Circuit, state: SparseBuffer, divided: bool) -> bool:
     """Whether a run's decoded output has the dense run's zero signs, even
     where its support lost a signed zero.
 
@@ -489,7 +499,7 @@ def _keeps_zero_signs(circuit: Circuit, state: StateBuffer | SparseBuffer, divid
         if isinstance(gate, HadamardLayer)
     )
     if targets == 0:
-        return isinstance(state, SparseBuffer) and state.lists(circuit.decode[2])
+        return state.lists(circuit.decode[2])
     return targets >= 2 and divided
 
 
@@ -591,7 +601,7 @@ def run_transpose_square(matrix: EncodedMatrix, record_steps: bool = False) -> R
     """
     side = max(matrix.rows, matrix.cols)
     circuit = transpose_square_circuit(side.bit_length() - 1)
-    require_dense_width(circuit.layout)  # before the padded square, as large as the state
+    _plan_run(circuit, record_steps)  # before the padded square, as large as the state
     square = np.zeros((side, side), dtype=np.complex128)
     square[: matrix.rows, : matrix.cols] = matrix.entries
     run = simulate(circuit, square, record_steps)

@@ -69,6 +69,7 @@ __all__ = [
     "RegisterSwapGate",
     "apply_gate",
     "support_growth",
+    "moved_bits",
     "pull_back",
     "NetworkGate",
     "Netlist",
@@ -422,29 +423,32 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
 
 # --- support-sparse kernels ----------------------------------------------------
 
-def support_growth(state: SparseBuffer, gate: Gate) -> int:
-    """The most times a gate can multiply the size of a support.
-
-    A controlled op permutes basis states, so 1.  A Hadamard layer gives 2
-    per target; with ``state.reads`` set, the sum over the cubes that some
-    listed index agrees with off the targets of 2 per target the cube
-    leaves free, if that is less, since the kernel computes a group of
-    listed entries only at the outputs such a cube holds.
+def support_growth(layout: RegisterLayout, gate: Gate, reads=None, zeros: int = 0) -> int:
+    """The most times a gate can multiply the size of a support, from the
+    circuit alone.  A controlled op permutes basis states, so 1.  A Hadamard
+    layer gives 2 per target; with ``reads``, the cubes its sparse kernel
+    computes (``pull_back``), the sum over them of 2 per target the cube
+    leaves free, if that is less.  A cube that fixes to 1, off the targets,
+    one of the ``zeros`` bits, which every state the layer meets holds at
+    0, agrees with no listed entry, so the kernel computes none of it.
     """
-    plan = _plan(state.layout, gate)
+    plan = _plan(layout, gate)
     if not plan.butterfly:
         return 1
     growth = 1 << len(plan.targets)
-    if state.reads is None:
+    if reads is None:
         return growth
     free = sum(plan.targets)
-    reached = sum(
-        1 << bin(free & ~mask).count("1")
-        for mask, bits in state.reads
-        if _reached(state.indices, [(mask, bits)], free).any()
-    )
+    reached = sum(1 << bin(free & ~mask).count("1") for mask, bits in reads if not bits & zeros & ~free)
     # with none in reach, the kernel lists one +0.0
     return min(growth, reached) or 1
+
+
+def moved_bits(layout: RegisterLayout, gate: Gate) -> int:
+    """The bits a gate may change: a flip's or Hadamard layer's targets, a swap's fields."""
+    plan = _plan(layout, gate)
+    shift_a, shift_b, field = plan.fields or (0, 0, 0)
+    return sum(plan.targets) | field << shift_a | field << shift_b
 
 
 def _apply_sparse(state: SparseBuffer, plan: _Plan) -> None:
@@ -474,15 +478,6 @@ def _swapped_bits(values, fields: tuple[int, ...]):
     return (differ << shift_a) | (differ << shift_b)
 
 
-def _reached(indices: np.ndarray, cubes, free: int) -> np.ndarray:
-    """Which indices agree with one of the (mask, bits) cubes off the
-    ``free`` bits."""
-    hit = np.zeros(indices.size, dtype=bool)
-    for mask, bits in cubes:
-        hit |= (indices & (mask & ~free)) == bits & ~free
-    return hit
-
-
 def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[int, ...], reads):
     """A Hadamard layer on a support, unsorted, computing only the outputs
     that the ``reads`` cubes hold, or every output when they are None.
@@ -503,7 +498,9 @@ def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[in
     def kept(indices, amplitudes, free):
         if reads is None:
             return indices, amplitudes
-        hit = _reached(indices, reads, free)
+        hit = np.zeros(indices.size, dtype=bool)
+        for mask, bits in reads:
+            hit |= (indices & (mask & ~free)) == bits & ~free
         return indices[hit], amplitudes[hit]
 
     later = sum(bits)

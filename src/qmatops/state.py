@@ -49,10 +49,9 @@ MASS_ROWS = 1 << 9
 # so the partial products of a block stay in L2 cache
 PREPARE_BLOCK = 1 << 15
 
-# A sparse run holds at most this share of its layout's amplitudes; a support
-# that a preparation or the next gate may take past it is copied into a dense
-# buffer once.  The copy holds the support (24 B an amplitude) next to the
-# dense state (16 B), so it peaks under 1 + 1.5 / 8 = 1.19x the state.
+# A run is sparse only when its circuit bounds its support within this share
+# of its layout's amplitudes at every stage (algorithms._plan_run); any other
+# is dense from preparation on, so no run holds a support and a dense copy
 DENSE_SHARE = 1 / 8
 
 # A layout of at most this many amplitudes (64 KiB) runs dense from the start:
@@ -349,10 +348,6 @@ class SparseBuffer:
         mask, hit = _selected(self, values)
         return np.count_nonzero(hit) == self.layout.size >> bin(mask).count("1")
 
-    def outgrows(self, growth: int) -> bool:
-        """Whether ``growth`` times the support passes DENSE_SHARE of the layout."""
-        return self.indices.size * growth > DENSE_SHARE * self.layout.size
-
     def densify(self) -> StateBuffer:
         """The state as a dense buffer: the support in place, +0.0 elsewhere."""
         amplitudes = np.zeros(self.layout.size, dtype=np.complex128)
@@ -498,17 +493,18 @@ class AncillaVector:
         if self.k == self.l:
             raise ValueError("row indices k and l must be distinct")
 
-    def amplitudes(self) -> np.ndarray:
+    def listed(self) -> tuple[int, ...]:
+        """The indices of the table's nonzero entries, which share one weight."""
         n = self.num_row_qubits
         if self.kind == "row-add":
-            vec = np.zeros(1 << n, dtype=np.complex128)
-            vec[self.k] = vec[self.l] = 1.0 / math.sqrt(2.0)
-        else:
-            vec = np.zeros(1 << (2 * n), dtype=np.complex128)
-            weight = 1.0 / math.sqrt(3.0)
-            vec[(self.l << n) | self.k] = weight
-            vec[(self.k << n) | self.k] = weight
-            vec[(self.l << n) | self.l] = weight
+            return (self.k, self.l)
+        return ((self.l << n) | self.k, (self.k << n) | self.k, (self.l << n) | self.l)
+
+    def amplitudes(self) -> np.ndarray:
+        listed = self.listed()
+        width = self.num_row_qubits * (2 if self.kind == "row-swap" else 1)
+        vec = np.zeros(1 << width, dtype=np.complex128)
+        vec[list(listed)] = 1.0 / math.sqrt(len(listed))
         return vec
 
 
@@ -541,15 +537,14 @@ def prepare_product_state(
 
     With ``sparse`` the product is a ``SparseBuffer`` over the first part's
     whole table, zeros and their signs included, and the nonzero entries of
-    every other table, unless the layout has at most SPARSE_FLOOR amplitudes
-    or that support passes DENSE_SHARE of it; each listed amplitude has the
-    dense product's bytes.
+    every other table, however many (a run's circuit decides whether it is
+    sparse, ``algorithms._plan_run``); each listed amplitude has the dense
+    product's bytes.
     """
     require_dense_width(layout)
     names = list(layout.names)
     spans: list[tuple[int, int, np.ndarray]] = []
     covered: set[int] = set()
-    support = 1
     for part_names, table in parts:
         part_names = [str(n) for n in part_names]
         if not part_names:
@@ -577,12 +572,9 @@ def prepare_product_state(
         norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > PART_NORM_TOL:
             raise ValueError(f"part over {part_names} has norm {norm!r}, expected 1")
-        # a sparse product lists the first table whole and the others' nonzero entries
-        support *= np.count_nonzero(arr) if spans else arr.size
         spans.append((start, len(part_names), arr))
 
     whole = spans[0][2] if spans else None
-    spans.sort(key=lambda s: s[0])
     factors: list[np.ndarray] = []
     pos = 0
     span_at = {start: (count, arr) for start, count, arr in spans}
@@ -596,7 +588,8 @@ def prepare_product_state(
             ground[0] = 1.0
             factors.append(ground)
             pos += 1
-    if sparse and SPARSE_FLOOR < layout.size and support <= DENSE_SHARE * layout.size:
+    if sparse:
+        # a sparse product lists the first table whole and the others' nonzero entries
         listed = [np.arange(f.size) if f is whole else np.flatnonzero(f) for f in factors]
         return _prepare_support(layout, factors, listed)
     leading, rest = factors[0], factors[1:]

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 from functools import partial
@@ -9,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmatops import (
+    ControlledOp,
+    FlipQubit,
+    HadamardLayer,
+    Projector,
     RegisterLayout,
     StateVector,
     encode_matrix,
@@ -25,7 +30,13 @@ from qmatops import (
     run_transpose_square,
 )
 from qmatops import algorithms
-from qmatops.algorithms import row_add_circuit, row_swap_circuit, trace_circuit
+from qmatops.algorithms import (
+    row_add_circuit,
+    row_swap_circuit,
+    trace_circuit,
+    transpose_circuit,
+    transpose_square_circuit,
+)
 from qmatops import state as state_module
 from qmatops.state import DENSE_SHARE, EncodedMatrix, SparseBuffer, occupied_states, qubit_index, qubit_view
 from qmatops.golden import (
@@ -618,6 +629,89 @@ def test_narrow_row_ops_stay_sparse_above_the_floor(monkeypatch, runner, shape):
     assert_reports_bitwise(sparse, dense)
 
 
+def planned_circuits():
+    """Every routine's circuit at each shape of at most MAX_QUBITS, the
+    sparse floor's layout and those below it included."""
+    for n, m in itertools.product(range(1, 25), repeat=2):
+        yield "row-add", row_add_circuit(n, m, 0, 1)
+        yield "row-swap", row_swap_circuit(n, m, 0, 1)
+        yield "transpose", transpose_circuit(n, m)
+        if n == m:
+            yield "trace", trace_circuit(n)
+            yield "transpose-square", transpose_square_circuit(n)
+
+
+@pytest.mark.parametrize("record_steps", [False, True])
+def test_run_plan_holds_each_routine_as_it_always_has(monkeypatch, record_steps):
+    # the plan reads the circuit alone, so it is cheap at any width.  Row-add,
+    # row-swap and trace read outputs with every mixing target fixed, and
+    # trace's other read cube needs B2 = 1 where B2 is still |0>, so they
+    # stay sparse; transpose holds a 2^-m share of its layout; transpose-square's
+    # matrix fills its whole layout
+    monkeypatch.setattr(algorithms, "_physical_memory", lambda: 1 << 60)
+    seen = set()
+    for routine, circuit in planned_circuits():
+        layout = circuit.layout
+        if layout.total_qubits > state_module.MAX_QUBITS:
+            continue
+        above_floor = layout.size > state_module.SPARSE_FLOOR
+        expected = above_floor and not record_steps and (
+            routine in ("row-add", "row-swap", "trace")
+            or routine == "transpose" and layout.width("C") >= 3
+        )
+        assert (algorithms._plan_run(circuit, record_steps) is not None) == expected, (routine, layout)
+        seen.add((routine, above_floor, layout.total_qubits == state_module.MAX_QUBITS))
+    assert len(seen) == 15
+
+
+def test_a_circuit_that_discards_nothing_needs_a_decode(monkeypatch):
+    # its report is the share of its decoded subspace, so without a decode
+    # it is refused before preparation
+    layout = RegisterLayout((("R", 1), ("C", 1), ("B", 3)))
+    entries = encode_matrix(random_matrix(np.random.default_rng(42), (2, 2))).entries
+    flip = algorithms._plain_step("flip", ControlledOp(Projector(register_values=(("R", 1),)), FlipQubit("B", 0)))
+    undecoded = algorithms.Circuit(layout, ("R", "C"), (), (flip,), None, None)
+    plain = algorithms.prepare_product_state
+    monkeypatch.setattr(algorithms, "prepare_product_state", None)
+    with pytest.raises(ValueError, match="discards nothing needs a decode"):
+        algorithms.simulate(undecoded, entries)
+    # one that post-selects reports its selected mass, decoded or not, and a
+    # sparse run of it with no Hadamard layer reads no decode for zero signs
+    monkeypatch.setattr(algorithms, "prepare_product_state", plain)
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    selected = algorithms.simulate(dataclasses.replace(undecoded, accept={"B": 0}), entries)
+    assert isinstance(selected.state, SparseBuffer) and selected.output is None
+    assert selected.probability == pytest.approx(np.sum(np.abs(entries[0]) ** 2))
+
+
+def test_a_run_whose_mixing_may_outgrow_the_share_is_dense_from_preparation(monkeypatch):
+    # the prepared support, 2^14 of 2^17 amplitudes, is the share itself, but
+    # an unread Hadamard layer on H may multiply it by 8; so the whole run is
+    # dense, and nothing is copied from a support into a dense buffer
+    layout = RegisterLayout((("R", 7), ("C", 7), ("H", 3)))
+    mix = HadamardLayer(("H",))
+    steps = (algorithms._plain_step("mix", mix), algorithms._plain_step("unmix", mix))
+    circuit = algorithms.Circuit(layout, ("R", "C"), (), steps, None, ("R", "C", {"H": 0}))
+    prepared, kinds = [], set()
+    plain_prepare, plain_apply = algorithms.prepare_product_state, algorithms.apply_gate
+
+    def noted_prepare(layout, parts, sparse=False):
+        prepared.append(sparse)
+        return plain_prepare(layout, parts, sparse=sparse)
+
+    def noted_apply(state, gate):
+        kinds.add(type(state).__name__)
+        return plain_apply(state, gate)
+
+    monkeypatch.setattr(algorithms, "prepare_product_state", noted_prepare)
+    monkeypatch.setattr(algorithms, "apply_gate", noted_apply)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(43), (128, 128)))
+    run = algorithms.simulate(circuit, encoded.entries)
+    assert prepared == [False] and kinds == {"StateBuffer"}
+    recorded = algorithms.simulate(circuit, encoded.entries, record_steps=True)
+    assert_reports_bitwise(run.report("mix", 1.0, encoded), recorded.report("mix", 1.0, encoded))
+
+
 def test_trace_at_26_qubits_holds_a_small_share_of_its_state():
     # the Hadamard sum computes the one amplitude the accept pattern reads,
     # so the 1 GiB dense state is never allocated
@@ -666,8 +760,8 @@ def negative_row_k(rng, shape):
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_outputs_keep_zero_signs_without_a_second_run(monkeypatch, seed):
     # hand-built matrices whose parts are signed zeros, +-1, +-0.5 and
-    # subnormals: the sparse decoded outputs are bitwise the dense ones
-    # with no dense run behind them
+    # subnormals: the decoded outputs are bitwise the recorded runs' after
+    # a single preparation, so with no dense rerun behind them
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     prepared = []
     plain = algorithms.prepare_product_state
@@ -690,7 +784,7 @@ def test_sparse_outputs_keep_zero_signs_without_a_second_run(monkeypatch, seed):
         for runner in (partial(run_row_add, k=k, l=l), partial(run_row_swap, k=k, l=l), run_transpose):
             prepared.clear()
             sparse = runner(encoded)
-            assert prepared == [True]
+            assert len(prepared) == 1
             assert_reports_bitwise(sparse, runner(encoded, record_steps=True))
 
 

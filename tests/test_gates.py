@@ -308,7 +308,7 @@ def test_sparse_hadamard_computes_the_outputs_it_is_given_bitwise(circuit, data,
         live = gates.pull_back(layout, tuple(gate_list[position + 1 :]), accept)
         if isinstance(gate, HadamardLayer):
             sparse.reads = live
-        bound = sparse.indices.size * support_growth(sparse, gate)
+        bound = sparse.indices.size * support_growth(layout, gate, sparse.reads)
         apply_gate(sparse, gate)
         apply_gate(dense, gate)
         assert sparse.reads is None
@@ -325,14 +325,14 @@ def test_sparse_hadamard_keeps_the_half_its_cubes_fix():
     state = SparseBuffer(layout, np.array([0b000, 0b011, 0b100]), np.array([0.5, 1.0, 0.25], dtype=complex))
     mask, bits = layout.pattern({"A": 0, "B": 0})
     state.reads = ((mask, bits),)
-    assert support_growth(state, HadamardLayer(("A",))) == 1
+    assert support_growth(layout, HadamardLayer(("A",)), state.reads) == 1
     apply_gate(state, HadamardLayer(("A",)))
     assert state.indices.tolist() == [0b000]
     assert state.amplitudes.tolist() == [(0.5 + 0.25) / math.sqrt(2)]
     assert state.reads is None
     # with no listed entry in reach, one read output is listed as +0.0
     state.reads = ((mask, bits | 0b001),)
-    assert support_growth(state, HadamardLayer(("A",))) == 1
+    assert support_growth(layout, HadamardLayer(("A",)), state.reads) == 1
     apply_gate(state, HadamardLayer(("A",)))
     assert state.indices.tolist() == [0b001]
     assert state.amplitudes.tobytes() == np.zeros(1, dtype=complex).tobytes()
@@ -349,6 +349,25 @@ def test_pull_back_of_the_trace_circuit():
     assert cubes == (layout.pattern({"B2": 1}), layout.pattern({"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 0}))
     # a later Hadamard layer frees its targets
     assert gates.pull_back(layout, (HadamardLayer(("B2",)),), layout.pattern(circuit.accept)) == ((0, 0),)
+
+
+def test_support_growth_skips_a_cube_that_needs_a_one_where_every_state_holds_zero():
+    # trace's Hadamard sum: the cube B2 = 1 leaves R, C and A free, but B2
+    # starts in |0> and no gate before the sum moves it; the other cube
+    # fixes all of them
+    circuit = trace_circuit(2)
+    layout = circuit.layout
+    listed = [gate for _, gate in circuit.gates()]
+    at = next(i for i, gate in enumerate(listed) if isinstance(gate, HadamardLayer))
+    cubes = gates.pull_back(layout, tuple(listed[at + 1 :]), layout.pattern(circuit.accept))
+    b1, b2 = layout.field_mask("B1"), layout.field_mask("B2")
+    assert support_growth(layout, listed[at], cubes) == 1 << 6
+    assert support_growth(layout, listed[at], cubes, zeros=b2) == 1
+    # a zero bit that the layer targets is mixed, so it skips no cube
+    assert support_growth(layout, HadamardLayer(("B1", "B2")), (layout.pattern({"B2": 1}),), zeros=b2) == 2
+    assert gates.moved_bits(layout, listed[at]) == sum(layout.field_mask(name) for name in ("R", "C", "A"))
+    assert gates.moved_bits(layout, listed[at - 1]) == b1
+    assert gates.moved_bits(layout, RegisterSwapGate("R", "C")) == layout.field_mask("R") | layout.field_mask("C")
 
 
 def test_pull_back_past_read_cubes_reads_every_state():
@@ -423,8 +442,8 @@ def test_sparse_hadamard_keeps_every_computed_amplitude():
     c = 1 / math.sqrt(2)
     assert state.indices.tolist() == [0b000, 0b001, 0b100, 0b101]
     assert state.amplitudes.tolist() == [(0.5 + 0.5) * c, (1.0 + 0.0) * c, 0.0, (1.0 - 0.0) * c]
-    assert support_growth(state, HadamardLayer(("A", "B"))) == 8
-    assert support_growth(state, ControlledOp(Projector(), FlipQubit("B", 0))) == 1
+    assert support_growth(layout, HadamardLayer(("A", "B"))) == 8
+    assert support_growth(layout, ControlledOp(Projector(), FlipQubit("B", 0))) == 1
 
 
 @pytest.mark.parametrize("gate", UNRUNNABLE_GATES, ids=UNRUNNABLE_IDS)

@@ -18,6 +18,7 @@ from qmatops import (
     encode_matrix,
     prepare_product_state,
 )
+from qmatops import algorithms
 from qmatops import state as state_module
 from qmatops.state import (
     SparseBuffer,
@@ -360,23 +361,33 @@ def test_sparse_prepare_is_bitwise_the_kron_fold_on_its_support(monkeypatch, nam
     assert not np.any(reference[unlisted])
 
 
+def held_sparse(ground_qubits):
+    """Whether a run is planned sparse when it holds a 2x2 matrix next to a
+    register of ``ground_qubits`` in |0>, under no gate."""
+    layout = RegisterLayout((("R", 1), ("C", 1), ("B", ground_qubits)))
+    circuit = algorithms.Circuit(layout, ("R", "C"), (), (), None, ("R", "C", {"B": 0}))
+    return algorithms._plan_run(circuit, record_steps=False) is not None
+
+
 def test_sparse_prepare_goes_dense_past_the_dense_share(monkeypatch):
+    # the run plan holds a support of 4 of 32 amplitudes, the share itself,
+    # sparse, and 4 of 16, past it, dense; asked for a sparse product,
+    # preparation builds one either way
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    assert held_sparse(3) and not held_sparse(2)
     table = random_unit(np.random.default_rng(34), 4)
-    # 4 of 32 amplitudes is the share itself, 4 of 16 is past it
-    at_share = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 3))), [(("R", "C"), table)], sparse=True)
-    assert isinstance(at_share, SparseBuffer)
-    past = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 2))), [(("R", "C"), table)], sparse=True)
-    assert isinstance(past, StateVector)
+    for ground_qubits in (3, 2):
+        layout = RegisterLayout((("R", 1), ("C", 1), ("B", ground_qubits)))
+        assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
 
 
 def test_sparse_prepare_goes_dense_up_to_the_floor():
+    # 4 of 2^12 and 4 of 2^13 amplitudes are far inside the share, but a
+    # layout of at most SPARSE_FLOOR amplitudes runs dense
+    assert not held_sparse(10) and held_sparse(11)
     table = random_unit(np.random.default_rng(34), 4)
-    # 4 of 2^12 and 4 of 2^13 amplitudes are far inside the share
-    at_floor = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 10))), [(("R", "C"), table)], sparse=True)
-    assert isinstance(at_floor, StateVector)
-    past = prepare_product_state(RegisterLayout((("R", 1), ("C", 1), ("B", 11))), [(("R", "C"), table)], sparse=True)
-    assert isinstance(past, SparseBuffer)
+    layout = RegisterLayout((("R", 1), ("C", 1), ("B", 10)))
+    assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
 
 
 @pytest.mark.parametrize("kind", ["non-negative", "real", "complex", "signed-zero-imaginary"])
