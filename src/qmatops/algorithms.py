@@ -602,8 +602,10 @@ def run_transpose_square(matrix: EncodedMatrix, record_steps: bool = False) -> R
     side = max(matrix.rows, matrix.cols)
     circuit = transpose_square_circuit(side.bit_length() - 1)
     _plan_run(circuit, record_steps)  # before the padded square, as large as the state
-    square = np.zeros((side, side), dtype=np.complex128)
-    square[: matrix.rows, : matrix.cols] = matrix.entries
+    square = matrix.entries
+    if matrix.rows != matrix.cols:
+        square = np.zeros((side, side), dtype=np.complex128)
+        square[: matrix.rows, : matrix.cols] = matrix.entries
     run = simulate(circuit, square, record_steps)
     return run.report(
         "transpose-square",

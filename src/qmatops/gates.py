@@ -2,27 +2,25 @@
 
 Each gate is checked against a layout once, by ``_plan``, which resolves it
 to basis-index bits: the projector's (mask, bits), a flip's target bit, a
-swap's two fields or a Hadamard layer's target bits.  The dense passes, the
+swap's two fields or a Hadamard layer's target bits.  The dense kernels, the
 sparse kernels, ``pull_back`` and ``lower`` all read that one cached plan.
 
 Both gate kinds, a ``ControlledOp`` (a flip or register swap on a
-projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes,
-and ``apply_gate`` runs both through one loop over the plan's passes.  They
-view the state, or each cache block of it, as pairs of sides tiled into
-aligned pieces, and the loop changes a run's ``StateBuffer`` array in place
-through scratch arrays of a fixed size, never one the size of the state or
-of a subspace.  A controlled op is one pass whose pieces are exchanged: a
-basis-state permutation, so it is exact.  A Hadamard layer is one flip pass
-per target whose pieces are combined by a butterfly, with the arithmetic of
-one whole-state butterfly per qubit in the same order, so its result is
-bitwise the same as that.  A run's ``SparseBuffer`` goes through sparse
-kernels instead, which permute its listed indices or combine each listed
-amplitude with its partners, +0.0 where none is listed, by the same
-butterfly.  The sparse Hadamard kernel computes only the outputs in the
-buffer's ``reads``, the (mask, bits) cubes that ``pull_back`` gives: the
-basis states from which the gates after the layer can reach the run's
-accept pattern.  ``lower`` turns a gate into the X, CNOT, Toffoli, SWAP
-and H ``Netlist`` that the gate tally counts.
+projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes.
+On a run's ``StateBuffer``, ``apply_gate`` reads the pairs off the plan as
+equal-shaped views (``_sides``) and changes the array in place box by box
+(``_boxes``) through scratch arrays of a fixed size, never one the size of
+the state or of a subspace.  A controlled op exchanges its pairs, a
+basis-state permutation, so it is exact; a Hadamard layer combines each
+target's pairs in turn with the arithmetic of one whole-state butterfly
+per qubit, so its result is bitwise the same.  A run's ``SparseBuffer``
+goes through sparse kernels instead, which permute its listed indices or
+combine each listed amplitude with its partners, +0.0 where none is
+listed, by the same butterfly.  The sparse Hadamard kernel computes only
+the outputs in the buffer's ``reads``, the (mask, bits) cubes that
+``pull_back`` gives: the basis states from which the gates after the
+layer can reach the run's accept pattern.  ``lower`` turns a gate into
+the X, CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts.
 """
 from __future__ import annotations
 
@@ -39,17 +37,12 @@ from .state import RegisterLayout, SparseBuffer, StateBuffer
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# A run of consecutive Hadamard butterflies whose amplitude pairs lie less
-# than this many amplitudes apart (2^15 complex128, 512 KiB: a block that
-# stays in a 1-4 MiB L2 cache) is applied block by block.
-HADAMARD_BLOCK = 1 << 15
-# A gate combines its amplitude pairs in pieces of at most this many pairs,
-# through two scratch arrays of that length (an exchange) or three (a
+# A dense gate combines its amplitude pairs in boxes of at most this many
+# pairs, through two scratch arrays of that length (an exchange) or three (a
 # butterfly), 64 KiB each, instead of temporaries the size of a subspace.
-PIECE = 1 << 12
+BOX = 1 << 12
 # numpy loops over rows shorter than this more slowly than over a strided
-# column, so a side whose rows are shorter and that spans more than one
-# piece is cut into columns.
+# column, so a Hadamard target of a smaller stride goes column by column.
 MIN_ROW = 8
 # A read set (``pull_back``) of more (mask, bits) cubes than this is given
 # up for every output; the routines' read sets hold one or two.
@@ -157,17 +150,19 @@ def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
 
 
 class _Plan(NamedTuple):
-    """A gate checked against a layout and resolved to basis-index bits, with
-    the dense passes built from them.
+    """A gate checked against a layout and resolved to basis-index bits.
 
     A basis index s is selected iff s & mask == bits; a Hadamard layer
     selects every one.  ``targets`` holds a flip's target bit, or a Hadamard
     layer's target bits in the layer's order; ``fields`` a swap's two field
-    shifts and field mask, else ().  The dense passes are ``butterfly``,
-    whether a pair's pieces are combined by a butterfly (a Hadamard layer)
-    rather than exchanged; ``piece``, the most amplitudes a piece holds; and
-    ``runs`` of (block size, passes), each block of the state taking its
-    run's passes in turn.
+    shifts and field mask, else ().  ``butterfly`` is whether the gate's
+    amplitude pairs are combined by a butterfly (a Hadamard layer) rather
+    than exchanged.  ``grid`` finds a controlled op's subspace in a dense
+    state: the shape to view it in, one axis per run of qubits all
+    conditioned, all free or all in one moved register; the subspace's
+    index, a conditioned run's bits or the whole axis; and the subspace's
+    moved axes, a flip's target or a swap's registers a and b, a the more
+    significant.
     """
 
     mask: int
@@ -175,8 +170,7 @@ class _Plan(NamedTuple):
     targets: tuple[int, ...]
     fields: tuple[int, ...]
     butterfly: bool
-    piece: int
-    runs: tuple
+    grid: tuple
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -184,20 +178,7 @@ def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
     """The gate's plan, once it is checked: its registers and qubits exist,
     no Hadamard target repeats, the projector resolves, a swap's registers
     are distinct and of equal width, and no moved qubit is one the
-    projector conditions on.
-
-    A pass is the shape to view a block in; each axis's entry in both
-    sides' indices, a conditioned run's bits or the whole axis; the axis
-    order that aligns one side of a pair with the other; the moved axes, a
-    flip's target or a swap's registers; and how many rows a=i of a swap's
-    subspace one of its pairs covers, as many as fit in a piece and at
-    least one.  A controlled op is one pass over the whole state, with one
-    axis per run of qubits that are all conditioned, all free or all in one
-    moved register, and pieces of PIECE or, if smaller, its subspace.  A
-    Hadamard target of stride s is a flip pass over a block viewed as
-    (rest, 2, s); consecutive targets with s < HADAMARD_BLOCK form one run
-    over blocks of that size, so each block stays in cache for all of them.
-    """
+    projector conditions on."""
     total = layout.total_qubits
     if isinstance(gate, HadamardLayer):
         targets: list[int] = []
@@ -208,12 +189,7 @@ def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
                 targets.append(_qubit_bit(layout, *target))
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate Hadamard target")
-        runs = []
-        for inside, run in itertools.groupby(targets, key=lambda s: s < HADAMARD_BLOCK):
-            block = min(HADAMARD_BLOCK, layout.size) if inside else layout.size
-            flips = [((block // (2 * s), 2, s), (slice(None),) * 3, (0, 1, 2), (1,), 1) for s in run]
-            runs.append((block, tuple(flips)))
-        return _Plan(0, 0, tuple(targets), (), True, min(PIECE, layout.size // 2), tuple(runs))
+        return _Plan(0, 0, tuple(targets), (), True, ())
     if not isinstance(gate, ControlledOp):
         raise TypeError(f"unknown gate {gate!r}")
     mask, bits = gate.projector.resolve(layout)
@@ -252,172 +228,117 @@ def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
         shape.append(1 << width)
         base.append((bits >> shift) & ((1 << width) - 1) if label == "c" else slice(None))
     kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
-    axes = list(range(len(kept)))
-    subspace = math.prod(shape[axis] for axis in kept)
-    if targets:
-        moved, rows = (axis_of["t"],), 1
-    else:
-        moved = a, b = axis_of["a"], axis_of["b"]
-        axes[kept.index(a)], axes[kept.index(b)] = kept.index(b), kept.index(a)
-        rows = max(1, PIECE // (subspace // shape[a]))
-    exchange = (tuple(shape), tuple(base), tuple(axes), moved, rows)
-    return _Plan(mask, bits, targets, fields, False, min(PIECE, subspace), ((layout.size, (exchange,)),))
+    moved = tuple(kept.index(axis_of[label]) for label in ("t", "a", "b") if label in axis_of)
+    return _Plan(mask, bits, targets, fields, False, (tuple(shape), tuple(base), moved))
 
 
-def _exchanged_sides(shape: tuple[int, ...], base: tuple, moved: tuple[int, ...], rows: int):
-    """Index tuples of the (x, y) pairs of sides that a pass combines, each
-    axis's ``base`` entry with the moved axes sliced, and the x side's shape.
-
-    A flip pairs the two halves of its subspace, its target at 0 and at 1.
-    A swap of registers a and b pairs, for each block of ``rows`` rows from
-    row i, the strip a in the block, b > i with the strip a > i, b in the
-    block, the first one transposed; one row per block gives the strips
-    a=i, b>i and a>i, b=i.  The two strips of a longer block share the
-    square a, b > i in the block and write it with the same values, since
-    the plan fits such a block in one piece, read whole before it is
-    written.  Every other axis is kept, so both sides share one axis order.
+def _sides(amplitudes: np.ndarray, plan: _Plan):
+    """The pairs of equal-shaped views (x, y) of a dense state whose
+    elements a gate combines, x[i] with y[i]: a Hadamard target of stride s
+    pairs the halves of the state viewed as (rest, 2, s), transposed below a
+    stride of MIN_ROW so that their boxes are columns; a flip pairs the
+    halves of its subspace, its target at 0 and at 1; and a swap of
+    registers a and b pairs, for each row i, the strip a=i, b>i with the
+    strip a>i, b=i in the first one's axis order, or, if its subspace fits
+    in a box, the subspace with itself with a and b exchanged: one box that
+    the exchange reads whole before its two writes, which agree.
 
     Index tuples are built from lists: CPython builds a tuple from a
     generator by shrinking a larger one and keeps each freed one on a free
     list of its size, so the loop would keep one per strip (up to 2000 of a
     size) after it ends.
     """
-    x, y = list(base), list(base)
-    kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
-    side = [shape[axis] for axis in kept]
+    if plan.butterfly:
+        for stride in plan.targets:
+            halves = amplitudes.reshape(-1, 2, stride)
+            yield (halves[:, 0].T, halves[:, 1].T) if stride < MIN_ROW else (halves[:, 0], halves[:, 1])
+        return
+    shape, base, moved = plan.grid
+    subspace = amplitudes.reshape(shape)[base]
+    x, y = [slice(None)] * subspace.ndim, [slice(None)] * subspace.ndim
     if len(moved) == 1:
-        (t,) = moved
-        x[t], y[t] = slice(0, 1), slice(1, 2)
-        side[kept.index(t)] = 1
-        yield tuple(x), tuple(y), tuple(side)
+        x[moved[0]], y[moved[0]] = slice(0, 1), slice(1, 2)
+        yield subspace[tuple(x)], subspace[tuple(y)]
         return
     a, b = moved
-    side_a, side_b = kept.index(a), kept.index(b)
-    for i in range(0, shape[a] - 1, rows):
-        x[a] = y[b] = slice(i, i + rows)
-        x[b] = y[a] = slice(i + 1, None)
-        side[side_a], side[side_b] = min(rows, shape[a] - i), shape[b] - i - 1
-        yield tuple(x), tuple(y), tuple(side)
-
-
-def _tiles(shape: tuple[int, ...], base: tuple, axes: tuple[int, ...], moved, rows: int, piece: int):
-    """For each pair of sides of a pass: the two sides' index tuples over
-    the pass's view of ``shape``, the y side read in x's axis order,
-    ``view[y].transpose(axes)``, and the cuts that tile both sides into
-    aligned pieces of at most ``piece`` amplitudes, or None when a side is
-    one piece.  Only indices are built, so one tiling serves every block of
-    a run.
-
-    A side that spans more than one piece is cut into boxes: its trailing
-    axes whole, one axis in chunks and single steps along the axes before
-    it.  numpy loops over rows shorter than MIN_ROW more slowly than over a
-    strided column, so such short trailing axes are stepped one index at a
-    time instead, and the axes before them are cut into the boxes.
-    """
-    for x_index, y_index, side in _exchanged_sides(shape, base, moved, rows):
-        size = math.prod(side)
-        if size <= piece:
-            yield x_index, y_index, None
-            continue
-        boxed = len(side)
-        while boxed > 1 and side[boxed - 1] < MIN_ROW and size > piece:
-            boxed -= 1
-            size //= side[boxed]
-        cuts, inner = [[slice(k, k + 1) for k in range(n)] for n in side[boxed:]], 1
-        for n in reversed(side[:boxed]):
-            step = max(1, piece // inner)
-            chunks = [slice(None)] if step >= n else [slice(k, k + step) for k in range(0, n, step)]
-            cuts.insert(0, chunks)
-            inner *= n
-        yield x_index, y_index, list(itertools.product(*cuts))
-
-
-def _exchange(x: np.ndarray, y: np.ndarray, scratch: np.ndarray) -> None:
-    """Write x and y over each other, both read whole into scratch first,
-    since the two sides of a swap block may share a square."""
-    held_x = scratch[0, : x.size].reshape(x.shape)
-    held_y = scratch[1, : x.size].reshape(x.shape)
-    np.copyto(held_x, x)
-    np.copyto(held_y, y)
-    np.copyto(x, held_y)
-    np.copyto(y, held_x)
-
-
-def _butterfly(upper: np.ndarray, lower: np.ndarray, scratch: np.ndarray) -> None:
-    """(u, l) -> ((u + l) * c, (u - l) * c) in place, c = 1/sqrt(2): the
-    operations of a whole-state butterfly, so every bit is the same."""
-    shape, size = upper.shape, upper.size
-    if size in shape:
-        # one row or column: numpy sees that the halves are disjoint, so the
-        # difference goes straight into the lower half
-        upper, lower = upper.reshape(-1), lower.reshape(-1)
-        total = scratch[0, :size]
-        np.add(upper, lower, out=total)
-        np.subtract(upper, lower, out=lower)
-        np.multiply(lower, _INV_SQRT2, out=lower)
-        np.multiply(total, _INV_SQRT2, out=upper)
+    exchanged = subspace.swapaxes(a, b)
+    if subspace.size <= BOX:
+        yield subspace, exchanged
         return
-    # numpy loops over a view of several axes through buffers it allocates,
-    # so the piece is copied into contiguous scratch, computed there and
-    # copied back
-    up, low, result = scratch[0, :size], scratch[1, :size], scratch[2, :size]
-    np.copyto(up.reshape(shape), upper)
-    np.copyto(low.reshape(shape), lower)
-    np.add(up, low, out=result)
-    np.multiply(result, _INV_SQRT2, out=result)
-    np.copyto(upper, result.reshape(shape))
-    np.subtract(up, low, out=result)
-    np.multiply(result, _INV_SQRT2, out=result)
-    np.copyto(lower, result.reshape(shape))
+    for i in range(subspace.shape[a] - 1):
+        x[a], x[b] = i, slice(i + 1, None)
+        yield subspace[tuple(x)], exchanged[tuple(x)]
+
+
+def _boxes(x: np.ndarray, y: np.ndarray):
+    """The two sides cut into aligned boxes of at most BOX amplitudes: their
+    trailing axes whole, one axis in chunks and single steps along the axes
+    before it.  The steps change fastest, so a transposed Hadamard side
+    takes every column of a chunk of rows while they are in cache."""
+    shape, inner, cut = x.shape, 1, x.ndim
+    while cut > 1 and inner * shape[cut - 1] <= BOX:
+        cut -= 1
+        inner *= shape[cut]
+    step = BOX // inner
+    chunks = [slice(start, start + step) for start in range(0, shape[cut - 1], step)]
+    for chunk, *lead in itertools.product(chunks, *map(range, shape[: cut - 1])):
+        box = (*lead, chunk)
+        yield x[box], y[box]
 
 
 def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | SparseBuffer:
     """Apply one gate to a run's state in place and return it.
 
-    A ``StateBuffer`` keeps its array.  Every gate runs through one loop over
-    its cached plan: block by block and pass by pass, each pair of aligned
-    pieces is exchanged (a controlled op) or combined by a butterfly (a
-    Hadamard target), and the loop allocates only a fixed-size scratch, two
-    arrays of PIECE amplitudes for an exchange and three for a butterfly.
-    A ``SparseBuffer`` gets new index and amplitude arrays from the sparse
-    kernels (``_apply_sparse``), which do the same arithmetic on its support;
-    a Hadamard layer there computes only the outputs in the buffer's
-    ``reads``.  A controlled op only moves amplitudes, so its result is
-    exact; a Hadamard layer's result is bitwise that of whole-state
-    butterflies, one per target in order.  The gate is checked before any
-    amplitude is written, and anything else (a ``StateVector``, or a
-    buffer that ``freeze`` has made read-only) is refused with a
-    ``TypeError``; to apply a gate to a snapshot, wrap a copy of its arrays
-    in a new buffer.
+    A ``StateBuffer`` keeps its array: a controlled op exchanges each pair
+    of boxes of the plan's sides (``_sides``, ``_boxes``), and a Hadamard
+    target maps it to ((u + l) * c, (u - l) * c), c = 1/sqrt(2), the
+    operations of a whole-state butterfly, so every bit is the same.  The
+    only allocation is a scratch of two arrays of at most BOX amplitudes
+    for an exchange, three for a butterfly.  A ``SparseBuffer`` gets new
+    index and amplitude arrays from the sparse kernels (``_apply_sparse``),
+    which do the same arithmetic on its support; a Hadamard layer there
+    computes only the outputs in the buffer's ``reads``.  The gate is
+    checked before any amplitude is written, and anything else (a
+    ``StateVector``, or a buffer that ``freeze`` has made read-only) is
+    refused with a ``TypeError``; to apply a gate to a snapshot, wrap a
+    copy of its arrays in a new buffer.
     """
     refused = "apply_gate changes a StateBuffer or a SparseBuffer in place, not a"
     if not isinstance(state, (StateBuffer, SparseBuffer)):
         raise TypeError(f"{refused} {type(state).__name__}")
     if not state.amplitudes.flags.writeable:
         raise TypeError(f"{refused} frozen {type(state).__name__}")
-    if isinstance(state, SparseBuffer):
-        _apply_sparse(state, _plan(state.layout, gate))
-        return state
     plan = _plan(state.layout, gate)
-    combine = _butterfly if plan.butterfly else _exchange
-    amplitudes, piece = state.amplitudes, plan.piece
-    scratch = np.empty((2 + plan.butterfly, piece), dtype=np.complex128)
-    for block, passes in plan.runs:
-        # every block of a run has the same shape, so a run over several
-        # blocks tiles each of its passes once; a whole-state pass is tiled
-        # as it is applied
-        shared = [list(_tiles(*each, piece)) for each in passes] if block < amplitudes.size else None
-        for start in range(0, amplitudes.size, block):
-            view = amplitudes[start : start + block]
-            for number, each in enumerate(passes):
-                grid = view.reshape(each[0])
-                for x_index, y_index, cuts in shared[number] if shared else _tiles(*each, piece):
-                    x_side, y_side = grid[x_index], grid[y_index].transpose(each[2])
-                    if cuts is None:
-                        combine(x_side, y_side, scratch)
-                        continue
-                    for cut in cuts:
-                        combine(x_side[cut], y_side[cut], scratch)
+    if isinstance(state, SparseBuffer):
+        _apply_sparse(state, plan)
+        return state
+    butterfly = plan.butterfly
+    scratch = np.empty((2 + butterfly, min(BOX, state.amplitudes.size)), dtype=np.complex128)
+    for x, y in _sides(state.amplitudes, plan):
+        for upper, lower in _boxes(x, y):
+            shape, size = upper.shape, upper.size
+            # numpy sees that two rows or columns are disjoint, so a butterfly
+            # writes between them with no buffer of its own; it loops over a
+            # view of several axes through buffers it allocates, so any other
+            # box is copied into contiguous scratch and back
+            row = butterfly and size in shape
+            if row:
+                u, l = upper.reshape(-1), lower.reshape(-1)
+            else:
+                u, l = scratch[-2, :size], scratch[-1, :size]
+                np.copyto(u.reshape(shape), upper)
+                np.copyto(l.reshape(shape), lower)
+            if butterfly:
+                held = scratch[0, :size]
+                np.add(u, l, out=held)
+                np.subtract(u, l, out=l)
+                np.multiply(l, _INV_SQRT2, out=l)
+                np.multiply(held, _INV_SQRT2, out=u)
+            else:
+                u, l = l, u  # the copies go back exchanged
+            if not row:
+                np.copyto(upper, u.reshape(shape))
+                np.copyto(lower, l.reshape(shape))
     return state
 
 
@@ -700,7 +621,6 @@ class GateCounts:
 
     def as_dict(self) -> dict[str, int]:
         return dict(vars(self))
-
 
 
 @dataclass

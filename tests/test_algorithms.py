@@ -455,7 +455,7 @@ def test_step_snapshots_are_frozen_and_independent(routine):
             assert not np.shares_memory(amplitudes, other)
 
 
-@pytest.mark.parametrize(
+PEAK_MEMORY_RUNS = pytest.mark.parametrize(
     "runner, shape, qubits",
     [
         (lambda m: run_row_add(m, 3, 17), (32, 128), 20),
@@ -465,12 +465,13 @@ def test_step_snapshots_are_frozen_and_independent(routine):
     ],
     ids=["row-add", "row-swap", "trace", "transpose"],
 )
+
+
+@PEAK_MEMORY_RUNS
 def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
-    # the state and fixed-size working arrays only: gates exchange amplitudes
-    # through a bounded scratch, and preparation, post-selection and decode
-    # add nothing the state's size.  The largest fixed arrays, preparation's
-    # block products (up to 384 KiB) and a Hadamard layer's scratch (192
-    # KiB), are under 3% of these 16 MiB states; at 2 MiB they were 19%
+    # these runs hold their support, never the 16 MiB dense state, and
+    # preparation, post-selection and decode add nothing the state's size;
+    # the dense variant below checks the gates' scratch
     encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
     tracemalloc.start()
     try:
@@ -479,6 +480,50 @@ def test_run_peak_memory_is_one_state_and_one_subspace(runner, shape, qubits):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * (16 << qubits)
+
+
+@PEAK_MEMORY_RUNS
+def test_dense_run_peak_memory_is_one_state_and_one_subspace(monkeypatch, runner, shape, qubits):
+    # the same runs held dense: the state and fixed-size working arrays only.
+    # Gates change the state box by box through a bounded scratch, and
+    # preparation, post-selection and decode add nothing the state's size.
+    # The largest fixed arrays, preparation's block products (up to 384 KiB)
+    # and a Hadamard layer's scratch (192 KiB), are under 3% of these 16 MiB
+    # states
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 1 << 30)
+    kinds = set()
+    plain = algorithms.apply_gate
+
+    def noted(state, gate):
+        kinds.add(type(state).__name__)
+        return plain(state, gate)
+
+    monkeypatch.setattr(algorithms, "apply_gate", noted)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(21), shape))
+    tracemalloc.start()
+    try:
+        runner(encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kinds == {"StateBuffer"}
+    assert peak <= 1.1 * (16 << qubits)
+
+
+def test_square_transpose_square_is_not_copied_into_a_padded_square():
+    # a 1024x1024 input is already square: at 20 qubits the run holds its
+    # 16 MiB state and the 16 MiB decoded output, and no padded copy of the
+    # input, which would make it 3x the state
+    encoded = encode_matrix(random_matrix(np.random.default_rng(22), (1024, 1024)))
+    tracemalloc.start()
+    try:
+        report = run_transpose_square(encoded)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * (16 << 20)
+    np.testing.assert_array_equal(report.output_matrix, encoded.entries.T)
+    assert report.success_probability == 1.0
 
 
 def test_unrecorded_row_add_holds_only_its_support():

@@ -458,18 +458,18 @@ def test_sparse_apply_gate_refuses_what_the_dense_one_refuses(gate):
 @pytest.mark.parametrize(
     "gate, scratch",
     [
-        # two scratch arrays of PIECE amplitudes
+        # two scratch arrays of BOX amplitudes
         (
             ControlledOp(Projector(register_values=(("B", 1),)), FlipQubit("X", 3)),
-            2 * gates.PIECE,
+            2 * gates.BOX,
         ),
         (
             ControlledOp(Projector(qubit_bits=(("B", 0, 1),)), SwapRegisters("X", "Y")),
-            2 * gates.PIECE,
+            2 * gates.BOX,
         ),
-        (RegisterSwapGate("X", "Y"), 2 * gates.PIECE),
-        # three scratch arrays of PIECE amplitudes
-        (HadamardLayer(("X", "Y", "B")), 3 * gates.PIECE),
+        (RegisterSwapGate("X", "Y"), 2 * gates.BOX),
+        # three scratch arrays of BOX amplitudes
+        (HadamardLayer(("X", "Y", "B")), 3 * gates.BOX),
     ],
     ids=["flip", "cswap", "regswap", "hadamard"],
 )
@@ -522,18 +522,9 @@ def _every_controlled_op():
     return pairs
 
 
-@pytest.fixture
-def piece_patched(monkeypatch, request):
-    """PIECE set to the test's value, with no plan built under
-    another value in the cache during the test or after it."""
-    monkeypatch.setattr(gates, "PIECE", 1 << request.param)
-    gates._plan.cache_clear()
-    yield
-    gates._plan.cache_clear()
-
-
-@pytest.mark.parametrize("piece_patched", [1, 2, 3], indirect=True)
-def test_exchanges_in_small_pieces_are_bitwise_the_oracle(piece_patched):
+@pytest.mark.parametrize("box_qubits", [1, 2, 3])
+def test_exchanges_in_small_pieces_are_bitwise_the_oracle(monkeypatch, box_qubits):
+    monkeypatch.setattr(gates, "BOX", 1 << box_qubits)
     for number, (layout, op) in enumerate(_every_controlled_op()):
         raw = random_state(layout, number).amplitudes.copy()
         raw[::5] = 0
@@ -558,11 +549,24 @@ def reference_hadamard(amplitudes, positions):
     return work
 
 
+def _layer_positions(layout, layer):
+    """A Hadamard layer's target qubits, as axes of the one-axis-per-qubit
+    view, in the layer's order."""
+    positions = []
+    for target in layer.targets:
+        if isinstance(target, str):
+            positions += range(layout.offset(target), layout.offset(target) + layout.width(target))
+        else:
+            positions.append(layout.offset(target[0]) + target[1])
+    return positions
+
+
 def _routine_hadamard_cases():
-    """Every routine's Hadamard layer at two widths, under a block of 2^3
-    amplitudes and pieces of 2^1 (rows shorter than MIN_ROW cut into
-    columns) and under a block of 2^4 and pieces of 2^3 (a block's rows in
-    one piece, targets outside it in row pieces)."""
+    """Every routine's Hadamard layer at two widths, under boxes of 2^1
+    and of 2^3 amplitudes: the columns of strides below MIN_ROW, and the
+    rows of longer strides, are cut into several boxes or fill one.  An
+    id's ``piece`` is the box's qubits; its ``block`` stays only so that
+    the ids stay stable."""
     circuits = {
         "row-add": (row_add_circuit(1, 2, 0, 1), row_add_circuit(2, 3, 1, 3)),
         "row-swap": (row_swap_circuit(1, 2, 1, 0), row_swap_circuit(2, 2, 3, 0)),
@@ -575,60 +579,82 @@ def _routine_hadamard_cases():
             for _, gate in circuit.gates():
                 if not isinstance(gate, HadamardLayer):
                     continue
-                positions = []
-                for register in gate.targets:
-                    offset = layout.offset(register)
-                    positions += range(offset, offset + layout.width(register))
-                for block_qubits, piece_qubits in ((3, 1), (4, 3)):
+                positions = _layer_positions(layout, gate)
+                for block_qubits, box_qubits in ((3, 1), (4, 3)):
                     cases.append(
                         pytest.param(
-                            block_qubits, piece_qubits, layout.registers, gate.targets, positions,
-                            id=f"{name}-{layout.total_qubits}q-block{block_qubits}-piece{piece_qubits}",
+                            box_qubits, layout.registers, gate.targets, positions,
+                            id=f"{name}-{layout.total_qubits}q-block{block_qubits}-piece{box_qubits}",
                         )
                     )
     return cases
 
 
 @pytest.mark.parametrize(
-    "block_qubits, piece_qubits, registers, targets, positions",
+    "box_qubits, registers, targets, positions",
     [
-        # the block split falls inside C: B and C's last qubit are inside a
-        # block, R's qubit 2 and C's first two are not; the order is mixed
+        # B's qubits and C's last have strides below MIN_ROW and go column
+        # by column, C's first two and R's qubit 2 in rows longer than a
+        # box; the order is mixed
         pytest.param(
-            3, 2, (("R", 3), ("C", 3), ("B", 2)), ("B", ("R", 2), "C"), [6, 7, 2, 3, 4, 5],
+            2, (("R", 3), ("C", 3), ("B", 2)), ("B", ("R", 2), "C"), [6, 7, 2, 3, 4, 5],
             id="split-in-register",
         ),
         pytest.param(
-            3, 1, (("R", 3), ("C", 3), ("B", 2)), (("C", 2), ("R", 0), "B", ("R", 1)), [5, 0, 6, 7, 1],
+            1, (("R", 3), ("C", 3), ("B", 2)), (("C", 2), ("R", 0), "B", ("R", 1)), [5, 0, 6, 7, 1],
             id="single-qubits",
         ),
-        # the module's own constants, with qubits on both sides of a block
+        # the module's own box: columns, several rows to a box, and rows
+        # cut into boxes
         pytest.param(
-            None, None, (("R", 6), ("C", 6), ("A", 5)), ("A", ("R", 0), "C"),
+            None, (("R", 6), ("C", 6), ("A", 5)), ("A", ("R", 0), "C"),
             [12, 13, 14, 15, 16, 0, 6, 7, 8, 9, 10, 11],
             id="module-block",
         ),
         *_routine_hadamard_cases(),
     ],
 )
-def test_blocked_hadamard_is_bitwise_exact(
-    monkeypatch, block_qubits, piece_qubits, registers, targets, positions
-):
-    if block_qubits is not None:
-        monkeypatch.setattr(gates, "HADAMARD_BLOCK", 1 << block_qubits)
-        monkeypatch.setattr(gates, "PIECE", 1 << piece_qubits)
+def test_blocked_hadamard_is_bitwise_exact(monkeypatch, box_qubits, registers, targets, positions):
+    if box_qubits is not None:
+        monkeypatch.setattr(gates, "BOX", 1 << box_qubits)
     layout = RegisterLayout(registers)
     raw = random_state(layout, 14).amplitudes.copy()
     raw[::5] = 0
     raw[::7] *= -0.0
     expected = reference_hadamard(raw, positions).tobytes()
     layer = HadamardLayer(targets)
-    # no plan built under other constants is read here or kept after the test
-    gates._plan.cache_clear()
-    try:
-        assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
-    finally:
-        gates._plan.cache_clear()
+    assert apply_gate(StateBuffer(layout, raw.copy()), layer).amplitudes.tobytes() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=random_circuits(), box_qubits=st.sampled_from((1, 2, 3, 12)), seed=st.integers(0, 2**32 - 1))
+def test_dense_gates_in_small_boxes_match_their_dense_unitaries(circuit, box_qubits, seed):
+    # each gate of a random circuit, in boxes of 2^1-2^3 amplitudes or of
+    # the module's size, against its oracle matrix, with zeros
+    # and -0.0 planted: a controlled op exactly, and bitwise as its oracle
+    # permutation; a Hadamard layer bitwise as one whole-state butterfly
+    # per qubit, and to rounding as its matrix, since a matrix product
+    # rounds c*u + c*l where a butterfly rounds (u + l) * c
+    layout, gate_list = circuit
+    raw = random_state(layout, seed).amplitudes.copy()
+    raw[::5] = 0
+    raw[::7] *= -0.0
+    buffer = StateBuffer(layout, raw)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gates, "BOX", 1 << box_qubits)
+        for gate in gate_list:
+            before = buffer.amplitudes.copy()
+            apply_gate(buffer, gate)
+            product = dense_unitary_of(gate, layout) @ before
+            if isinstance(gate, HadamardLayer):
+                expected = reference_hadamard(before, _layer_positions(layout, gate))
+                np.testing.assert_allclose(buffer.amplitudes, product, rtol=0, atol=1e-13)
+            else:
+                image = controlled_op_image(gate, layout)
+                expected = np.empty_like(before)
+                expected[[image(source) for source in range(layout.size)]] = before
+                np.testing.assert_array_equal(buffer.amplitudes, product)
+            assert buffer.amplitudes.tobytes() == expected.tobytes(), gate
 
 
 def test_hadamard_layer_uniform_superposition():
