@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .state import RegisterLayout, SparseBuffer, StateBuffer
+from .state import RegisterLayout, SparseBuffer, StateBuffer, _run_starts
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -149,20 +149,17 @@ def _qubit_bit(layout: RegisterLayout, register: str, qubit: int) -> int:
     return 1 << (layout.total_qubits - 1 - layout.offset(register) - qubit)
 
 
-class _Plan(NamedTuple):
-    """A gate checked against a layout and resolved to basis-index bits.
+@dataclass(frozen=True)
+class _Plan:
+    """A gate checked against a layout of ``qubits`` qubits and resolved to
+    basis-index bits.
 
     A basis index s is selected iff s & mask == bits; a Hadamard layer
     selects every one.  ``targets`` holds a flip's target bit, or a Hadamard
     layer's target bits in the layer's order; ``fields`` a swap's two field
     shifts and field mask, else ().  ``butterfly`` is whether the gate's
     amplitude pairs are combined by a butterfly (a Hadamard layer) rather
-    than exchanged.  ``grid`` finds a controlled op's subspace in a dense
-    state: the shape to view it in, one axis per run of qubits all
-    conditioned, all free or all in one moved register; the subspace's
-    index, a conditioned run's bits or the whole axis; and the subspace's
-    moved axes, a flip's target or a swap's registers a and b, a the more
-    significant.
+    than exchanged.
     """
 
     mask: int
@@ -170,7 +167,37 @@ class _Plan(NamedTuple):
     targets: tuple[int, ...]
     fields: tuple[int, ...]
     butterfly: bool
-    grid: tuple
+    qubits: int
+
+    @functools.cached_property
+    def grid(self) -> tuple:
+        """Where a controlled op's subspace lies in a dense state: the shape
+        to view it in, one axis per run of qubits all conditioned, all free
+        or all in one moved register; the subspace's index, a conditioned
+        run's bits or the whole axis; and the subspace's moved axes, a
+        flip's target or a swap's registers a and b, a the more significant.
+        Only a dense gate reads it, so it is built on the first one's call
+        and kept with the plan."""
+        if self.fields:
+            shift_a, shift_b, field = self.fields
+            moved_bits = [(field << max(shift_a, shift_b), "a"), (field << min(shift_a, shift_b), "b")]
+        else:
+            moved_bits = [(self.targets[0], "t")]
+        # each qubit's label, most significant first: conditioned (c), moved
+        # (t, a or b) or free (f)
+        labelled = [(self.mask, "c"), *moved_bits]
+        labels = [next((label for m, label in labelled if (m >> q) & 1), "f") for q in reversed(range(self.qubits))]
+        shape, base, axis_of = [], [], {}
+        shift = self.qubits
+        for label, run in itertools.groupby(labels):
+            width = len(list(run))
+            shift -= width
+            axis_of[label] = len(base)  # read for the moved runs t, a and b
+            shape.append(1 << width)
+            base.append((self.bits >> shift) & ((1 << width) - 1) if label == "c" else slice(None))
+        kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
+        moved = tuple(kept.index(axis_of[label]) for label in ("t", "a", "b") if label in axis_of)
+        return tuple(shape), tuple(base), moved
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -189,7 +216,7 @@ def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
                 targets.append(_qubit_bit(layout, *target))
         if len(set(targets)) != len(targets):
             raise ValueError("duplicate Hadamard target")
-        return _Plan(0, 0, tuple(targets), (), True, ())
+        return _Plan(0, 0, tuple(targets), (), True, total)
     if not isinstance(gate, ControlledOp):
         raise TypeError(f"unknown gate {gate!r}")
     mask, bits = gate.projector.resolve(layout)
@@ -198,38 +225,19 @@ def _plan(layout: RegisterLayout, gate: Gate) -> _Plan:
         target = _qubit_bit(layout, action.register, action.qubit)
         if target & mask:
             raise ValueError("flip target overlaps the projector's qubits")
-        targets, fields, moved_bits = (target,), (), [(target, "t")]
-    elif isinstance(action, SwapRegisters):
-        for name in (action.reg_a, action.reg_b):
-            if layout.field_mask(name) & mask:
-                raise ValueError("swap target overlaps the projector's qubits")
-        widths = layout.width(action.reg_a), layout.width(action.reg_b)
-        if widths[0] != widths[1]:
-            raise ValueError(f"cannot swap {action.reg_a!r} and {action.reg_b!r}: widths {widths}")
-        if action.reg_a == action.reg_b:
-            raise ValueError("cannot swap a register with itself")
-        field = (1 << widths[0]) - 1
-        shifts = layout.field_shift(action.reg_a), layout.field_shift(action.reg_b)
-        targets, fields = (), (*shifts, field)
-        # register a is the more significant of the two
-        moved_bits = [(field << max(shifts), "a"), (field << min(shifts), "b")]
-    else:
+        return _Plan(mask, bits, (target,), (), False, total)
+    if not isinstance(action, SwapRegisters):
         raise TypeError(f"unknown action {action!r}")
-    # each qubit's label, most significant first: conditioned (c), moved
-    # (t, a or b) or free (f)
-    labelled = [(mask, "c"), *moved_bits]
-    labels = [next((label for m, label in labelled if (m >> q) & 1), "f") for q in reversed(range(total))]
-    shape, base, axis_of = [], [], {}
-    shift = total
-    for label, run in itertools.groupby(labels):
-        width = len(list(run))
-        shift -= width
-        axis_of[label] = len(base)  # read for the moved runs t, a and b
-        shape.append(1 << width)
-        base.append((bits >> shift) & ((1 << width) - 1) if label == "c" else slice(None))
-    kept = [axis for axis, entry in enumerate(base) if isinstance(entry, slice)]
-    moved = tuple(kept.index(axis_of[label]) for label in ("t", "a", "b") if label in axis_of)
-    return _Plan(mask, bits, targets, fields, False, (tuple(shape), tuple(base), moved))
+    for name in (action.reg_a, action.reg_b):
+        if layout.field_mask(name) & mask:
+            raise ValueError("swap target overlaps the projector's qubits")
+    widths = layout.width(action.reg_a), layout.width(action.reg_b)
+    if widths[0] != widths[1]:
+        raise ValueError(f"cannot swap {action.reg_a!r} and {action.reg_b!r}: widths {widths}")
+    if action.reg_a == action.reg_b:
+        raise ValueError("cannot swap a register with itself")
+    shifts = layout.field_shift(action.reg_a), layout.field_shift(action.reg_b)
+    return _Plan(mask, bits, (), (*shifts, (1 << widths[0]) - 1), False, total)
 
 
 def _sides(amplitudes: np.ndarray, plan: _Plan):
@@ -316,6 +324,11 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
     scratch = np.empty((2 + butterfly, min(BOX, state.amplitudes.size)), dtype=np.complex128)
     for x, y in _sides(state.amplitudes, plan):
         for upper, lower in _boxes(x, y):
+            if plan.fields and max(upper.shape) > upper.shape[-1]:
+                # a swap box is copied along its longest axis, so that numpy's
+                # inner loop is not a short trailing one
+                longest = upper.shape.index(max(upper.shape))
+                upper, lower = upper.swapaxes(longest, -1), lower.swapaxes(longest, -1)
             shape, size = upper.shape, upper.size
             # numpy sees that two rows or columns are disjoint, so a butterfly
             # writes between them with no buffer of its own; it loops over a
@@ -407,30 +420,41 @@ def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[in
     output, so such entries go first.  Then each target in the layer's
     order pairs the entries that differ only in its bit, +0.0 standing for
     an absent partner, and combines each pair with the dense butterfly's
-    operations.  Of the two outputs of a pair it keeps those that agree
-    with a cube off the targets still to come: the later targets mix an
-    output only with outputs that agree with it off them, and both inputs
-    of a kept output are kept outputs of the target before.  So every kept
-    output has the dense result's bits, and stays listed, zeros included;
-    without ``reads`` every output is kept.  When no entry is kept, one
-    read output is listed as the +0.0 that every unlisted one holds, so
-    the support is never empty.
+    operations.  The pairs are found by a stable sort of the entries' keys,
+    their indices with the bit cleared: a sorted support's keys, or the
+    previous target's outputs, form a few sorted runs, and numpy's stable
+    sort of int64 values, a timsort, merges runs.  Of the two outputs of a
+    pair it keeps those that agree with a cube off the targets still to
+    come: the later targets mix an output only with outputs that agree with
+    it off them, and both inputs of a kept output are kept outputs of the
+    target before.  So every kept output has the dense result's bits, and
+    stays listed, zeros included; without ``reads`` every output is kept.
+    When no entry is kept, one read output is listed as the +0.0 that
+    every unlisted one holds, so the support is never empty.
     """
     def kept(indices, amplitudes, free):
         if reads is None:
             return indices, amplitudes
-        hit = np.zeros(indices.size, dtype=bool)
-        for mask, bits in reads:
+        (mask, bits), *others = reads
+        hit = (indices & (mask & ~free)) == bits & ~free
+        for mask, bits in others:
             hit |= (indices & (mask & ~free)) == bits & ~free
-        return indices[hit], amplitudes[hit]
+        at = np.flatnonzero(hit)
+        return indices[at], amplitudes[at]
 
     later = sum(bits)
     indices, amplitudes = kept(indices, amplitudes, later)
     for bit in bits:
         later &= ~bit
-        keys, slot = np.unique(indices & ~bit, return_inverse=True)
+        keys = indices & ~bit
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = _run_starts(keys)
+        slot = np.cumsum(new)
+        slot -= 1
+        keys = keys[new]
         halves = np.zeros((2, keys.size), dtype=np.complex128)
-        halves[(indices >> (bit.bit_length() - 1)) & 1, slot] = amplitudes
+        halves[(indices[order] >> (bit.bit_length() - 1)) & 1, slot] = amplitudes[order]
         upper, lower = halves
         total = np.add(upper, lower)
         np.subtract(upper, lower, out=lower)

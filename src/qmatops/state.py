@@ -38,11 +38,15 @@ OCCUPIED_SCAN_CHUNK = 1 << 16
 # pairwise block
 MASS_BLOCK = 1 << 13
 
-# numpy sums a float64 array pairwise, halving it down to blocks of this many
-# values; a sparse squared mass lays out at most MASS_ROWS such blocks at a
-# time (2^16 float64, 512 KiB) and sums them with np.sum
+# numpy sums a float64 array pairwise: it halves it down to blocks of at most
+# PAIRWISE_BLOCK values and sums a block of LANES or more in LANES
+# accumulators, value p going to accumulator p % LANES; fewer it adds one by
+# one.  A sparse squared mass lays out a subspace of at most LAID_OUT values
+# (2^16 float64, 512 KiB) whole and sums it with np.sum; a larger one it sums
+# from its listed entries in the same lanes and tree (_sparse_mass)
 PAIRWISE_BLOCK = 1 << 7
-MASS_ROWS = 1 << 9
+LANES = 8
+LAID_OUT = 1 << 16
 
 # prepare_product_state writes the product block by block of its leading
 # factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
@@ -827,45 +831,71 @@ def _sparse_mass(state: SparseBuffer, mask: int, hit=slice(None)) -> float:
     """``squared_mass`` of the subspace that fixes the ``mask`` bits, from
     the listed entries ``hit`` that lie in it.
 
-    A subspace of up to MASS_ROWS blocks is laid out whole, zeros
+    A subspace of up to LAID_OUT amplitudes is laid out whole, zeros
     included, and summed by one np.sum, as the dense sum sums it.  A larger
-    one is cut into blocks of PAIRWISE_BLOCK.  Each touched block is laid
-    out with its zeros and summed by np.sum, MASS_ROWS blocks at a time, and
-    the block sums are added in the dense sum's halving tree, built over
-    the touched nodes only: a node without a sibling stands for a sum with
-    an exact 0.0, which leaves it as it is.
+    one is summed from the listed entries alone, in the dense sum's order:
+    each entry goes to its lane, the accumulator ``p & (LANES - 1)`` of its
+    PAIRWISE_BLOCK, and each lane is folded left in position order.  The
+    lanes are then added in a perfect binary tree over their keys, block
+    and lane bits together, built over the listed nodes only: a node
+    without a sibling stands for a sum with an exact 0.0, which leaves a
+    non-negative weight as it is.  Levels where no two nodes meet are
+    skipped together, and once the nodes fill half of a level the levels
+    above it are laid out whole, so the cost follows the listed entries,
+    not the subspace.
     """
     layout = state.layout
     subspace = layout.size >> bin(mask).count("1")
     positions = _compress(state.indices[hit], (layout.size - 1) & ~mask)
     weights = np.abs(state.amplitudes[hit])
     np.square(weights, out=weights)
-    if subspace <= MASS_ROWS * PAIRWISE_BLOCK:
+    if subspace <= LAID_OUT:
         laid = np.zeros(subspace)
         laid[positions] = weights
         return float(np.sum(laid))
-    ids = positions >> (PAIRWISE_BLOCK.bit_length() - 1)
-    first = np.flatnonzero(np.diff(ids, prepend=-1))
-    bounds = np.append(first, ids.size)
-    sums = np.empty(first.size)
-    rows = np.empty((min(first.size, MASS_ROWS), PAIRWISE_BLOCK))
-    for low in range(0, first.size, MASS_ROWS):
-        high = min(low + MASS_ROWS, first.size)
-        laid = rows[: high - low]
-        laid.fill(0.0)
-        take = slice(bounds[low], bounds[high])
-        row = np.repeat(np.arange(high - low), np.diff(bounds[low : high + 1]))
-        laid[row, positions[take] & (PAIRWISE_BLOCK - 1)] = weights[take]
-        sums[low:high] = np.sum(laid, axis=1)
-    nodes = ids[first]
-    for _ in range(subspace.bit_length() - PAIRWISE_BLOCK.bit_length()):
-        parents = nodes >> 1
-        left = np.flatnonzero(parents[1:] == parents[:-1])
+    if not positions.size:
+        return 0.0
+    block = PAIRWISE_BLOCK.bit_length() - 1
+    lanes = ((positions >> block) * LANES) | (positions & (LANES - 1))
+    # the support is sorted, so a stable sort keeps each lane in position order
+    order = np.argsort(lanes, kind="stable")
+    lanes, weights = lanes[order], weights[order]
+    first = np.flatnonzero(_run_starts(lanes))
+    nodes, sums = lanes[first], weights[first]
+    held = np.diff(first, append=lanes.size)
+    for k in range(1, int(held.max())):
+        # the k-th entry of every lane that holds more than k
+        deeper = np.flatnonzero(held > k)
+        sums[deeper] += weights[first[deeper] + k]
+    top = max(1, subspace // PAIRWISE_BLOCK) * LANES  # the nodes of the current level
+    while nodes.size > 1 and top > 2 * nodes.size:
+        # up to the first level where two neighbouring nodes meet; no more
+        # than two can, one from each half of their parent
+        shift = int(np.min(nodes[1:] ^ nodes[:-1])).bit_length()
+        nodes, top = nodes >> shift, top >> shift
+        starts = _run_starts(nodes)
+        left = np.flatnonzero(~starts[1:])
         sums[left] += sums[left + 1]
-        alone = np.ones(nodes.size, dtype=bool)
-        alone[left + 1] = False
-        nodes, sums = parents[alone], sums[alone]
-    return float(sums[0]) if sums.size else 0.0
+        first = np.flatnonzero(starts)
+        nodes, sums = nodes[first], sums[first]
+    if nodes.size == 1:
+        return float(sums[0])
+    # the nodes fill at least half of the ``top`` nodes of their level, so
+    # the rest of the tree is laid out whole, zeros included
+    laid = np.zeros(top)
+    laid[nodes] = sums
+    while laid.size > 1:
+        laid = laid[0::2] + laid[1::2]
+    return float(laid[0])
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Which entries of a sorted array differ from the one before them, the
+    first entry always."""
+    starts = np.empty(values.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def _selected(state: SparseBuffer, values: Mapping[str, int]) -> tuple[int, np.ndarray]:

@@ -434,6 +434,25 @@ def test_routine_gates_on_a_support_are_bitwise_the_dense_gates(circuit):
     assert_sparse_matches_dense(sparse, sparse.densify(), [gate for _, gate in circuit.gates()])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_sparse_hadamard_with_targets_from_low_bit_to_high(seed):
+    # each target leaves its outputs as two sorted runs, which the next
+    # target's pairing merges; from the lowest bit up every key moves
+    layout = RegisterLayout((("A", 3), ("B", 4)))
+    layer = HadamardLayer((*(("B", q) for q in reversed(range(4))), ("A", 2), ("A", 0)))
+    assert gates._plan(layout, layer).targets == (1, 2, 4, 8, 16, 64)
+    sparse = random_support(layout, seed, share=0.2)
+    assert_sparse_matches_dense(sparse, sparse.densify(), [layer])
+    # and with a read cube, which drops outputs between targets
+    sparse, accept = random_support(layout, seed, share=0.2), layout.pattern({"A": 5})
+    dense = sparse.densify()
+    sparse.reads = gates.pull_back(layout, (), accept)
+    apply_gate(sparse, layer)
+    apply_gate(dense, layer)
+    read = in_cubes(layout, [accept])
+    assert sparse.densify().amplitudes[read].tobytes() == dense.amplitudes[read].tobytes()
+
+
 def test_sparse_hadamard_keeps_every_computed_amplitude():
     layout = RegisterLayout((("A", 1), ("B", 2)))
     # along A, |000> and |100> cancel in their lower output; |001> is alone

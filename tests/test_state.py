@@ -443,13 +443,14 @@ def random_support(rng, layout, share, inside=None):
     return SparseBuffer(layout, indices, amplitudes)
 
 
-@pytest.mark.parametrize("rows", [None, 1 << 2])
+@pytest.mark.parametrize("laid_out", [None, 1 << 2])
 @pytest.mark.parametrize("qubits, share", [(4, 0.5), (9, 0.2), (14, 0.02), (17, 0.01), (17, 0.6)])
-def test_sparse_squared_mass_is_bitwise_the_dense_sum(monkeypatch, qubits, share, rows):
+def test_sparse_squared_mass_is_bitwise_the_dense_sum(monkeypatch, qubits, share, laid_out):
     # subspaces below and above numpy's 128-value block, laid out whole or
-    # block by block, with more touched blocks than are laid out at once
-    if rows is not None:
-        monkeypatch.setattr(state_module, "MASS_ROWS", rows)
+    # summed lane by lane from the listed entries; with LAID_OUT at 4 every
+    # subspace of 8 values or more takes the lanes
+    if laid_out is not None:
+        monkeypatch.setattr(state_module, "LAID_OUT", laid_out)
     layout = RegisterLayout((("A", qubits - 3), ("M", 1), ("B", 2)))
     rng = np.random.default_rng(qubits)
     sparse = random_support(rng, layout, share)
@@ -459,6 +460,34 @@ def test_sparse_squared_mass_is_bitwise_the_dense_sum(monkeypatch, qubits, share
         kept = qubit_view(dense, layout)[qubit_index(layout, pattern)]
         assert post_select(sparse, pattern).probability.hex() == squared_mass(kept).hex()
         assert pinned_share(sparse, pattern).hex() == pinned_share(StateVector(layout, dense), pattern).hex()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    qubits=st.integers(17, 23),
+    seed=st.integers(0, 2**32 - 1),
+    pattern=st.sampled_from([{"M": 1}, {"B": 2}, {"M": 0, "Z": 1}, {"A": 5, "M": 1}]),
+)
+def test_sparse_mass_of_clustered_runs_is_bitwise_the_dense_sum(qubits, seed, pattern):
+    # runs of consecutive indices, thinned, so that a lane of a 128-value
+    # block holds 1 to 16 listed entries; weights from 2^-60 to 2^60 and
+    # signed zeros planted among them
+    layout = RegisterLayout((("A", qubits - 4), ("M", 1), ("B", 2), ("Z", 1)))
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, layout.size, rng.integers(1, 40))
+    lengths = rng.integers(1, 600, starts.size)
+    indices = np.unique(np.concatenate([np.arange(s, min(s + n, layout.size)) for s, n in zip(starts, lengths)]))
+    indices = np.union1d(indices[rng.random(indices.size) < rng.uniform(0.2, 1.0)], starts[:1])
+    amplitudes = rng.standard_normal(indices.size) + 1j * rng.standard_normal(indices.size)
+    amplitudes *= np.exp2(rng.integers(-60, 61, indices.size))
+    zeros = rng.random(indices.size) < 0.1
+    amplitudes[zeros] = np.array(SIGNED_ZEROS)[rng.integers(len(SIGNED_ZEROS), size=np.count_nonzero(zeros))]
+    sparse = SparseBuffer(layout, indices.astype(np.int64), amplitudes)
+    dense = sparse.densify().amplitudes
+    assert sparse.norm_squared.hex() == squared_mass(dense).hex()
+    kept = qubit_view(dense, layout)[qubit_index(layout, pattern)]
+    assert post_select(sparse, pattern).probability.hex() == squared_mass(kept).hex()
+    assert pinned_share(sparse, pattern).hex() == pinned_share(StateVector(layout, dense), pattern).hex()
 
 
 @pytest.mark.parametrize(
