@@ -9,7 +9,6 @@ the prepared product state.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -53,12 +52,6 @@ from .state import (
     supported_on,
 )
 from . import state as state_module  # for SPARSE_FLOOR and DENSE_SHARE as they are at a call
-
-# Run plans kept for reuse (_support_plan).  Each keeps its circuit's gates
-# alive, about 3 KiB, and a process that runs row-add or row-swap over many
-# row pairs seldom repeats one, so it keeps fewer than the gate caches: 1024
-# of them raised the peak RSS of 30 s of 20-21 qubit runs by 2.8 MiB
-RUN_PLANS = 64
 
 __all__ = [
     "StepState",
@@ -158,9 +151,6 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple | None:
     """How ``simulate`` holds a run, from the circuit alone before anything
     is allocated: None if dense, else each gate's read cubes, None but for a
     Hadamard layer's (``gates.pull_back`` of the accept pattern after it).
-    The bound and the cubes depend on the circuit alone and are cached
-    (``_support_plan``); the checks below are made on every call, against
-    the limits as they are then.
 
     It refuses a circuit with neither an accept pattern nor a decode, a
     layout beyond the qubit cap, and a recorded run whose states (a
@@ -186,30 +176,20 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple | None:
             )
     if record_steps or layout.size <= state_module.SPARSE_FLOOR:
         return None
-    accept = None if circuit.accept is None else tuple(circuit.accept.items())
-    gates = tuple(gate for _, gate in circuit.gates())
-    support, reads = _support_plan(layout, gates, circuit.matrix_registers, circuit.ancillas, accept)
-    return reads if support <= state_module.DENSE_SHARE * layout.size else None
-
-
-@functools.lru_cache(maxsize=RUN_PLANS)
-def _support_plan(layout, gates, matrix_registers, ancillas, accept) -> tuple[int, tuple]:
-    """The part of ``_plan_run`` that the circuit alone fixes, kept per
-    circuit as ``gates.pull_back`` keeps its cubes: the bound on a sparse
-    run's support and each gate's read cubes."""
-    support = 1 << sum(layout.width(name) for name in matrix_registers)
-    support *= math.prod(len(ancilla.listed()) for _, ancilla in ancillas)
-    loaded = [*matrix_registers, *(name for names, _ in ancillas for name in names)]
+    support = 1 << sum(layout.width(name) for name in circuit.matrix_registers)
+    support *= math.prod(len(ancilla.listed()) for _, ancilla in circuit.ancillas)
+    loaded = [*circuit.matrix_registers, *(name for names, _ in circuit.ancillas for name in names)]
     zeros = layout.size - 1 - sum(layout.field_mask(name) for name in loaded)
+    gates = tuple(gate for _, gate in circuit.gates())
     reads = [None] * len(gates)
     for position, gate in enumerate(gates):
         # only a Hadamard layer grows a support; a controlled op permutes it
         if isinstance(gate, HadamardLayer):
-            if accept is not None:
-                reads[position] = pull_back(layout, gates[position + 1 :], layout.pattern(dict(accept)))
+            if circuit.accept is not None:
+                reads[position] = pull_back(layout, gates[position + 1 :], layout.pattern(circuit.accept))
             support *= support_growth(layout, gate, reads[position], zeros)
         zeros &= ~moved_bits(layout, gate)
-    return support, tuple(reads)
+    return tuple(reads) if support <= state_module.DENSE_SHARE * layout.size else None
 
 
 # --- circuit builders ----------------------------------------------------------

@@ -43,7 +43,15 @@ MASS_BLOCK = 1 << 13
 # accumulators, value p going to accumulator p % LANES; fewer it adds one by
 # one.  A sparse squared mass lays out a subspace of at most LAID_OUT values
 # (2^16 float64, 512 KiB) whole and sums it with np.sum; a larger one it sums
-# from its listed entries in the same lanes and tree (_sparse_mass)
+# from its listed entries in the same lanes and tree (_sparse_mass).  The
+# lanes need 8 values or more, and up to about 2^16 the layout is also the
+# faster.  On the first post-selection of unrecorded runs (2-core Xeon,
+# numpy 2.4, warm, best of 7) the lane sum took 79 against 19 us at 2^12
+# (row-swap 8x8, 64 entries) and 123 against 41 us at 2^15 (row-add 32x32,
+# 1024 entries); the two cross near 2^16-2^17 (trace 32x32, one entry of
+# 2^16: 38 against 50 us; row-swap 16x32, 512 of 2^17: 98 against 67 us),
+# and from 2^18 the lanes win (row-add 64x64: 211 against 298 us; trace
+# 64x64: 41 against 431 us)
 PAIRWISE_BLOCK = 1 << 7
 LANES = 8
 LAID_OUT = 1 << 16

@@ -709,21 +709,6 @@ def test_run_plan_holds_each_routine_as_it_always_has(monkeypatch, record_steps)
     assert len(seen) == 15
 
 
-def test_run_plan_reuses_its_circuit_part_and_checks_the_limits_on_every_call(monkeypatch):
-    # the support bound and read cubes are cached per circuit; the floor,
-    # the share and the cap are read as they are at each call
-    algorithms._support_plan.cache_clear()
-    planned = algorithms._plan_run(row_add_circuit(5, 5, 1, 2), False)
-    assert planned is not None
-    assert algorithms._plan_run(row_add_circuit(5, 5, 1, 2), False) == planned
-    assert algorithms._support_plan.cache_info().hits == 1
-    monkeypatch.setattr(state_module, "DENSE_SHARE", 0.0)
-    assert algorithms._plan_run(row_add_circuit(5, 5, 1, 2), False) is None
-    monkeypatch.setattr(state_module, "MAX_QUBITS", 12)
-    with pytest.raises(ValueError, match="dense-array cap"):
-        algorithms._plan_run(row_add_circuit(5, 5, 1, 2), False)
-
-
 def test_a_circuit_that_discards_nothing_needs_a_decode(monkeypatch):
     # its report is the share of its decoded subspace, so without a decode
     # it is refused before preparation
