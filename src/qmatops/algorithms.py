@@ -9,10 +9,12 @@ the prepared product state.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,11 +27,12 @@ from .gates import (
     HadamardLayer,
     Projector,
     RegisterSwapGate,
+    SparseStep,
     SwapRegisters,
     apply_gate,
-    lower,
     moved_bits,
     pull_back,
+    sparse_step,
     support_growth,
     tally_gates,
 )
@@ -48,6 +51,8 @@ from .state import (
     pinned_share,
     post_select,
     prepare_product_state,
+    prepared_support,
+    readout_halves,
     require_dense_width,
     supported_on,
 )
@@ -105,9 +110,13 @@ class RunReport:
     step_states: list[StepState] | None = None
 
 
-# (stage label, [(tally label, gate), ...]); a stage may split its gates
+# (stage label, ((tally label, gate), ...)); a stage may split its gates
 # over several tally labels
-Step = tuple[str, list[tuple[str, Gate]]]
+Step = tuple[str, tuple[tuple[str, Gate], ...]]
+
+
+def _read_only(values: Mapping[str, int] | None) -> Mapping[str, int] | None:
+    return None if values is None else MappingProxyType(dict(values))
 
 
 @dataclass(frozen=True)
@@ -120,22 +129,157 @@ class Circuit:
     run is post-selected on, or None when the circuit discards nothing.
     ``decode`` is the (row register, column register, pinned values) the
     output matrix is read from, or None when the output is not a matrix.
+    ``read`` is the basis state whose final amplitude a run reads, or None.
+
+    A builder hands every run with the same arguments the same circuit, so
+    its steps and patterns are read-only, and what depends on the circuit
+    alone is worked out once and kept with it: its gate tally, the bound on
+    a sparse run's support and a sparse run's index plan.
     """
 
     layout: RegisterLayout
     matrix_registers: tuple[str, str]
     ancillas: tuple[tuple[tuple[str, ...], AncillaVector], ...]
     steps: tuple[Step, ...]
-    accept: dict[str, int] | None
-    decode: tuple[str, str, dict[str, int]] | None
+    accept: Mapping[str, int] | None
+    decode: tuple[str, str, Mapping[str, int]] | None
+    read: Mapping[str, int] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple((label, tuple(gates)) for label, gates in self.steps))
+        object.__setattr__(self, "accept", _read_only(self.accept))
+        object.__setattr__(self, "read", _read_only(self.read))
+        if self.decode is not None:
+            row, col, pinned = self.decode
+            object.__setattr__(self, "decode", (row, col, _read_only(pinned)))
 
     def gates(self) -> list[tuple[str, Gate]]:
         """Every (tally label, gate) pair in application order."""
         return [pair for _, gates in self.steps for pair in gates]
 
+    @functools.cached_property
+    def tally(self) -> GateTally:
+        """The per-step primitive counts (``tally_gates``), read-only."""
+        return tally_gates(self.gates(), self.layout)
+
+    @functools.cached_property
+    def _sparse_plan(self) -> tuple[int, IndexPlan]:
+        """The most amplitudes a sparse run of the circuit lists at any
+        stage, and the run's ``IndexPlan``, as yet without arrays.
+
+        The bound is the matrix table's size times each ancilla table's
+        listed entries and each Hadamard layer's ``gates.support_growth``
+        over its read cubes (``gates.pull_back`` of the accept pattern
+        after it), where a cube that needs a 1 in a register that is still
+        |0>, no gate having moved it, reads nothing.
+        """
+        layout = self.layout
+        support = 1 << sum(layout.width(name) for name in self.matrix_registers)
+        support *= math.prod(len(ancilla.listed()) for _, ancilla in self.ancillas)
+        loaded = [*self.matrix_registers, *(name for names, _ in self.ancillas for name in names)]
+        zeros = layout.size - 1 - sum(layout.field_mask(name) for name in loaded)
+        gates = tuple(gate for _, gate in self.gates())
+        reads = [None] * len(gates)
+        for position, gate in enumerate(gates):
+            # only a Hadamard layer grows a support; a controlled op permutes it
+            if isinstance(gate, HadamardLayer):
+                if self.accept is not None:
+                    reads[position] = pull_back(layout, gates[position + 1 :], layout.pattern(self.accept))
+                support *= support_growth(layout, gate, reads[position], zeros)
+            zeros &= ~moved_bits(layout, gate)
+        parts = ((self.matrix_registers, None), *((names, ancilla.listed()) for names, ancilla in self.ancillas))
+        return support, IndexPlan(layout, parts, tuple(zip(gates, reads)), self.accept, self.decode, self.read)
+
+
+class IndexPlan:
+    """What a sparse run of a circuit does with basis indices, which depend
+    on the circuit alone and never on the matrix: the prepared support
+    (``state.prepared_support``), each gate's index half
+    (``gates.sparse_step``, a Hadamard layer computing only the outputs its
+    read cubes hold) and the index halves of the reads of the final support
+    (``state.readout_halves``).  ``_plan_run`` hands out a circuit's plan
+    before any of them is worked out.  A run works each out as it reaches
+    it, from its buffer's support.  The circuit's first run drops them, as
+    most circuits run once; its second keeps them, and every later run only
+    gathers and combines amplitudes.  The arrays a kept plan hands a run's
+    caller are read-only, as the runs share them.  ``parts`` are the
+    (registers, listed entries) that ``prepared_support`` reads, and
+    ``gates`` pairs each gate with its read cubes, None but for a Hadamard
+    layer of a circuit that post-selects.
+    """
+
+    def __init__(self, layout: RegisterLayout, parts: tuple, gates: tuple, accept, decode, read):
+        self.layout, self.parts, self.gates = layout, parts, gates
+        self.accept, self.decode, self.read = accept, decode, read
+        self._runs = 0
+        self._support = self._readouts = None
+        self._steps: list[SparseStep] = []
+
+    def start_run(self) -> np.ndarray:
+        """Count a run of the circuit and give its prepared support."""
+        self._runs += 1
+        if self._support is not None:
+            return self._support
+        support = prepared_support(self.layout, self.parts)
+        if self._runs > 1:
+            self._support = support
+        return support
+
+    def steps(self, buffer: SparseBuffer):
+        """Each gate's index half in turn, for the run whose ``buffer`` the
+        gates change: the one kept, or the one the buffer's support gives."""
+        keep = self._runs > 1
+        for position, (gate, reads) in enumerate(self.gates):
+            if position < len(self._steps):
+                yield self._steps[position]
+                continue
+            step = sparse_step(self.layout, buffer.indices, gate, reads)
+            if keep:
+                # a run's buffer holds it, so no caller can change the next run's
+                step.indices.setflags(write=False)
+                self._steps.append(step)
+            yield step
+
+    def readouts(self, indices: np.ndarray) -> Mapping[tuple, object]:
+        """The read-outs' index halves of the final support, ``indices``."""
+        if self._readouts is not None:
+            return self._readouts
+        readouts = readout_halves(self.layout, indices, self.accept, self.decode, self.read)
+        if self._runs > 1:
+            # a run's final buffer hands them to its caller
+            _read_only_arrays(tuple(readouts.values()))
+            self._readouts = readouts
+        return readouts
+
+
+def _read_only_arrays(value) -> None:
+    """Make every array in nested tuples read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only_arrays(item)
+
+
+def _remember_last(build: Callable[..., Circuit]) -> Callable[..., Circuit]:
+    """A circuit builder that hands back the very circuit it built last when
+    it is called again with the same integer arguments, so that runs of a
+    repeated circuit share its tally and index plan.  A miss costs one
+    compare of the argument tuples, and the builder holds no other circuit,
+    so a process holds at most one plan per builder."""
+    last: list = [None, None]
+
+    @functools.wraps(build)
+    def builder(*args: int) -> Circuit:
+        if args != last[0]:
+            last[:] = args, build(*args)
+        return last[1]
+
+    return builder
+
 
 def _plain_step(label: str, *gates: Gate) -> Step:
-    return (label, [(label, gate) for gate in gates])
+    return (label, tuple((label, gate) for gate in gates))
 
 
 def _snapshot(label: str, state: StateVector) -> StepState:
@@ -147,20 +291,18 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _plan_run(circuit: Circuit, record_steps: bool) -> tuple | None:
+def _plan_run(circuit: Circuit, record_steps: bool) -> IndexPlan | None:
     """How ``simulate`` holds a run, from the circuit alone before anything
-    is allocated: None if dense, else each gate's read cubes, None but for a
-    Hadamard layer's (``gates.pull_back`` of the accept pattern after it).
+    is allocated: None if dense, else the circuit's ``IndexPlan``.
 
     It refuses a circuit with neither an accept pattern nor a decode, a
     layout beyond the qubit cap, and a recorded run whose states (a
     snapshot per step, the final state and the renormalized one) would not
     fit in physical memory.  Recorded runs and layouts of at most
     ``state.SPARSE_FLOOR`` amplitudes are dense; any other run is sparse
-    when its support stays within ``state.DENSE_SHARE`` of the layout: the
-    matrix table's size times each ancilla table's listed entries and each
-    Hadamard layer's ``gates.support_growth``, where a cube that needs a 1
-    in a register that is still |0>, no gate having moved it, reads nothing.
+    when its support stays within ``state.DENSE_SHARE`` of the layout
+    (``Circuit._sparse_plan``).  The bound is worked out once per
+    circuit; the limits and physical memory are read on every call.
     """
     layout = circuit.layout
     if circuit.accept is None and circuit.decode is None:
@@ -176,24 +318,13 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple | None:
             )
     if record_steps or layout.size <= state_module.SPARSE_FLOOR:
         return None
-    support = 1 << sum(layout.width(name) for name in circuit.matrix_registers)
-    support *= math.prod(len(ancilla.listed()) for _, ancilla in circuit.ancillas)
-    loaded = [*circuit.matrix_registers, *(name for names, _ in circuit.ancillas for name in names)]
-    zeros = layout.size - 1 - sum(layout.field_mask(name) for name in loaded)
-    gates = tuple(gate for _, gate in circuit.gates())
-    reads = [None] * len(gates)
-    for position, gate in enumerate(gates):
-        # only a Hadamard layer grows a support; a controlled op permutes it
-        if isinstance(gate, HadamardLayer):
-            if circuit.accept is not None:
-                reads[position] = pull_back(layout, gates[position + 1 :], layout.pattern(circuit.accept))
-            support *= support_growth(layout, gate, reads[position], zeros)
-        zeros &= ~moved_bits(layout, gate)
-    return tuple(reads) if support <= state_module.DENSE_SHARE * layout.size else None
+    bound, plan = circuit._sparse_plan
+    return plan if bound <= state_module.DENSE_SHARE * layout.size else None
 
 
 # --- circuit builders ----------------------------------------------------------
 
+@_remember_last
 def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     """Add row k into row l of a 2^n x 2^m matrix."""
     return Circuit(
@@ -230,6 +361,7 @@ def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
+@_remember_last
 def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     """Exchange rows k and l of a 2^n x 2^m matrix."""
     ancilla = AncillaVector("row-swap", k, l, n)
@@ -266,7 +398,7 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
             _plain_step("step3-mark-swap-rows", tag_source, tag_target),
             (
                 "step4-cswap-rows",
-                [("step4-cswap-via-c2", swap_via_c2), ("step4-cswap-via-r2", swap_via_r2)],
+                (("step4-cswap-via-c2", swap_via_c2), ("step4-cswap-via-r2", swap_via_r2)),
             ),
             _plain_step("step5-mark-useful", *relabel),
             _plain_step("step6-hadamard-mix", HadamardLayer(("B1", "B2"))),
@@ -276,6 +408,7 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
+@_remember_last
 def trace_circuit(n: int) -> Circuit:
     """Move the trace of a 2^n x 2^n matrix into one amplitude."""
     marks = [
@@ -291,7 +424,7 @@ def trace_circuit(n: int) -> Circuit:
         matrix_registers=("R", "C"),
         ancillas=(),
         steps=(
-            ("step2-mark-diagonal", [("step2-mark-diagonal", g) for g in marks]),
+            ("step2-mark-diagonal", tuple(("step2-mark-diagonal", g) for g in marks)),
             _plain_step(
                 "step3-mark-useful",
                 ControlledOp(Projector(register_values=(("A", full),)), FlipQubit("B1", 0)),
@@ -307,9 +440,11 @@ def trace_circuit(n: int) -> Circuit:
         ),
         accept={"B2": 1},
         decode=None,
+        read={"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1},
     )
 
 
+@_remember_last
 def transpose_circuit(n: int, m: int) -> Circuit:
     """Transpose a 2^n x 2^m matrix by exchanging its column register with a
     destination register."""
@@ -323,6 +458,7 @@ def transpose_circuit(n: int, m: int) -> Circuit:
     )
 
 
+@_remember_last
 def transpose_square_circuit(side_qubits: int) -> Circuit:
     """Transpose a 2^s x 2^s matrix by exchanging its two registers."""
     return Circuit(
@@ -346,7 +482,7 @@ class Simulation:
     accept pattern reads, so its state is exact only on the accepted
     subspace.  ``output`` is the decoded matrix, or None when nothing was
     accepted or the circuit has no matrix output; ``amplitude`` is the
-    amplitude ``simulate`` was asked to read, or None.
+    final amplitude of the circuit's ``read`` basis state, or None.
     """
 
     state: StateVector | SparseBuffer
@@ -382,38 +518,42 @@ def simulate(
     entries: np.ndarray,
     record_steps: bool = False,
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None = None,
-    read: Mapping[str, int] | None = None,
 ) -> Simulation:
     """Load ``entries`` into the circuit's matrix registers and run it.
 
     Prepares the product state, applies the steps, tallies the gates,
-    post-selects on the accept pattern, decodes the output and, when
-    ``read`` names a basis state, reads its final amplitude.  ``_plan_run``
-    first refuses, or plans how to hold, the run from the circuit alone.  A
-    sparse run holds its support, a ``SparseBuffer``, to the end; each
-    Hadamard layer on it computes only the outputs its planned cubes read,
-    the accept pattern pulled back through the gates after it.  So the
-    final state is exact only on the accepted subspace, which is all that
-    post-selection, decoding and a read amplitude look at.  When its
-    decoded output or read amplitude has an exact-zero part whose sign the
-    support may not carry, the run is done again densely, after the sparse
-    one is released, so reports are bitwise the dense run's.  A dense run
-    owns one ``StateBuffer``, the prepared array itself, that every gate
-    changes in place.  ``after_step`` gets the run's buffer after each
-    stage, pruned as above; it is valid only during the callback.  With
-    ``record_steps`` the run is dense and each stage's input is copied into
-    a frozen snapshot before the stage runs, and the final snapshot is the
-    frozen buffer itself.
+    post-selects on the accept pattern, decodes the output and, when the
+    circuit names a basis state to ``read``, reads its final amplitude.
+    ``_plan_run`` first refuses, or plans how to hold, the run from the
+    circuit alone.  A sparse run holds its support, a ``SparseBuffer``, to
+    the end.  Every basis index it lists depends on the circuit alone, so
+    the circuit's ``IndexPlan`` keeps them from its second run on, and
+    ``_run`` hands preparation the prepared support, each gate its index
+    half and the final buffer the read-outs' index halves; a run of a
+    repeated circuit only gathers and combines amplitudes.  Each Hadamard
+    layer on the support computes only
+    the outputs its planned cubes read, the accept pattern pulled back
+    through the gates after it.  So the final state is exact only on the
+    accepted subspace, which is all that post-selection, decoding and a
+    read amplitude look at.  When its decoded output or read amplitude has
+    an exact-zero part whose sign the support may not carry, the run is
+    done again densely, after the sparse one is released, so reports are
+    bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
+    prepared array itself, that every gate changes in place.
+    ``after_step`` gets the run's buffer after each stage, pruned as above;
+    it is valid only during the callback.  With ``record_steps`` the run is
+    dense and each stage's input is copied into a frozen snapshot before
+    the stage runs, and the final snapshot is the frozen buffer itself.
 
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
     """
-    reads = _plan_run(circuit, record_steps)
-    if reads is not None:
-        run = _run(circuit, entries, False, after_step, read, reads)
+    plan = _plan_run(circuit, record_steps)
+    if plan is not None:
+        run = _run(circuit, entries, False, after_step, plan)
         if run is not None:
             return run
-    return _run(circuit, entries, record_steps, after_step, read, None)
+    return _run(circuit, entries, record_steps, after_step, None)
 
 
 def _run(
@@ -421,12 +561,11 @@ def _run(
     entries: np.ndarray,
     record_steps: bool,
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
-    read: Mapping[str, int] | None,
-    reads: tuple | None,
+    plan: IndexPlan | None,
 ) -> Simulation | None:
-    """One run of ``simulate``, sparse given the plan's ``reads``, else dense;
-    a sparse one gives None, and drops its state, when a zero part of its
-    read-out may differ in sign from the dense run's."""
+    """One run of ``simulate``, sparse given the circuit's index plan, else
+    dense; a sparse one gives None, and drops its state, when a zero part of
+    its read-out may differ in sign from the dense run's."""
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
@@ -434,21 +573,26 @@ def _run(
         [(circuit.matrix_registers, entries.ravel())],
         ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
     )
-    buffer = prepare_product_state(layout, parts, sparse=reads is not None)
-    if isinstance(buffer, StateVector):
-        buffer = StateBuffer.adopt(buffer)
+    if plan is None:
+        buffer = StateBuffer.adopt(prepare_product_state(layout, parts, sparse=False))
+        steps = None
+    else:
+        buffer = prepare_product_state(layout, parts, sparse=plan.start_run())
+        steps = plan.steps(buffer)
     unsure = buffer.unsure_zero_parts if isinstance(buffer, SparseBuffer) else (False, False)
     records = [] if record_steps else None
-    planned = iter(reads or ())
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
-            if reads is not None:
-                buffer.reads = next(planned)
+            if steps is not None:
+                buffer.planned = next(steps)
             apply_gate(buffer, gate)
         if after_step is not None:
             after_step(label, buffer)
+    if plan is not None:
+        # they index the final support only
+        buffer.readouts = plan.readouts(buffer.indices)
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
@@ -466,7 +610,7 @@ def _run(
             output = decode_matrix(state, *circuit.decode, selected_mass)
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
-    amplitude = None if read is None else state.amplitude(read)
+    amplitude = None if circuit.read is None else state.amplitude(circuit.read)
     if any(unsure):
         doubtful = [amplitude]
         if output is not None and not _keeps_zero_signs(circuit, state, divided=selected_mass is not None):
@@ -475,8 +619,7 @@ def _run(
             for doubt, part in zip(unsure, ("real", "imag")):
                 if doubt and np.any(getattr(value, part) == 0.0):
                     return None
-    tally = tally_gates(circuit.gates(), layout)
-    return Simulation(state, tally, probability, selection, output, amplitude, records)
+    return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
 
 
 def _keeps_zero_signs(circuit: Circuit, state: SparseBuffer, divided: bool) -> bool:
@@ -494,7 +637,7 @@ def _keeps_zero_signs(circuit: Circuit, state: SparseBuffer, divided: bool) -> b
     into +0.0, on both paths.
     """
     targets = sum(
-        len(lower(gate, circuit.layout).gates)
+        bin(moved_bits(circuit.layout, gate)).count("1")
         for _, gate in circuit.gates()
         if isinstance(gate, HadamardLayer)
     )
@@ -566,8 +709,7 @@ def run_trace(matrix: EncodedMatrix, record_steps: bool = False) -> RunReport:
         if not supported_on(current, marked):
             raise RuntimeError("diagonal marking left the comparison register inconsistent")
 
-    accepted = {"R": 0, "C": 0, "A": 0, "B1": 1, "B2": 1}
-    run = simulate(circuit, matrix.entries, record_steps, check_marking, read=accepted)
+    run = simulate(circuit, matrix.entries, record_steps, check_marking)
     trace_of_entries = complex(np.trace(matrix.entries))
     predicted = abs(trace_of_entries) ** 2 / float(2 ** (3 * n))
     return run.report(

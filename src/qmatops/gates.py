@@ -14,13 +14,17 @@ the state or of a subspace.  A controlled op exchanges its pairs, a
 basis-state permutation, so it is exact; a Hadamard layer combines each
 target's pairs in turn with the arithmetic of one whole-state butterfly
 per qubit, so its result is bitwise the same.  A run's ``SparseBuffer``
-goes through sparse kernels instead, which permute its listed indices or
-combine each listed amplitude with its partners, +0.0 where none is
-listed, by the same butterfly.  The sparse Hadamard kernel computes only
-the outputs in the buffer's ``reads``, the (mask, bits) cubes that
-``pull_back`` gives: the basis states from which the gates after the
-layer can reach the run's accept pattern.  ``lower`` turns a gate into
-the X, CNOT, Toffoli, SWAP and H ``Netlist`` that the gate tally counts.
+goes through sparse kernels instead, each in two halves.  The index half
+(``sparse_step``) reads only the support's indices: how a controlled op
+permutes and re-sorts them, and how a Hadamard layer pairs them, target
+by target, computing only the outputs in the (mask, bits) cubes that
+``pull_back`` gives, the basis states from which the gates after the
+layer can reach the run's accept pattern.  A circuit's index plan keeps
+them, so a repeated circuit works them out once, and hands each gate its
+own; the amplitude half (``_sparse_amplitudes``) gathers the amplitudes
+and combines each with its partner, +0.0 where none is listed, by the
+dense butterfly's operations.  ``lower`` turns a gate into the X, CNOT,
+Toffoli, SWAP and H ``Netlist`` that the gate tally counts.
 """
 from __future__ import annotations
 
@@ -29,7 +33,8 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -50,7 +55,7 @@ READ_CUBES = 64
 # Plans of (layout, gate) pairs and primitive counts of (gate, layout)
 # pairs kept for reuse.  Row-add and row-swap condition some ops on the
 # rows k and l, so a process that runs them over many row pairs of a few
-# shapes keeps a few hundred of each.
+# shapes keeps a few hundred of each, a few hundred bytes apiece.
 CACHE_SIZE = 1024
 
 __all__ = [
@@ -61,6 +66,8 @@ __all__ = [
     "HadamardLayer",
     "RegisterSwapGate",
     "apply_gate",
+    "SparseStep",
+    "sparse_step",
     "support_growth",
     "moved_bits",
     "pull_back",
@@ -302,10 +309,10 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
     target maps it to ((u + l) * c, (u - l) * c), c = 1/sqrt(2), the
     operations of a whole-state butterfly, so every bit is the same.  The
     only allocation is a scratch of two arrays of at most BOX amplitudes
-    for an exchange, three for a butterfly.  A ``SparseBuffer`` gets new
-    index and amplitude arrays from the sparse kernels (``_apply_sparse``),
-    which do the same arithmetic on its support; a Hadamard layer there
-    computes only the outputs in the buffer's ``reads``.  The gate is
+    for an exchange, three for a butterfly.  A ``SparseBuffer`` gets the
+    support of the gate's index half (``sparse_step``), the one a run's
+    plan handed it or else one worked out on the spot, and the amplitudes
+    that the same arithmetic gives on it (``_apply_sparse``).  The gate is
     checked before any amplitude is written, and anything else (a
     ``StateVector``, or a buffer that ``freeze`` has made read-only) is
     refused with a ``TypeError``; to apply a gate to a snapshot, wrap a
@@ -318,7 +325,7 @@ def apply_gate(state: StateBuffer | SparseBuffer, gate: Gate) -> StateBuffer | S
         raise TypeError(f"{refused} frozen {type(state).__name__}")
     plan = _plan(state.layout, gate)
     if isinstance(state, SparseBuffer):
-        _apply_sparse(state, plan)
+        _apply_sparse(state, gate)
         return state
     butterfly = plan.butterfly
     scratch = np.empty((2 + butterfly, min(BOX, state.amplitudes.size)), dtype=np.complex128)
@@ -385,23 +392,126 @@ def moved_bits(layout: RegisterLayout, gate: Gate) -> int:
     return sum(plan.targets) | field << shift_a | field << shift_b
 
 
-def _apply_sparse(state: SparseBuffer, plan: _Plan) -> None:
-    """A gate on a support: a flip XORs its target bit into the selected
-    indices, a swap exchanges two bit fields of them, and a Hadamard layer
-    goes through ``_sparse_hadamard``, using up ``state.reads``; the
-    support is then sorted again."""
-    indices, amplitudes = state.indices, state.amplitudes
-    if plan.butterfly:
-        indices, amplitudes = _sparse_hadamard(indices, amplitudes, plan.targets, state.reads)
-        state.reads = None
-    else:
+class SparseStep(NamedTuple):
+    """The index half of one gate on a support, worked out from its indices
+    alone (``sparse_step``): ``indices``, the sorted support after the gate;
+    for a Hadamard layer, ``targets``, one (take, put, pairs) per target, in
+    the layer's order: the earlier outputs that the target pairs, where each
+    goes among its ``2 * pairs`` outputs, and how many pairs it forms; and
+    ``order``, which of the last outputs each listed amplitude is, or None
+    when a controlled op leaves the amplitudes in their order.  ``zero``
+    says that no listed amplitude reaches the outputs the layer computes,
+    so the one listed output holds the +0.0 that every unlisted one holds.
+    """
+
+    indices: np.ndarray
+    targets: tuple[tuple[np.ndarray, np.ndarray, int], ...]
+    order: np.ndarray | None
+    zero: bool = False
+
+
+def sparse_step(layout: RegisterLayout, indices: np.ndarray, gate: Gate, reads=None) -> SparseStep:
+    """The index half of ``gate`` on a support with these sorted ``indices``.
+
+    A flip XORs its target bit into the selected indices, and a swap
+    exchanges two bit fields of them; the support is then sorted again,
+    unless it still is.  A Hadamard layer computes only the outputs that
+    the ``reads`` cubes hold (``pull_back``), or every output when they
+    are None.  An entry that agrees with no cube off the target bits feeds
+    no read output, so such entries go first.  Then each target in the
+    layer's order pairs the entries that differ only in its bit, +0.0
+    standing for an absent partner.  The pairs are found by a stable sort
+    of the entries' keys, their indices with the bit cleared: a sorted
+    support's keys, or the previous target's outputs, form a few sorted
+    runs, and numpy's stable sort of int64 values, a timsort, merges runs.
+    Of the two outputs of a pair it keeps those that agree with a cube off
+    the targets still to come: the later targets mix an output only with
+    outputs that agree with it off them, and both inputs of a kept output
+    are kept outputs of the target before.  So every kept output has the
+    dense result's bits, and stays listed, zeros included.  When no entry
+    is kept, one read output is listed as the +0.0 that every unlisted one
+    holds, so the support is never empty.  A run hands each gate the index
+    half its circuit's plan keeps (``algorithms.IndexPlan``); ``apply_gate``
+    works one out on the spot for a buffer that carries none.
+    """
+    plan = _plan(layout, gate)
+    if not plan.butterfly:
         hit = (indices & plan.mask) == plan.bits
         if plan.fields:
             indices = indices ^ _swapped_bits(indices, plan.fields) * hit
         else:
             indices = indices ^ hit * plan.targets[0]
+        # a flip of a low bit often keeps the support sorted; a swap moves
+        # whole fields across it
+        if not plan.fields and (indices[1:] > indices[:-1]).all():
+            return SparseStep(indices, (), None)
+        order = np.argsort(indices, kind="stable")
+        return SparseStep(indices[order], (), order)
+
+    def kept(indices, free):
+        """Which entries agree with a cube off the ``free`` bits; None for all."""
+        if reads is None:
+            return None
+        (mask, bits), *others = reads
+        hit = (indices & (mask & ~free)) == bits & ~free
+        for mask, bits in others:
+            hit |= (indices & (mask & ~free)) == bits & ~free
+        return np.flatnonzero(hit)
+
+    later = sum(plan.targets)
+    at = kept(indices, later)
+    targets = []
+    for bit in plan.targets:
+        later &= ~bit
+        if at is not None:
+            indices = indices[at]
+        keys = indices & ~bit
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        new = _run_starts(keys)
+        slot = np.cumsum(new)
+        slot -= 1
+        keys = keys[new]
+        # the entry's side of its pair (its bit) picks the half of the outputs
+        put = ((indices[order] >> (bit.bit_length() - 1)) & 1) * keys.size
+        put += slot
+        targets.append((order if at is None else at[order], put, keys.size))
+        indices = np.concatenate((keys, keys | bit))
+        at = kept(indices, later)
+    if at is not None:
+        indices = indices[at]
+    if not indices.size:
+        return SparseStep(np.array([reads[0][1]], dtype=np.int64), tuple(targets), None, True)
     order = np.argsort(indices, kind="stable")
-    state.indices, state.amplitudes = indices[order], amplitudes[order]
+    return SparseStep(indices[order], tuple(targets), order if at is None else at[order])
+
+
+def _sparse_amplitudes(amplitudes: np.ndarray, step: SparseStep) -> np.ndarray:
+    """The amplitude half of a gate on a support: each Hadamard target's
+    pairs, +0.0 for an absent partner, combined with the dense butterfly's
+    operations, and the outputs gathered in the support's order."""
+    for take, put, pairs in step.targets:
+        halves = np.zeros(2 * pairs, dtype=np.complex128)
+        halves[put] = amplitudes[take]
+        upper, lower = halves.reshape(2, pairs)
+        total = np.add(upper, lower)
+        np.subtract(upper, lower, out=lower)
+        np.multiply(lower, _INV_SQRT2, out=lower)
+        np.multiply(total, _INV_SQRT2, out=upper)
+        amplitudes = halves
+    if step.zero:
+        return np.zeros(1, dtype=np.complex128)
+    return amplitudes if step.order is None else amplitudes[step.order]
+
+
+def _apply_sparse(state: SparseBuffer, gate: Gate) -> None:
+    """A gate on a support: the index half the run's plan handed the buffer
+    (``state.planned``, which the gate uses up), or one worked out on the
+    spot that computes every output, then the amplitude half."""
+    step, state.planned = state.planned, None
+    if step is None:
+        step = sparse_step(state.layout, state.indices, gate)
+    state.indices, state.amplitudes = step.indices, _sparse_amplitudes(state.amplitudes, step)
 
 
 def _swapped_bits(values, fields: tuple[int, ...]):
@@ -412,61 +522,6 @@ def _swapped_bits(values, fields: tuple[int, ...]):
     return (differ << shift_a) | (differ << shift_b)
 
 
-def _sparse_hadamard(indices: np.ndarray, amplitudes: np.ndarray, bits: tuple[int, ...], reads):
-    """A Hadamard layer on a support, unsorted, computing only the outputs
-    that the ``reads`` cubes hold, or every output when they are None.
-
-    An entry that agrees with no cube off the target bits feeds no read
-    output, so such entries go first.  Then each target in the layer's
-    order pairs the entries that differ only in its bit, +0.0 standing for
-    an absent partner, and combines each pair with the dense butterfly's
-    operations.  The pairs are found by a stable sort of the entries' keys,
-    their indices with the bit cleared: a sorted support's keys, or the
-    previous target's outputs, form a few sorted runs, and numpy's stable
-    sort of int64 values, a timsort, merges runs.  Of the two outputs of a
-    pair it keeps those that agree with a cube off the targets still to
-    come: the later targets mix an output only with outputs that agree with
-    it off them, and both inputs of a kept output are kept outputs of the
-    target before.  So every kept output has the dense result's bits, and
-    stays listed, zeros included; without ``reads`` every output is kept.
-    When no entry is kept, one read output is listed as the +0.0 that
-    every unlisted one holds, so the support is never empty.
-    """
-    def kept(indices, amplitudes, free):
-        if reads is None:
-            return indices, amplitudes
-        (mask, bits), *others = reads
-        hit = (indices & (mask & ~free)) == bits & ~free
-        for mask, bits in others:
-            hit |= (indices & (mask & ~free)) == bits & ~free
-        at = np.flatnonzero(hit)
-        return indices[at], amplitudes[at]
-
-    later = sum(bits)
-    indices, amplitudes = kept(indices, amplitudes, later)
-    for bit in bits:
-        later &= ~bit
-        keys = indices & ~bit
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        new = _run_starts(keys)
-        slot = np.cumsum(new)
-        slot -= 1
-        keys = keys[new]
-        halves = np.zeros((2, keys.size), dtype=np.complex128)
-        halves[(indices[order] >> (bit.bit_length() - 1)) & 1, slot] = amplitudes[order]
-        upper, lower = halves
-        total = np.add(upper, lower)
-        np.subtract(upper, lower, out=lower)
-        np.multiply(lower, _INV_SQRT2, out=lower)
-        np.multiply(total, _INV_SQRT2, out=upper)
-        indices, amplitudes = kept(np.concatenate((keys, keys | bit)), halves.reshape(-1), later)
-    if not indices.size:
-        return np.array([reads[0][1]], dtype=np.int64), np.zeros(1, dtype=np.complex128)
-    return indices, amplitudes
-
-
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def pull_back(
     layout: RegisterLayout, gates: tuple[Gate, ...], accept: tuple[int, int]
 ) -> tuple[tuple[int, int], ...] | None:
@@ -647,11 +702,15 @@ class GateCounts:
         return dict(vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GateTally:
-    """Per-step and total primitive counts for one algorithm run."""
+    """Per-step and total primitive counts for one algorithm run.  A run
+    shares its circuit's tally, so ``per_step`` is a read-only mapping."""
 
-    per_step: dict[str, GateCounts]
+    per_step: Mapping[str, GateCounts]
+
+    def __post_init__(self):
+        object.__setattr__(self, "per_step", MappingProxyType(dict(self.per_step)))
 
     @property
     def total(self) -> GateCounts:

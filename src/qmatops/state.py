@@ -19,7 +19,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -89,6 +90,8 @@ __all__ = [
     "require_dense_width",
     "encode_matrix",
     "prepare_product_state",
+    "prepared_support",
+    "readout_halves",
     "decode_matrix",
     "post_select",
     "squared_mass",
@@ -135,11 +138,13 @@ class RegisterLayout:
                 raise ValueError(f"register {name!r} must have width >= 1, got {width}")
 
     @cached_property
-    def _fields(self) -> dict[str, tuple[int, int]]:
-        fields: dict[str, tuple[int, int]] = {}
+    def _fields(self) -> dict[str, tuple[int, int, int]]:
+        """Each register's (offset, width, shift): its qubit 0's position,
+        its width and the number of index bits below it."""
+        fields: dict[str, tuple[int, int, int]] = {}
         offset = 0
         for name, width in self.registers:
-            fields[name] = (offset, width)
+            fields[name] = (offset, width, self.total_qubits - offset - width)
             offset += width
         return fields
 
@@ -164,7 +169,7 @@ class RegisterLayout:
     def __contains__(self, name: str) -> bool:
         return name in self._fields
 
-    def _field(self, name: str) -> tuple[int, int]:
+    def _field(self, name: str) -> tuple[int, int, int]:
         try:
             return self._fields[name]
         except KeyError:
@@ -179,26 +184,25 @@ class RegisterLayout:
 
     def field_shift(self, name: str) -> int:
         """Number of index bits below the register's field."""
-        offset, width = self._field(name)
-        return self.total_qubits - offset - width
+        return self._field(name)[2]
 
     def field_mask(self, name: str) -> int:
-        offset, width = self._field(name)
-        return ((1 << width) - 1) << self.field_shift(name)
+        _, width, shift = self._field(name)
+        return ((1 << width) - 1) << shift
 
     def pattern(self, values: Mapping[str, int]) -> tuple[int, int]:
         """Resolve a register->value mapping to a (mask, bits) index pattern."""
         mask = 0
         bits = 0
         for name, value in values.items():
-            offset, width = self._field(name)
+            _, width, shift = self._field(name)
             value = int(value)
             if not 0 <= value < (1 << width):
                 raise ValueError(
                     f"value {value} out of range for register {name!r} ({width} qubits)"
                 )
-            mask |= self.field_mask(name)
-            bits |= value << self.field_shift(name)
+            mask |= ((1 << width) - 1) << shift
+            bits |= value << shift
         return mask, bits
 
     def basis_index(self, values: Mapping[str, int]) -> int:
@@ -308,20 +312,23 @@ class SparseBuffer:
     ``unsure_zero_parts`` says, for the real and the imaginary part, whether
     an exact-zero part computed from the support may differ in sign from
     the dense run's, which holds a zero of either sign where the support
-    lists nothing; preparation sets it.  ``reads`` is the set of outputs
-    the next Hadamard layer must compute, as (mask, bits) cubes, a basis
-    index s being read iff s & mask == bits for one of them; None means
-    every output.  The layer uses it up, leaving None.  ``apply_gate``
-    replaces both arrays with the gate's result; ``freeze`` makes them
-    read-only, and the frozen buffer is the run's final state, which
-    ``apply_gate`` refuses.
+    lists nothing; preparation sets it.  A run's plan hands the buffer the
+    index halves that depend on its indices alone: ``planned``, the next
+    gate's (``gates.sparse_step``), which the gate uses up, leaving None,
+    and ``readouts``, those of the reads of its final support, keyed by
+    what they read (``_index_half``).  Without them a gate or a read works
+    its index half out on the spot, and a Hadamard layer computes every
+    output.  ``apply_gate`` replaces both arrays with the gate's result;
+    ``freeze`` makes them read-only, and the frozen buffer is the run's
+    final state, which ``apply_gate`` refuses.
     """
 
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
     unsure_zero_parts: tuple[bool, bool] = (True, True)
-    reads: tuple[tuple[int, int], ...] | None = None
+    planned: object = field(default=None, repr=False)
+    readouts: Mapping[tuple, object] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         indices, amplitudes = self.indices, self.amplitudes
@@ -335,7 +342,7 @@ class SparseBuffer:
             and indices.size > 0
             and 0 <= indices[0]
             and indices[-1] < self.layout.size
-            and np.all(indices[1:] > indices[:-1])
+            and (indices[1:] > indices[:-1]).all()
         ):
             raise ValueError(
                 f"a sparse buffer needs one or more strictly increasing int64 indices in "
@@ -344,21 +351,18 @@ class SparseBuffer:
 
     @property
     def norm_squared(self) -> float:
-        return _sparse_mass(self, 0)
+        return _sparse_mass(self.amplitudes, _index_half(self, _summed, 0, 0))
 
     def amplitude(self, values: Mapping[str, int]) -> complex:
         """Amplitude of one fully specified basis state."""
-        index = self.layout.basis_index(values)
-        at = int(np.searchsorted(self.indices, index))
-        if at < self.indices.size and self.indices[at] == index:
-            return complex(self.amplitudes[at])
-        return 0j
+        at = _index_half(self, _position, self.layout.basis_index(values))
+        return 0j if at < 0 else complex(self.amplitudes[at])
 
     def lists(self, values: Mapping[str, int]) -> bool:
         """Whether the support lists every basis state that matches a
         register pattern."""
-        mask, hit = _selected(self, values)
-        return np.count_nonzero(hit) == self.layout.size >> bin(mask).count("1")
+        mask, bits = self.layout.pattern(values)
+        return _count(self, _index_half(self, _selection, mask, bits)) == self.layout.size >> bin(mask).count("1")
 
     def densify(self) -> StateBuffer:
         """The state as a dense buffer: the support in place, +0.0 elsewhere."""
@@ -506,11 +510,12 @@ class AncillaVector:
             raise ValueError("row indices k and l must be distinct")
 
     def listed(self) -> tuple[int, ...]:
-        """The indices of the table's nonzero entries, which share one weight."""
+        """The indices of the table's nonzero entries, which share one
+        weight, in increasing order."""
         n = self.num_row_qubits
         if self.kind == "row-add":
-            return (self.k, self.l)
-        return ((self.l << n) | self.k, (self.k << n) | self.k, (self.l << n) | self.l)
+            return tuple(sorted((self.k, self.l)))
+        return tuple(sorted(((self.l << n) | self.k, (self.k << n) | self.k, (self.l << n) | self.l)))
 
     def amplitudes(self) -> np.ndarray:
         listed = self.listed()
@@ -531,7 +536,7 @@ def require_dense_width(layout: RegisterLayout) -> None:
 def prepare_product_state(
     layout: RegisterLayout,
     parts: Iterable[tuple[Sequence[str], np.ndarray]],
-    sparse: bool = False,
+    sparse: bool | np.ndarray = False,
 ) -> StateVector | SparseBuffer:
     """Tensor together amplitude tables over consecutive register groups.
 
@@ -551,7 +556,9 @@ def prepare_product_state(
     whole table, zeros and their signs included, and the nonzero entries of
     every other table, however many (a run's circuit decides whether it is
     sparse, ``algorithms._plan_run``); each listed amplitude has the dense
-    product's bytes.
+    product's bytes.  ``sparse`` may also be those basis indices, as a
+    run's plan works them out once from the circuit (``prepared_support``),
+    so that only the amplitudes are computed.
     """
     require_dense_width(layout)
     names = list(layout.names)
@@ -579,31 +586,22 @@ def prepare_product_state(
             raise ValueError(
                 f"part over {part_names} needs {1 << width} amplitudes, got {arr.size}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("part amplitudes must be finite")
-        norm = float(np.linalg.norm(arr))
+        norm = math.sqrt(_mass(arr))
         if abs(norm - 1.0) > PART_NORM_TOL:
             raise ValueError(f"part over {part_names} has norm {norm!r}, expected 1")
         spans.append((start, len(part_names), arr))
 
     whole = spans[0][2] if spans else None
-    factors: list[np.ndarray] = []
-    pos = 0
-    span_at = {start: (count, arr) for start, count, arr in spans}
-    while pos < len(names):
-        if pos in span_at:
-            count, arr = span_at[pos]
-            factors.append(arr)
-            pos += count
-        else:
-            ground = np.zeros(1 << layout.width(names[pos]), dtype=np.complex128)
-            ground[0] = 1.0
-            factors.append(ground)
-            pos += 1
-    if sparse:
-        # a sparse product lists the first table whole and the others' nonzero entries
-        listed = [np.arange(f.size) if f is whole else np.flatnonzero(f) for f in factors]
-        return _prepare_support(layout, factors, listed)
+    factors = list(_in_layout_order(layout, spans, _ground_table))
+    if sparse is not False:
+        # a sparse product lists the first table whole (None) and the others'
+        # nonzero entries
+        listed = [None if f is whole else np.flatnonzero(f) for f in factors]
+        if not isinstance(sparse, np.ndarray):
+            sparse = _support_indices([(f.size, entries) for f, entries in zip(factors, listed)])
+        return SparseBuffer(layout, sparse, _support_amplitudes(factors, listed), _unsure_zero_parts(factors))
     leading, rest = factors[0], factors[1:]
     tail = math.prod(factor.size for factor in rest)
     rows = max(1, PREPARE_BLOCK // tail)
@@ -623,23 +621,83 @@ def prepare_product_state(
     return StateVector(layout, amplitudes)
 
 
-def _prepare_support(layout: RegisterLayout, factors: list[np.ndarray], listed: list[np.ndarray]) -> SparseBuffer:
-    """The product over each factor's listed entries, in layout order, so
-    the indices come out sorted; each amplitude is the dense product's chain
-    of multiplies."""
-    indices = np.asarray(listed[0], dtype=np.int64)
-    amplitudes = factors[0][listed[0]]
+def _ground_table(width: int) -> np.ndarray:
+    """The table of a register of ``width`` qubits in |0>."""
+    table = np.zeros(1 << width, dtype=np.complex128)
+    table[0] = 1.0
+    return table
+
+
+def _in_layout_order(layout: RegisterLayout, spans, ground):
+    """A product's factors in layout order: each span's (start, count, item)
+    item at its first register, and ``ground(width)`` for every register no
+    span covers."""
+    span_at = {start: (count, item) for start, count, item in spans}
+    position = 0
+    while position < len(layout.registers):
+        count, item = span_at.get(position) or (1, ground(layout.registers[position][1]))
+        yield item
+        position += count
+
+
+_GROUND_ENTRY = np.zeros(1, dtype=np.int64)
+
+
+def prepared_support(layout: RegisterLayout, parts: Iterable[tuple[Sequence[str], Sequence[int] | None]]) -> np.ndarray:
+    """The sorted basis indices that ``prepare_product_state`` lists for a
+    sparse product, from each part's registers and the indices of its
+    table's nonzero entries in increasing order (None for the first part,
+    which is listed whole), without any table: the support a run's plan
+    hands preparation.  The index is read-only, as the plan shares it."""
+    names = list(layout.names)
+    spans = []
+    for part_names, entries in parts:
+        width = sum(layout.width(name) for name in part_names)
+        entries = None if entries is None else np.asarray(entries, dtype=np.int64)
+        spans.append((names.index(part_names[0]), len(part_names), (1 << width, entries)))
+    indices = _support_indices(list(_in_layout_order(layout, spans, lambda width: (1 << width, _GROUND_ENTRY))))
+    indices.setflags(write=False)
+    return indices
+
+
+def _support_indices(factors: list[tuple[int, np.ndarray | None]]) -> np.ndarray:
+    """The index half of a sparse product: the basis indices over each
+    (size, listed entries) factor in layout order, None listing every
+    entry, so they come out sorted.  The factors of one listed entry, as
+    every |0> register, are a shift and an OR, the shifts of a run of them
+    taken together."""
+    size, entries = factors[0]
+    indices = np.arange(size, dtype=np.int64) if entries is None else entries
+    shift = bits = 0
+    for size, entries in factors[1:]:
+        width = size.bit_length() - 1
+        if entries is not None and entries.size == 1:
+            shift, bits = shift + width, (bits << width) | int(entries[0])
+            continue
+        if shift:
+            indices, shift, bits = (indices << shift) | bits, 0, 0
+        if entries is None:
+            entries = np.arange(size, dtype=np.int64)
+        indices = ((indices[:, None] << width) | entries).ravel()
+    return (indices << shift) | bits if shift else indices
+
+
+def _support_amplitudes(factors: list[np.ndarray], listed: list[np.ndarray | None]) -> np.ndarray:
+    """The amplitude half of a sparse product over each factor's listed
+    entries (None: all of them), in the order of its indices: each
+    amplitude is the dense product's chain of multiplies."""
+    first, entries = factors[0], listed[0]
+    amplitudes = first.copy() if entries is None else first[entries]
     for factor, entries in zip(factors[1:], listed[1:]):
-        width = factor.size.bit_length() - 1
-        if entries.size == 1:
-            # one listed entry, as of every |0> register: a shift and a scalar multiply
-            indices = (indices << width) | entries[0]
+        if entries is not None and entries.size == 1:
+            # one listed entry, as of every |0> register: a scalar multiply
             amplitudes = np.multiply(amplitudes, factor[entries[0]])
             continue
-        indices = ((indices[:, None] << width) | entries).ravel()
-        partial, amplitudes = amplitudes, np.empty(indices.size, dtype=np.complex128)
-        _multiply_outer(partial, factor[entries], amplitudes)
-    return SparseBuffer(layout, indices, amplitudes, _unsure_zero_parts(factors))
+        partial = amplitudes
+        listed_values = factor if entries is None else factor[entries]
+        amplitudes = np.empty(partial.size * listed_values.size, dtype=np.complex128)
+        _multiply_outer(partial, listed_values, amplitudes)
+    return amplitudes
 
 
 def _unsure_zero_parts(factors: list[np.ndarray]) -> tuple[bool, bool]:
@@ -721,13 +779,14 @@ def decode_matrix(
     n = layout.width(row_register)
     m = layout.width(col_register)
     if isinstance(state, SparseBuffer):
-        # the pinned entries, renormalized in their own copy, then placed
-        _, hit = _selected(state, fixed)
-        at, pinned = state.indices[hit], state.amplitudes[hit]
-        out = np.zeros((1 << n, 1 << m), dtype=np.complex128)
+        # the pinned entries, renormalized in their own copy, then placed;
+        # a block they fill whole needs no zeros first
+        take, put = _index_half(state, _decoded, row_register, col_register, *layout.pattern(fixed))
+        pinned = state.amplitudes[take]
         if selected_mass is not None:
-            _renormalize(pinned, selected_mass, pinned)
-        out[_field_values(layout, row_register, at), _field_values(layout, col_register, at)] = pinned
+            pinned = _renormalize(pinned, selected_mass)
+        out = (np.empty if isinstance(put, slice) else np.zeros)((1 << n, 1 << m), dtype=np.complex128)
+        out.reshape(-1)[put] = pinned
     else:
         pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
         if layout.offset(col_register) < layout.offset(row_register):
@@ -748,9 +807,9 @@ def decode_matrix(
     return out
 
 
-def _renormalize(kept: np.ndarray, mass: float, out: np.ndarray) -> None:
+def _renormalize(kept: np.ndarray, mass: float, out: np.ndarray | None = None) -> np.ndarray:
     # the one division, so a decoded block and the renormalized state agree bitwise
-    np.divide(kept, math.sqrt(mass), out=out)
+    return np.divide(kept, math.sqrt(mass), out=out)
 
 
 @dataclass
@@ -776,10 +835,8 @@ class PostSelection:
         layout = self.state.layout
         amplitudes = np.zeros(layout.size, dtype=np.complex128)
         if isinstance(self.state, SparseBuffer):
-            _, hit = _selected(self.state, self.pattern)
-            kept = self.state.amplitudes[hit]
-            _renormalize(kept, self.probability, kept)
-            amplitudes[self.state.indices[hit]] = kept
+            take = _index_half(self.state, _selection, *layout.pattern(self.pattern))
+            amplitudes[self.state.indices[take]] = _renormalize(self.state.amplitudes[take], self.probability)
         else:
             selected = qubit_index(layout, self.pattern)
             kept = qubit_view(self.state.amplitudes, layout)[selected]
@@ -792,7 +849,8 @@ def post_select(state: StateVector | SparseBuffer, pattern: Mapping[str, int]) -
     """Project ``state`` onto ``pattern``; nothing the size of the state is
     allocated."""
     if isinstance(state, SparseBuffer):
-        return PostSelection(dict(pattern), _sparse_mass(state, *_selected(state, pattern)), state)
+        summed = _index_half(state, _summed, *state.layout.pattern(pattern))
+        return PostSelection(dict(pattern), _sparse_mass(state.amplitudes, summed), state)
     kept = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, pattern)]
     return PostSelection(dict(pattern), squared_mass(kept), state)
 
@@ -801,10 +859,14 @@ def pinned_share(state: StateVector | SparseBuffer, fixed: Mapping[str, int]) ->
     """Share of the squared mass inside the subspace ``fixed`` pins; an exact
     1.0 when no amplitude outside it is nonzero, as after a pure permutation."""
     if isinstance(state, SparseBuffer):
-        mask, hit = _selected(state, fixed)
-        if np.count_nonzero(state.amplitudes[hit]) == np.count_nonzero(state.amplitudes):
+        mask, bits = state.layout.pattern(fixed)
+        take = _index_half(state, _selection, mask, bits)
+        # pinning every listed entry leaves nothing nonzero outside
+        if _count(state, take) == state.indices.size or np.count_nonzero(
+            state.amplitudes[take]
+        ) == np.count_nonzero(state.amplitudes):
             return 1.0
-        return _sparse_mass(state, mask, hit) / state.norm_squared
+        return _sparse_mass(state.amplitudes, _index_half(state, _summed, mask, bits)) / state.norm_squared
     inside = qubit_view(state.amplitudes, state.layout)[qubit_index(state.layout, fixed)]
     if np.count_nonzero(inside) == np.count_nonzero(state.amplitudes):
         return 1.0
@@ -835,9 +897,29 @@ def squared_mass(amplitudes: np.ndarray) -> float:
     return sums[0]
 
 
-def _sparse_mass(state: SparseBuffer, mask: int, hit=slice(None)) -> float:
-    """``squared_mass`` of the subspace that fixes the ``mask`` bits, from
-    the listed entries ``hit`` that lie in it.
+class _Sum(NamedTuple):
+    """The index half of ``_sparse_mass`` over one subspace: ``take``, its
+    listed entries in the order the sum reads them; ``lanes``, the first
+    entry of each lane, or None when the subspace is laid out whole;
+    ``deeper``, for each k from 1, the lanes that hold more than k entries
+    and their k-th entries; ``levels``, for each tree level that is summed
+    from the listed nodes, the nodes that take their right neighbour's sum
+    (``left``) and the nodes that stay (``stay``); and
+    ``laid``, the length of the zero array the weights (or the last level's
+    node sums) are laid out in, at the positions ``at``, 0 when a single
+    node is left."""
+
+    take: np.ndarray | slice
+    lanes: np.ndarray | None
+    deeper: tuple[tuple[np.ndarray, np.ndarray], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    laid: int
+    at: np.ndarray | None
+
+
+def _summed(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -> _Sum:
+    """How ``_sparse_mass`` sums the subspace that fixes the ``mask`` bits to
+    ``bits`` from a support's ``indices`` alone.
 
     A subspace of up to LAID_OUT amplitudes is laid out whole, zeros
     included, and summed by one np.sum, as the dense sum sums it.  A larger
@@ -852,29 +934,25 @@ def _sparse_mass(state: SparseBuffer, mask: int, hit=slice(None)) -> float:
     above it are laid out whole, so the cost follows the listed entries,
     not the subspace.
     """
-    layout = state.layout
+    take = _selection(layout, indices, mask, bits)
     subspace = layout.size >> bin(mask).count("1")
-    positions = _compress(state.indices[hit], (layout.size - 1) & ~mask)
-    weights = np.abs(state.amplitudes[hit])
-    np.square(weights, out=weights)
-    if subspace <= LAID_OUT:
-        laid = np.zeros(subspace)
-        laid[positions] = weights
-        return float(np.sum(laid))
-    if not positions.size:
-        return 0.0
+    positions = _compress(indices[take], (layout.size - 1) & ~mask)
+    if subspace <= LAID_OUT or not positions.size:
+        return _Sum(take, None, (), (), subspace, positions)
     block = PAIRWISE_BLOCK.bit_length() - 1
     lanes = ((positions >> block) * LANES) | (positions & (LANES - 1))
     # the support is sorted, so a stable sort keeps each lane in position order
     order = np.argsort(lanes, kind="stable")
-    lanes, weights = lanes[order], weights[order]
+    lanes = lanes[order]
     first = np.flatnonzero(_run_starts(lanes))
-    nodes, sums = lanes[first], weights[first]
+    nodes = lanes[first]
     held = np.diff(first, append=lanes.size)
+    deeper = []
     for k in range(1, int(held.max())):
         # the k-th entry of every lane that holds more than k
-        deeper = np.flatnonzero(held > k)
-        sums[deeper] += weights[first[deeper] + k]
+        lane = np.flatnonzero(held > k)
+        deeper.append((lane, first[lane] + k))
+    levels = []
     top = max(1, subspace // PAIRWISE_BLOCK) * LANES  # the nodes of the current level
     while nodes.size > 1 and top > 2 * nodes.size:
         # up to the first level where two neighbouring nodes meet; no more
@@ -883,15 +961,37 @@ def _sparse_mass(state: SparseBuffer, mask: int, hit=slice(None)) -> float:
         nodes, top = nodes >> shift, top >> shift
         starts = _run_starts(nodes)
         left = np.flatnonzero(~starts[1:])
-        sums[left] += sums[left + 1]
-        first = np.flatnonzero(starts)
-        nodes, sums = nodes[first], sums[first]
-    if nodes.size == 1:
-        return float(sums[0])
+        stay = np.flatnonzero(starts)
+        levels.append((left, stay))
+        nodes = nodes[stay]
+    take = order if isinstance(take, slice) else take[order]
     # the nodes fill at least half of the ``top`` nodes of their level, so
     # the rest of the tree is laid out whole, zeros included
-    laid = np.zeros(top)
-    laid[nodes] = sums
+    laid, at = (0, None) if nodes.size == 1 else (top, nodes)
+    return _Sum(take, first, tuple(deeper), tuple(levels), laid, at)
+
+
+def _sparse_mass(amplitudes: np.ndarray, summed: _Sum) -> float:
+    """``squared_mass`` of a subspace of a support, bitwise: the amplitude
+    half of the sum that ``_summed`` lays out."""
+    weights = np.abs(amplitudes[summed.take])
+    if not weights.size:
+        return 0.0
+    np.square(weights, out=weights)
+    if summed.lanes is None:
+        laid = np.zeros(summed.laid)
+        laid[summed.at] = weights
+        return float(np.sum(laid))
+    sums = weights[summed.lanes]
+    for lane, entries in summed.deeper:
+        sums[lane] += weights[entries]
+    for left, stay in summed.levels:
+        sums[left] += sums[left + 1]
+        sums = sums[stay]
+    if not summed.laid:
+        return float(sums[0])
+    laid = np.zeros(summed.laid)
+    laid[summed.at] = sums
     while laid.size > 1:
         laid = laid[0::2] + laid[1::2]
     return float(laid[0])
@@ -906,10 +1006,73 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _selected(state: SparseBuffer, values: Mapping[str, int]) -> tuple[int, np.ndarray]:
-    """The fixed bits of a register pattern and which listed entries match it."""
-    mask, bits = state.layout.pattern(values)
-    return mask, (state.indices & mask) == bits
+def _index_half(state: SparseBuffer, build, *args):
+    """``build(state.layout, state.indices, *args)``, the index half of a
+    read of a support: the one the run's plan handed the buffer
+    (``readout_halves``), or else one worked out on the spot."""
+    half = state.readouts.get((build, *args))
+    return build(state.layout, state.indices, *args) if half is None else half
+
+
+def readout_halves(
+    layout: RegisterLayout,
+    indices: np.ndarray,
+    accept: Mapping[str, int] | None,
+    decode: tuple[str, str, Mapping[str, int]] | None,
+    read: Mapping[str, int] | None,
+) -> Mapping[tuple, object]:
+    """The index halves of a run's reads of its final support, from its
+    ``indices`` alone, as a ``SparseBuffer``'s ``readouts``: the squared mass
+    of the ``accept`` pattern (``post_select``); the block that ``decode``,
+    (row register, column register, pinned values), reads
+    (``decode_matrix``) and, without an accept pattern, the entries it pins
+    (``pinned_share``, ``SparseBuffer.lists``); and the position of the
+    basis state ``read`` (``SparseBuffer.amplitude``)."""
+    halves = {}
+
+    def add(build, *args):
+        halves[(build, *args)] = build(layout, indices, *args)
+
+    if accept is not None:
+        add(_summed, *layout.pattern(accept))
+    if decode is not None:
+        row, col, pinned = decode
+        add(_decoded, row, col, *layout.pattern(pinned))
+        if accept is None:
+            add(_selection, *layout.pattern(pinned))
+    if read is not None:
+        add(_position, layout.basis_index(read))
+    return MappingProxyType(halves)
+
+
+def _selection(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -> np.ndarray | slice:
+    """The positions of the listed entries whose ``mask`` bits are ``bits``,
+    in increasing order; slice(None) when that is every one."""
+    at = np.flatnonzero((indices & mask) == bits)
+    return slice(None) if at.size == indices.size else at
+
+
+def _count(state: SparseBuffer, take: np.ndarray | slice) -> int:
+    """How many listed entries a ``_selection`` holds."""
+    return state.indices.size if isinstance(take, slice) else take.size
+
+
+def _decoded(layout: RegisterLayout, indices: np.ndarray, row: str, col: str, mask: int, bits: int):
+    """The listed entries that a decode pinning the ``mask`` bits to ``bits``
+    reads, and where each goes in the flat (row, column) block;
+    slice(None) when they fill it in order."""
+    take = _selection(layout, indices, mask, bits)
+    at = indices[take]
+    put = (_field_values(layout, row, at) << layout.width(col)) | _field_values(layout, col, at)
+    if put.size == 1 << (layout.width(row) + layout.width(col)) and (put[1:] > put[:-1]).all():
+        put = slice(None)
+    return take, put
+
+
+def _position(layout: RegisterLayout, indices: np.ndarray, index: int) -> int:
+    """Where a support lists the basis index ``index``, or -1."""
+    at = int(np.searchsorted(indices, index))
+    return at if at < indices.size and indices[at] == index else -1
 
 
 def _compress(indices: np.ndarray, keep: int) -> np.ndarray:
@@ -968,7 +1131,9 @@ def _first_occupied(amplitudes: np.ndarray, cap: int | None) -> np.ndarray:
     found = []
     wanted = amplitudes.size if cap is None else cap
     for start in range(0, amplitudes.size, OCCUPIED_SCAN_CHUNK):
-        hits = np.flatnonzero(amplitudes[start : start + OCCUPIED_SCAN_CHUNK])[:wanted]
+        # a comparison first: numpy finds nonzero complex values more slowly
+        # than true booleans; -0.0 and NaN count as they do for it
+        hits = np.flatnonzero(amplitudes[start : start + OCCUPIED_SCAN_CHUNK] != 0)[:wanted]
         found.append(hits + start)
         wanted -= hits.size
         if wanted == 0:

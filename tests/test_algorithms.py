@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -30,6 +32,7 @@ from qmatops import (
     run_transpose_square,
 )
 from qmatops import algorithms
+from qmatops import gates as gates_module
 from qmatops.algorithms import (
     row_add_circuit,
     row_swap_circuit,
@@ -644,6 +647,137 @@ def test_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, routine, shap
     if shape == SPARSE_ROUTINES[routine][1]:
         assert kinds == ({"StateBuffer"} if routine == "transpose-square" else {"SparseBuffer"})
     assert_reports_bitwise(sparse, dense)
+
+
+@pytest.mark.parametrize("routine, shape, variant", _sparse_cases())
+def test_replayed_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, routine, shape, variant):
+    # runs with the same circuit arguments share one index plan: the second
+    # run keeps the index halves it works out and the third replays them,
+    # working none out; both on another matrix than the first, and trace
+    # still checks its marking and reads its amplitude on each
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    runner, _ = SPARSE_ROUTINES[routine]
+    first = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape) + 1), shape, "plain"))
+    encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, variant))
+    dense = runner(encoded, record_steps=True)
+    runner(first)
+    worked_out, checked, kinds = [], [], set()
+    plain_step, plain_check, plain_apply = algorithms.sparse_step, algorithms.supported_on, algorithms.apply_gate
+
+    def noted_step(*args, **kwargs):
+        worked_out.append(args[2])
+        return plain_step(*args, **kwargs)
+
+    def noted_check(*args):
+        checked.append(True)
+        return plain_check(*args)
+
+    def noted_apply(state, gate):
+        kinds.add(type(state).__name__)
+        return plain_apply(state, gate)
+
+    monkeypatch.setattr(algorithms, "sparse_step", noted_step)
+    monkeypatch.setattr(gates_module, "sparse_step", noted_step)
+    monkeypatch.setattr(algorithms, "supported_on", noted_check)
+    monkeypatch.setattr(algorithms, "apply_gate", noted_apply)
+    for run in ("second", "third"):
+        worked_out.clear(), checked.clear(), kinds.clear()
+        replayed = runner(encoded)
+        if run == "third":
+            assert worked_out == []
+        if shape == SPARSE_ROUTINES[routine][1]:
+            assert kinds == ({"StateBuffer"} if routine == "transpose-square" else {"SparseBuffer"})
+        # once, or twice when a zero-sign doubt makes it run again densely
+        assert bool(checked) == (routine == "trace")
+        assert_reports_bitwise(replayed, dense)
+
+
+def _builders_and_arguments(count):
+    """Each builder with ``count`` distinct argument tuples."""
+    pairs = [(k, l) for k in range(8) for l in range(8) if k != l][:count]
+    return {
+        "row_add_circuit": [(3, 2, k, l) for k, l in pairs],
+        "row_swap_circuit": [(3, 1, k, l) for k, l in pairs],
+        "trace_circuit": [(n,) for n in range(1, count + 1)],
+        "transpose_circuit": [(n, 3) for n in range(1, count + 1)],
+        "transpose_square_circuit": [(n,) for n in range(1, count + 1)],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_builders_and_arguments(1)))
+def test_each_builder_holds_only_the_circuit_it_built_last(name):
+    builder = getattr(algorithms, name)
+    held = []
+    for arguments in _builders_and_arguments(12)[name]:
+        circuit = builder(*arguments)
+        assert builder(*arguments) is circuit
+        held.append(weakref.ref(circuit))
+        del circuit
+    gc.collect()
+    assert [ref() is not None for ref in held] == [False] * 11 + [True]
+
+
+def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder(monkeypatch):
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(44), (8, 4)))
+    for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
+        circuits, plans = [], []
+        for k, l in [(k, l) for k in range(8) for l in range(8) if k != l]:
+            report = runner(encoded, k, l)
+            circuit = build(3, 2, k, l)
+            assert report.gate_tally is circuit.tally
+            plan = algorithms._plan_run(circuit, False)
+            assert plan is not None
+            circuits.append(weakref.ref(circuit))
+            plans.append(weakref.ref(plan))
+            del report, circuit, plan
+        gc.collect()
+        assert sum(ref() is not None for ref in circuits) == 1 and circuits[-1]() is not None
+        assert sum(ref() is not None for ref in plans) == 1 and plans[-1]() is not None
+
+
+def test_a_kept_plan_hands_a_caller_only_read_only_arrays(monkeypatch):
+    # a report's final state holds the plan's support and read-out halves,
+    # which the circuit's later runs share
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(46), (8, 8)))
+    for _ in range(3):
+        state = run_row_add(encoded, 1, 2).post_selection.state
+    assert isinstance(state, SparseBuffer) and not state.indices.flags.writeable
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        return [a for item in value for a in arrays(item)] if isinstance(value, tuple) else []
+
+    held = arrays(tuple(state.readouts.values()))
+    assert held and not any(a.flags.writeable for a in held)
+    with pytest.raises(TypeError):
+        state.readouts[None] = None
+
+
+def test_a_shared_circuit_and_tally_are_read_only():
+    # every run with the same arguments shares one circuit and its tally, so
+    # neither a report nor a caller can change what the next run reports
+    encoded = encode_matrix(random_matrix(np.random.default_rng(45), (4, 4)))
+    first = run_row_add(encoded, 1, 2)
+    counts = first.gate_tally.to_dict()
+    with pytest.raises(TypeError):
+        first.gate_tally.per_step["step2-mark-source-branch"] = first.gate_tally.total
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.gate_tally.per_step = {}
+    circuit = row_add_circuit(2, 2, 1, 2)
+    with pytest.raises(TypeError):
+        circuit.accept["B1"] = 1
+    with pytest.raises(TypeError):
+        circuit.decode[2]["R2"] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circuit.accept = {}
+    with pytest.raises(AttributeError):
+        circuit.steps[0][1].append(circuit.steps[0][1][0])
+    second = run_row_add(encoded, 1, 2)
+    assert second.gate_tally.to_dict() == counts
+    assert_reports_bitwise(second, first)
 
 
 @pytest.mark.parametrize(

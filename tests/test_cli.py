@@ -273,6 +273,30 @@ def test_first_occupied_scan_crosses_chunks(cap):
     np.testing.assert_array_equal(state._first_occupied(amplitudes, cap), expected)
 
 
+def test_first_occupied_scan_reads_signed_zeros_and_nan_as_numpy_does():
+    # the scan compares with zero before it looks for true entries
+    amplitudes = np.zeros(2 * state.OCCUPIED_SCAN_CHUNK, dtype=complex)
+    picked = np.random.default_rng(24).choice(amplitudes.size, 40, replace=False)
+    values = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), complex(np.nan, 0.0), complex(0.0, np.nan), 1e-320, -1j]
+    amplitudes[picked] = [values[i % len(values)] for i in range(picked.size)]
+    np.testing.assert_array_equal(state._first_occupied(amplitudes, None), np.flatnonzero(amplitudes))
+
+
+def test_the_parser_is_built_once_and_answers_alike(capsys):
+    from qmatops import cli
+
+    assert cli._parser() is cli._parser()
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["row-add", "--help"])
+        with pytest.raises(SystemExit):
+            main(["row-add", "--input", "x.json"])
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert "--k" in outputs[0].out and "the following arguments are required: --k, --l" in outputs[0].err
+
+
 def test_stdout_report_when_no_output_file(matrix_file, capsys):
     assert main(["trace", "--input", matrix_file(np.eye(2))]) == 0
     document = json.loads(capsys.readouterr().out)

@@ -306,12 +306,13 @@ def test_sparse_hadamard_computes_the_outputs_it_is_given_bitwise(circuit, data,
     dense = sparse.densify()
     for position, gate in enumerate(gate_list):
         live = gates.pull_back(layout, tuple(gate_list[position + 1 :]), accept)
-        if isinstance(gate, HadamardLayer):
-            sparse.reads = live
-        bound = sparse.indices.size * support_growth(layout, gate, sparse.reads)
+        reads = live if isinstance(gate, HadamardLayer) else None
+        # the index half a run's plan hands the gate
+        sparse.planned = gates.sparse_step(layout, sparse.indices, gate, reads)
+        bound = sparse.indices.size * support_growth(layout, gate, reads)
         apply_gate(sparse, gate)
         apply_gate(dense, gate)
-        assert sparse.reads is None
+        assert sparse.planned is None
         assert np.all(np.diff(sparse.indices) > 0) and sparse.indices.size <= bound
         read = in_cubes(layout, live)
         assert sparse.densify().amplitudes[read].tobytes() == dense.amplitudes[read].tobytes()
@@ -324,16 +325,17 @@ def test_sparse_hadamard_keeps_the_half_its_cubes_fix():
     layout = RegisterLayout((("A", 1), ("B", 2)))
     state = SparseBuffer(layout, np.array([0b000, 0b011, 0b100]), np.array([0.5, 1.0, 0.25], dtype=complex))
     mask, bits = layout.pattern({"A": 0, "B": 0})
-    state.reads = ((mask, bits),)
-    assert support_growth(layout, HadamardLayer(("A",)), state.reads) == 1
-    apply_gate(state, HadamardLayer(("A",)))
+    layer = HadamardLayer(("A",))
+    state.planned = gates.sparse_step(layout, state.indices, layer, ((mask, bits),))
+    assert support_growth(layout, layer, ((mask, bits),)) == 1
+    apply_gate(state, layer)
     assert state.indices.tolist() == [0b000]
     assert state.amplitudes.tolist() == [(0.5 + 0.25) / math.sqrt(2)]
-    assert state.reads is None
+    assert state.planned is None
     # with no listed entry in reach, one read output is listed as +0.0
-    state.reads = ((mask, bits | 0b001),)
-    assert support_growth(layout, HadamardLayer(("A",)), state.reads) == 1
-    apply_gate(state, HadamardLayer(("A",)))
+    state.planned = gates.sparse_step(layout, state.indices, layer, ((mask, bits | 0b001),))
+    assert support_growth(layout, layer, ((mask, bits | 0b001),)) == 1
+    apply_gate(state, layer)
     assert state.indices.tolist() == [0b001]
     assert state.amplitudes.tobytes() == np.zeros(1, dtype=complex).tobytes()
 
@@ -446,7 +448,7 @@ def test_sparse_hadamard_with_targets_from_low_bit_to_high(seed):
     # and with a read cube, which drops outputs between targets
     sparse, accept = random_support(layout, seed, share=0.2), layout.pattern({"A": 5})
     dense = sparse.densify()
-    sparse.reads = gates.pull_back(layout, (), accept)
+    sparse.planned = gates.sparse_step(layout, sparse.indices, layer, gates.pull_back(layout, (), accept))
     apply_gate(sparse, layer)
     apply_gate(dense, layer)
     read = in_cubes(layout, [accept])
