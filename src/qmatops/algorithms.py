@@ -54,6 +54,7 @@ from .state import (
     prepared_support,
     readout_halves,
     require_dense_width,
+    row_index,
     supported_on,
 )
 from . import state as state_module  # for SPARSE_FLOOR and DENSE_SHARE as they are at a call
@@ -131,10 +132,10 @@ class Circuit:
     output matrix is read from, or None when the output is not a matrix.
     ``read`` is the basis state whose final amplitude a run reads, or None.
 
-    A builder hands every run with the same arguments the same circuit, so
-    its steps and patterns are read-only, and what depends on the circuit
-    alone is worked out once and kept with it: its gate tally, the bound on
-    a sparse run's support and a sparse run's index plan.
+    A builder hands back the circuit it built last, and holds no other,
+    when called again with the same arguments, so its steps and patterns
+    are read-only, and what depends on the circuit alone is worked out once
+    and kept with it: its tally, a sparse run's support bound and index plan.
     """
 
     layout: RegisterLayout
@@ -261,23 +262,6 @@ def _read_only_arrays(value) -> None:
             _read_only_arrays(item)
 
 
-def _remember_last(build: Callable[..., Circuit]) -> Callable[..., Circuit]:
-    """A circuit builder that hands back the very circuit it built last when
-    it is called again with the same integer arguments, so that runs of a
-    repeated circuit share its tally and index plan.  A miss costs one
-    compare of the argument tuples, and the builder holds no other circuit,
-    so a process holds at most one plan per builder."""
-    last: list = [None, None]
-
-    @functools.wraps(build)
-    def builder(*args: int) -> Circuit:
-        if args != last[0]:
-            last[:] = args, build(*args)
-        return last[1]
-
-    return builder
-
-
 def _plain_step(label: str, *gates: Gate) -> Step:
     return (label, tuple((label, gate) for gate in gates))
 
@@ -324,7 +308,7 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> IndexPlan | None:
 
 # --- circuit builders ----------------------------------------------------------
 
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     """Add row k into row l of a 2^n x 2^m matrix."""
     return Circuit(
@@ -361,7 +345,7 @@ def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     """Exchange rows k and l of a 2^n x 2^m matrix."""
     ancilla = AncillaVector("row-swap", k, l, n)
@@ -408,7 +392,7 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def trace_circuit(n: int) -> Circuit:
     """Move the trace of a 2^n x 2^n matrix into one amplitude."""
     marks = [
@@ -444,7 +428,7 @@ def trace_circuit(n: int) -> Circuit:
     )
 
 
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def transpose_circuit(n: int, m: int) -> Circuit:
     """Transpose a 2^n x 2^m matrix by exchanging its column register with a
     destination register."""
@@ -458,7 +442,7 @@ def transpose_circuit(n: int, m: int) -> Circuit:
     )
 
 
-@_remember_last
+@functools.lru_cache(maxsize=1)
 def transpose_square_circuit(side_qubits: int) -> Circuit:
     """Transpose a 2^s x 2^s matrix by exchanging its two registers."""
     return Circuit(
@@ -526,18 +510,14 @@ def simulate(
     circuit names a basis state to ``read``, reads its final amplitude.
     ``_plan_run`` first refuses, or plans how to hold, the run from the
     circuit alone.  A sparse run holds its support, a ``SparseBuffer``, to
-    the end.  Every basis index it lists depends on the circuit alone, so
-    the circuit's ``IndexPlan`` keeps them from its second run on, and
-    ``_run`` hands preparation the prepared support, each gate its index
-    half and the final buffer the read-outs' index halves; a run of a
-    repeated circuit only gathers and combines amplitudes.  Each Hadamard
-    layer on the support computes only
-    the outputs its planned cubes read, the accept pattern pulled back
-    through the gates after it.  So the final state is exact only on the
-    accepted subspace, which is all that post-selection, decoding and a
-    read amplitude look at.  When its decoded output or read amplitude has
-    an exact-zero part whose sign the support may not carry, the run is
-    done again densely, after the sparse one is released, so reports are
+    the end, and takes every basis index it lists, which depend on the
+    circuit alone, from the circuit's ``IndexPlan``.  Each Hadamard layer
+    on the support computes only the outputs its planned cubes read, the
+    accept pattern pulled back through the gates after it.  So the final
+    state is exact only on the accepted subspace, which is all that
+    post-selection, decoding and a read amplitude look at.  When
+    ``_zero_signs_in_doubt`` finds a zero sign of those in doubt, the
+    sparse run is released and the run done again densely, so reports are
     bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
     prepared array itself, that every gate changes in place.
     ``after_step`` gets the run's buffer after each stage, pruned as above;
@@ -551,8 +531,9 @@ def simulate(
     plan = _plan_run(circuit, record_steps)
     if plan is not None:
         run = _run(circuit, entries, False, after_step, plan)
-        if run is not None:
+        if not _zero_signs_in_doubt(circuit, entries, run):
             return run
+        del run  # before the dense run allocates its state
     return _run(circuit, entries, record_steps, after_step, None)
 
 
@@ -562,10 +543,8 @@ def _run(
     record_steps: bool,
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
     plan: IndexPlan | None,
-) -> Simulation | None:
-    """One run of ``simulate``, sparse given the circuit's index plan, else
-    dense; a sparse one gives None, and drops its state, when a zero part of
-    its read-out may differ in sign from the dense run's."""
+) -> Simulation:
+    """One run of ``simulate``, sparse given the circuit's index plan."""
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
@@ -579,7 +558,6 @@ def _run(
     else:
         buffer = prepare_product_state(layout, parts, sparse=plan.start_run())
         steps = plan.steps(buffer)
-    unsure = buffer.unsure_zero_parts if isinstance(buffer, SparseBuffer) else (False, False)
     records = [] if record_steps else None
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
@@ -611,15 +589,32 @@ def _run(
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     amplitude = None if circuit.read is None else state.amplitude(circuit.read)
-    if any(unsure):
-        doubtful = [amplitude]
-        if output is not None and not _keeps_zero_signs(circuit, state, divided=selected_mass is not None):
-            doubtful.append(output)
-        for value in (v for v in doubtful if v is not None):
-            for doubt, part in zip(unsure, ("real", "imag")):
-                if doubt and np.any(getattr(value, part) == 0.0):
-                    return None
     return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
+
+
+def _zero_signs_in_doubt(circuit: Circuit, entries: np.ndarray, run: Simulation) -> bool:
+    """Whether a sparse run of the circuit on the matrix ``entries`` may
+    report an exact-zero part with another sign than the dense run's.
+
+    Where the support lists nothing the dense run holds signed zeros, which
+    change no nonzero result; so only an exact-zero part of the read
+    amplitude, or of a decoded output that ``_keeps_zero_signs`` does not
+    vouch for, can differ, and a run without one reads no sign bit.  Every
+    other table a circuit loads is real and non-negative, so the doubt is
+    read off the matrix: on both paths a real matrix keeps every imaginary
+    part +0.0 (through products, butterflies and a read-out's division by a
+    positive real), and a non-negative one every part.
+    """
+    read = [] if run.amplitude is None else [run.amplitude]
+    if run.output is not None and not _keeps_zero_signs(circuit, run.state, divided=run.selection is not None):
+        read.append(run.output)
+    zero_real = any(np.any(value.real == 0.0) for value in read)
+    zero_imaginary = any(np.any(value.imag == 0.0) for value in read)
+    if not (zero_real or zero_imaginary):
+        return False
+    imaginary = bool(np.any(np.signbit(entries.imag) | (entries.imag != 0.0)))
+    real = imaginary or bool(np.any(np.signbit(entries.real)))
+    return (zero_real and real) or (zero_imaginary and imaginary)
 
 
 def _keeps_zero_signs(circuit: Circuit, state: SparseBuffer, divided: bool) -> bool:
@@ -655,6 +650,7 @@ def run_row_add(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = Fals
     result over the normalized entries; the decoded output is the classical
     row-added matrix divided by G.
     """
+    k, l = row_index("k", k), row_index("l", l)
     circuit = row_add_circuit(matrix.row_qubits, matrix.col_qubits, k, l)
     run = simulate(circuit, matrix.entries, record_steps)
     entries = matrix.entries
@@ -677,6 +673,7 @@ def run_row_swap(matrix: EncodedMatrix, k: int, l: int, record_steps: bool = Fal
     Succeeds with probability exactly 1/24 regardless of the entries, and
     the decoded output is the swapped matrix itself (unit proportionality).
     """
+    k, l = row_index("k", k), row_index("l", l)
     circuit = row_swap_circuit(matrix.row_qubits, matrix.col_qubits, k, l)
     run = simulate(circuit, matrix.entries, record_steps)
     return run.report(

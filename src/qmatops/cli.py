@@ -119,9 +119,13 @@ def _run_algorithm(command: str, args) -> int:
     if args.shots is not None and args.shots > MAX_SHOTS:
         raise ValueError(f"--shots must be at most {MAX_SHOTS}")
     matrix = load_matrix(args.input)
-    encoded = encode_matrix(matrix)
     runner, _, with_rows = _ROUTINES[command]
     rows = (args.k, args.l) if with_rows else ()
+    # a padding row would move a row where the restored matrix drops it
+    for name, row in zip("kl", rows):
+        if row >= matrix.shape[0]:
+            raise ValueError(f"--{name} {row} is past the last row of the {matrix.shape[0]}-row input")
+    encoded = encode_matrix(matrix)
     report = globals()[runner](encoded, *rows, record_steps=bool(args.verbose))
     _write_document(_algorithm_document(command, args, encoded, report), args.output)
     return 0

@@ -306,27 +306,24 @@ class StateBuffer:
 class SparseBuffer:
     """A run's state as its support: ``indices``, sorted distinct int64 basis
     indices, and ``amplitudes``, their complex128 values; every other basis
-    index holds +0.0.  An amplitude that a gate computed stays listed even
-    when it is zero.  Both arrays are checked when the buffer is made.
+    index holds +0.0, where a dense run may hold signed zeros
+    (``algorithms._zero_signs_in_doubt``).  An amplitude that a gate
+    computed stays listed even when it is zero.  Both arrays are checked
+    when the buffer is made.
 
-    ``unsure_zero_parts`` says, for the real and the imaginary part, whether
-    an exact-zero part computed from the support may differ in sign from
-    the dense run's, which holds a zero of either sign where the support
-    lists nothing; preparation sets it.  A run's plan hands the buffer the
-    index halves that depend on its indices alone: ``planned``, the next
-    gate's (``gates.sparse_step``), which the gate uses up, leaving None,
-    and ``readouts``, those of the reads of its final support, keyed by
-    what they read (``_index_half``).  Without them a gate or a read works
-    its index half out on the spot, and a Hadamard layer computes every
-    output.  ``apply_gate`` replaces both arrays with the gate's result;
-    ``freeze`` makes them read-only, and the frozen buffer is the run's
-    final state, which ``apply_gate`` refuses.
+    A run's plan hands the buffer the index halves that depend on its
+    indices alone: ``planned``, the next gate's (``gates.sparse_step``),
+    which the gate uses up, leaving None, and ``readouts``, those of the
+    reads of its final support, keyed by what they read (``_index_half``).
+    Without them a gate or a read works its index half out on the spot, and
+    a Hadamard layer computes every output.  ``apply_gate`` replaces both
+    arrays with the gate's result; ``freeze`` makes them read-only, and the
+    frozen buffer is the run's final state, which ``apply_gate`` refuses.
     """
 
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
-    unsure_zero_parts: tuple[bool, bool] = (True, True)
     planned: object = field(default=None, repr=False)
     readouts: Mapping[tuple, object] = field(default_factory=dict, repr=False)
 
@@ -483,6 +480,13 @@ def encode_matrix(matrix) -> EncodedMatrix:
     )
 
 
+def row_index(name: str, value) -> int:
+    """A row index as a plain int: a Python or numpy integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"row index {name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class AncillaVector:
     """Auxiliary superposition loaded next to the encoded matrix.
@@ -503,9 +507,11 @@ class AncillaVector:
         if self.num_row_qubits < 1:
             raise ValueError("num_row_qubits must be >= 1")
         n = 1 << self.num_row_qubits
-        for value in (self.k, self.l):
+        for name in ("k", "l"):
+            value = row_index(name, getattr(self, name))
             if not 0 <= value < n:
                 raise ValueError(f"row index {value} out of range for {n} rows")
+            object.__setattr__(self, name, value)
         if self.k == self.l:
             raise ValueError("row indices k and l must be distinct")
 
@@ -601,7 +607,7 @@ def prepare_product_state(
         listed = [None if f is whole else np.flatnonzero(f) for f in factors]
         if not isinstance(sparse, np.ndarray):
             sparse = _support_indices([(f.size, entries) for f, entries in zip(factors, listed)])
-        return SparseBuffer(layout, sparse, _support_amplitudes(factors, listed), _unsure_zero_parts(factors))
+        return SparseBuffer(layout, sparse, _support_amplitudes(factors, listed))
     leading, rest = factors[0], factors[1:]
     tail = math.prod(factor.size for factor in rest)
     rows = max(1, PREPARE_BLOCK // tail)
@@ -698,33 +704,6 @@ def _support_amplitudes(factors: list[np.ndarray], listed: list[np.ndarray | Non
         amplitudes = np.empty(partial.size * listed_values.size, dtype=np.complex128)
         _multiply_outer(partial, listed_values, amplitudes)
     return amplitudes
-
-
-def _unsure_zero_parts(factors: list[np.ndarray]) -> tuple[bool, bool]:
-    """For the real and the imaginary part, whether a sparse product's
-    exact-zero parts may come out of a run with other signs than the dense
-    product's.
-
-    Where the support lists nothing, the dense product holds a factor's
-    zero entry times the others, a zero whose signs follow theirs.  Added,
-    subtracted or multiplied by a finite constant, a zero changes no nonzero
-    result, so only exact-zero results can differ, and only in sign.  None
-    can when every factor is real with non-negative real parts and +0.0
-    imaginary parts: each such product is (+0.0, +0.0), as the support's.
-    No imaginary part can when the first factor is real too, with +0.0
-    imaginary parts but real parts of either sign: times the others,
-    through every butterfly's ``(u +- l) * c`` and a read-out's division or
-    multiplication by a positive real, every imaginary part stays +0.0 on
-    both paths.
-    """
-    def plus_zero(part: np.ndarray) -> bool:
-        return not np.any(np.signbit(part) | (part != 0.0))
-
-    imaginary = all(plus_zero(f.imag) for f in factors) and not any(
-        np.any(np.signbit(f.real)) for f in factors[1:]
-    )
-    real = imaginary and not np.any(np.signbit(factors[0].real))
-    return not real, not imaginary
 
 
 def _multiply_outer(partial: np.ndarray, factor: np.ndarray, out: np.ndarray) -> None:

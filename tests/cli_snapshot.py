@@ -29,7 +29,8 @@ SHAPES = ((2, 2), (4, 4), (3, 5), (8, 8), (32, 32))
 
 def write_inputs(directory: Path) -> dict[str, str]:
     """One matrix file per shape, with negative entries, complex entries on
-    the larger inputs and one -0.0 entry each; returns name -> relative path."""
+    the larger inputs and one -0.0 entry each, then the inputs of the
+    zero-sign runs; returns name -> relative path."""
     directory.mkdir(parents=True)
     rng = np.random.default_rng(2024)
     paths = {}
@@ -44,13 +45,38 @@ def write_inputs(directory: Path) -> dict[str, str]:
         document = {"rows": rows, "cols": cols, "data": data}
         (directory / f"{name}.json").write_text(json.dumps(document) + "\n")
         paths[name] = f"inputs/{name}.json"
+    # inputs for the zero-sign rerun, from a generator of their own so that
+    # the inputs above stay as they are
+    rng = np.random.default_rng(2026)
+    complex_ = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+    real = rng.standard_normal((32, 32))
+    np.fill_diagonal(complex_, 0.0)
+    np.fill_diagonal(real, 0.0)
+    extra = {
+        # traceless, so trace reads an exact-zero amplitude whose sign only
+        # a dense run gives: both rerun densely
+        "zero-diagonal-complex32x32": complex_,
+        "zero-diagonal-real32x32": real,
+        # real and non-negative: no zero sign in doubt, the run stays sparse
+        "ones-minus-eye32x32": np.ones((32, 32)) - np.eye(32),
+        # 24 rows pad to 32, which decode to exact zeros whose signs the
+        # sparse run keeps
+        "complex24x32": rng.standard_normal((24, 32)) + 1j * rng.standard_normal((24, 32)),
+    }
+    for name, matrix in extra.items():
+        data = [float(z.real) if z.imag == 0 else [float(z.real), float(z.imag)] for z in matrix.ravel()]
+        document = {"rows": matrix.shape[0], "cols": matrix.shape[1], "data": data}
+        (directory / f"{name}.json").write_text(json.dumps(document) + "\n")
+        paths[name] = f"inputs/{name}.json"
     return paths
 
 
 def commands(inputs: dict[str, str]) -> list[tuple[str, list[str]]]:
     """(run name, qmatops arguments); "{out}" stands for the run's output file."""
     runs = []
-    for name, path in inputs.items():
+    for rows, cols in SHAPES:
+        name = f"m{rows}x{cols}"
+        path = inputs[name]
         for algorithm in ALGORITHMS:
             argv = [algorithm, "--input", path]
             if algorithm == "row-add":
@@ -75,6 +101,13 @@ def commands(inputs: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("scaling-row-swap", ["scaling", "--algorithm", "row-swap", "--widths", "1,2,3,6",
                               "--seed", "5"]),
         ("appendix1-output", ["appendix1", "--output", "{out}"]),
+        # unrecorded sparse runs, two of which the zero-sign doubt reruns densely
+        ("trace-zero-diagonal-complex32x32", ["trace", "--input", inputs["zero-diagonal-complex32x32"]]),
+        ("trace-zero-diagonal-real32x32", ["trace", "--input", inputs["zero-diagonal-real32x32"]]),
+        ("trace-ones-minus-eye32x32", ["trace", "--input", inputs["ones-minus-eye32x32"]]),
+        ("row-add-complex24x32-k5l17", ["row-add", "--input", inputs["complex24x32"], "--k", "5", "--l", "17"]),
+        ("row-swap-complex24x32-k23l2", ["row-swap", "--input", inputs["complex24x32"], "--k", "23", "--l", "2"]),
+        ("transpose-complex24x32", ["transpose", "--input", inputs["complex24x32"]]),
     ]
     # every width that scaling accepts, so every lowered gate's tally is compared
     widths = ",".join(str(width) for width in range(1, 13))

@@ -138,6 +138,23 @@ def test_row_add_matches_oracle_on_random_matrices():
         )
 
 
+@pytest.mark.parametrize("runner", [run_row_add, run_row_swap])
+def test_a_non_integer_row_index_is_refused_before_the_builder(runner):
+    # 1.0 == True == 1, so a builder that kept a circuit built with k = 1.0
+    # would hand it to every later call with k = 1
+    encoded = encode_matrix(random_matrix(np.random.default_rng(47), (4, 4)))
+    for k, l, name in ((1.0, 2, "k"), (True, 2, "k"), (None, 2, "k"), (1, 2.0, "l"), (1, np.bool_(True), "l")):
+        with pytest.raises(ValueError, match=f"row index {name} must be an integer"):
+            runner(encoded, k, l)
+    with pytest.raises(ValueError, match="row index k must be an integer"):
+        state_module.AncillaVector("row-add", 1.0, 2, 2)
+    oracle = oracle_row_add if runner is run_row_add else oracle_row_swap
+    reference = np.array(oracle(encoded.entries, 1, 2).matrix)
+    for k in (1, np.int64(1)):
+        report = runner(encoded, k, 2)
+        np.testing.assert_allclose(report.output_matrix * (report.normalization or 1.0), reference, atol=TOL)
+
+
 def test_row_add_report_invariant():
     report = run_row_add(encode_matrix(GOLDEN_MATRIX), 2, 0)
     assert abs(report.success_probability - report.predicted_probability) < TOL

@@ -212,6 +212,8 @@ def standard_steps(report) -> list[dict]:
 
 
 ROUTINE_ROWS = {"row-add": [1, 3], "row-swap": [3, 0], "trace": [], "transpose": [], "transpose-square": []}
+# the CLI refuses a row in the padding, so a 3-row input takes rows 0 to 2
+PADDED_ROWS = {**ROUTINE_ROWS, "row-add": [1, 2], "row-swap": [2, 0]}
 # trace takes only square matrices; the others also a padded 3x4 one
 VERBOSE_CASES = [(command, (4, 4)) for command in ROUTINE_ROWS] + [
     (command, (3, 4)) for command in ROUTINE_ROWS if command != "trace"
@@ -220,7 +222,7 @@ VERBOSE_CASES = [(command, (4, 4)) for command in ROUTINE_ROWS] + [
 
 @pytest.mark.parametrize("command, shape", VERBOSE_CASES, ids=[f"{c}-{r}x{k}" for c, (r, k) in VERBOSE_CASES])
 def test_verbose_report_is_the_standard_encoding_of_the_run(matrix_file, tmp_path, command, shape):
-    rows = ROUTINE_ROWS[command]
+    rows = (ROUTINE_ROWS if shape[0] == 4 else PADDED_ROWS)[command]
     rng = np.random.default_rng(31)
     matrix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     matrix[0, 1], matrix[1, 2], matrix[2, 0] = -0.0, 0.0, 0.75
@@ -439,6 +441,17 @@ def test_equal_rows_rejected(matrix_file, capsys):
     code = main(["row-swap", "--input", matrix_file(np.eye(2)), "--k", "1", "--l", "1"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["row-add", "row-swap"])
+@pytest.mark.parametrize("k, l, refused", [(1, 3, "--l 3"), (3, 0, "--k 3"), (0, 4, "--l 4")])
+def test_row_in_the_padding_refused(matrix_file, capsys, monkeypatch, command, k, l, refused):
+    # on a 3x4 input, padded to 4x4, the run would move a row into padding
+    # row 3, which the 3-row restore drops; the input is not even encoded
+    monkeypatch.setattr(cli, "encode_matrix", None)
+    matrix = np.arange(12.0).reshape(3, 4) + 1
+    assert main([command, "--input", matrix_file(matrix), "--k", str(k), "--l", str(l)]) == 1
+    assert capsys.readouterr().err == f"error: {refused} is past the last row of the 3-row input\n"
 
 
 def test_non_square_trace_rejected(matrix_file, capsys):

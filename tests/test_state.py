@@ -390,12 +390,24 @@ def test_sparse_prepare_goes_dense_up_to_the_floor():
     assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
 
 
+def zero_parts_in_doubt(table, state):
+    """For the real and the imaginary part, whether a sparse run on the
+    matrix ``table`` whose read amplitude has an exact-zero part of that
+    kind is done again densely."""
+    def doubted(amplitude):
+        run = algorithms.Simulation(state, None, 0.0, None, None, amplitude, None)
+        return algorithms._zero_signs_in_doubt(None, table, run)
+
+    return doubted(1j), doubted(1 + 0j)
+
+
 @pytest.mark.parametrize("kind", ["non-negative", "real", "complex", "signed-zero-imaginary"])
 def test_sparse_prepare_knows_which_zero_parts_it_may_lose(monkeypatch, kind):
     # where the support lists nothing the dense product holds signed zeros;
-    # a part is sure only when the dense product holds +0.0 parts there
+    # the doubt read off the matrix leaves a part sure only when the dense
+    # product holds +0.0 parts there, also when the matrix registers follow
+    # a |0> register, as transpose's D, R, C do
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
-    layout = RegisterLayout((("R", 2), ("C", 2), ("K", 2), ("B", 2)))
     rng = np.random.default_rng(36)
     table = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     table[rng.random(16) < 0.3] = complex(-0.0, -0.0)
@@ -406,26 +418,28 @@ def test_sparse_prepare_knows_which_zero_parts_it_may_lose(monkeypatch, kind):
     elif kind == "signed-zero-imaginary":
         table.imag = -0.0
     table /= np.linalg.norm(table)
-    parts = [(("R", "C"), table), (("K",), AncillaVector("row-add", 1, 3, 2).amplitudes())]
-    state = prepare_product_state(layout, parts, sparse=True)
-    reference = kron_reference(layout, parts)
-    unlisted = np.ones(layout.size, dtype=bool)
-    unlisted[state.indices] = False
-    signs = np.signbit(reference[unlisted].view(np.float64).reshape(-1, 2))
-    real, imaginary = state.unsure_zero_parts
-    assert (real, imaginary) == {
-        "non-negative": (False, False),
-        "real": (True, False),
-        "complex": (True, True),
-        "signed-zero-imaginary": (True, True),
-    }[kind]
-    if not real:
-        assert not np.any(signs)
-    if not imaginary:
-        # every imaginary part of the dense product is +0.0, listed or not
-        assert not np.any(np.signbit(reference.imag))
-    if kind == "complex":
-        assert np.any(signs)
+    for registers in ((("R", 2), ("C", 2), ("K", 2), ("B", 2)), (("D", 2), ("R", 2), ("C", 2), ("K", 2))):
+        layout = RegisterLayout(registers)
+        parts = [(("R", "C"), table), (("K",), AncillaVector("row-add", 1, 3, 2).amplitudes())]
+        state = prepare_product_state(layout, parts, sparse=True)
+        reference = kron_reference(layout, parts)
+        unlisted = np.ones(layout.size, dtype=bool)
+        unlisted[state.indices] = False
+        signs = np.signbit(reference[unlisted].view(np.float64).reshape(-1, 2))
+        real, imaginary = zero_parts_in_doubt(table, state)
+        assert (real, imaginary) == {
+            "non-negative": (False, False),
+            "real": (True, False),
+            "complex": (True, True),
+            "signed-zero-imaginary": (True, True),
+        }[kind]
+        if not real:
+            assert not np.any(signs)
+        if not imaginary:
+            # every imaginary part of the dense product is +0.0, listed or not
+            assert not np.any(np.signbit(reference.imag))
+        if kind == "complex":
+            assert np.any(signs)
 
 
 def random_support(rng, layout, share, inside=None):
