@@ -27,7 +27,6 @@ from .gates import (
     HadamardLayer,
     Projector,
     RegisterSwapGate,
-    SparseStep,
     SwapRegisters,
     apply_gate,
     moved_bits,
@@ -52,7 +51,6 @@ from .state import (
     post_select,
     prepare_product_state,
     prepared_support,
-    readout_halves,
     require_dense_width,
     row_index,
     supported_on,
@@ -189,68 +187,43 @@ class Circuit:
                 support *= support_growth(layout, gate, reads[position], zeros)
             zeros &= ~moved_bits(layout, gate)
         parts = ((self.matrix_registers, None), *((names, ancilla.listed()) for names, ancilla in self.ancillas))
-        return support, IndexPlan(layout, parts, tuple(zip(gates, reads)), self.accept, self.decode, self.read)
+        return support, IndexPlan(layout, parts, tuple(zip(gates, reads)))
 
 
 class IndexPlan:
-    """What a sparse run of a circuit does with basis indices, which depend
-    on the circuit alone and never on the matrix: the prepared support
-    (``state.prepared_support``), each gate's index half
-    (``gates.sparse_step``, a Hadamard layer computing only the outputs its
-    read cubes hold) and the index halves of the reads of the final support
-    (``state.readout_halves``).  ``_plan_run`` hands out a circuit's plan
-    before any of them is worked out.  A run works each out as it reaches
-    it, from its buffer's support.  The circuit's first run drops them, as
-    most circuits run once; its second keeps them, and every later run only
-    gathers and combines amplitudes.  The arrays a kept plan hands a run's
-    caller are read-only, as the runs share them.  ``parts`` are the
-    (registers, listed entries) that ``prepared_support`` reads, and
-    ``gates`` pairs each gate with its read cubes, None but for a Hadamard
-    layer of a circuit that post-selects.
+    """One memo of the index halves of a sparse run of a circuit, which
+    depend on the circuit alone and never on the matrix, each keyed by what
+    it is: ``"support"``, the prepared support (``state.prepared_support``);
+    a gate's position, its half (``gates.sparse_step``, a Hadamard layer
+    computing only the outputs its read cubes hold); and a read's
+    ``(build, *args)``, the half of a read of the final support
+    (``state._index_half``).  ``_plan_run`` hands out a circuit's plan
+    before any half is worked out.  ``half`` applies one rule: the
+    circuit's first run keeps nothing, as most circuits run once; its
+    second keeps every half it works out, read-only, as later runs and
+    their callers share them; every later run only looks them up, and
+    gathers and combines amplitudes.  ``halves`` is a read-only view of
+    the memo.  ``parts`` are the (registers, listed entries) that
+    ``prepared_support`` reads, and ``gates`` pairs each gate with its read
+    cubes, None but for a Hadamard layer of a circuit that post-selects.
     """
 
-    def __init__(self, layout: RegisterLayout, parts: tuple, gates: tuple, accept, decode, read):
+    def __init__(self, layout: RegisterLayout, parts: tuple, gates: tuple):
         self.layout, self.parts, self.gates = layout, parts, gates
-        self.accept, self.decode, self.read = accept, decode, read
-        self._runs = 0
-        self._support = self._readouts = None
-        self._steps: list[SparseStep] = []
+        self.runs = 0
+        self._halves: dict = {}
+        self.halves = MappingProxyType(self._halves)
 
-    def start_run(self) -> np.ndarray:
-        """Count a run of the circuit and give its prepared support."""
-        self._runs += 1
-        if self._support is not None:
-            return self._support
-        support = prepared_support(self.layout, self.parts)
-        if self._runs > 1:
-            self._support = support
-        return support
-
-    def steps(self, buffer: SparseBuffer):
-        """Each gate's index half in turn, for the run whose ``buffer`` the
-        gates change: the one kept, or the one the buffer's support gives."""
-        keep = self._runs > 1
-        for position, (gate, reads) in enumerate(self.gates):
-            if position < len(self._steps):
-                yield self._steps[position]
-                continue
-            step = sparse_step(self.layout, buffer.indices, gate, reads)
-            if keep:
-                # a run's buffer holds it, so no caller can change the next run's
-                step.indices.setflags(write=False)
-                self._steps.append(step)
-            yield step
-
-    def readouts(self, indices: np.ndarray) -> Mapping[tuple, object]:
-        """The read-outs' index halves of the final support, ``indices``."""
-        if self._readouts is not None:
-            return self._readouts
-        readouts = readout_halves(self.layout, indices, self.accept, self.decode, self.read)
-        if self._runs > 1:
-            # a run's final buffer hands them to its caller
-            _read_only_arrays(tuple(readouts.values()))
-            self._readouts = readouts
-        return readouts
+    def half(self, key, work: Callable[[], object]):
+        """The half under ``key``: the one kept, or else ``work()``, which
+        is kept, read-only, when this is the circuit's second run."""
+        half = self._halves.get(key)
+        if half is None:
+            half = work()
+            if self.runs == 2:
+                _read_only_arrays(half)
+                self._halves[key] = half
+        return half
 
 
 def _read_only_arrays(value) -> None:
@@ -510,8 +483,10 @@ def simulate(
     circuit names a basis state to ``read``, reads its final amplitude.
     ``_plan_run`` first refuses, or plans how to hold, the run from the
     circuit alone.  A sparse run holds its support, a ``SparseBuffer``, to
-    the end, and takes every basis index it lists, which depend on the
-    circuit alone, from the circuit's ``IndexPlan``.  Each Hadamard layer
+    the end.  The basis indices it lists depend on the circuit alone, so
+    the index halves of its preparation, gates and reads go into one memo,
+    the circuit's ``IndexPlan``, which its second run fills and later runs
+    look up.  Each Hadamard layer
     on the support computes only the outputs its planned cubes read, the
     accept pattern pulled back through the gates after it.  So the final
     state is exact only on the accepted subspace, which is all that
@@ -544,7 +519,15 @@ def _run(
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
     plan: IndexPlan | None,
 ) -> Simulation:
-    """One run of ``simulate``, sparse given the circuit's index plan."""
+    """One run of ``simulate``, sparse given the circuit's index plan.
+
+    A sparse run takes its support and each gate's index half from
+    ``IndexPlan.half``, under ``"support"`` and the gate's position.  After
+    the last gate, the final buffer of the circuit's second run gets a
+    writable dict, in which its reads store the halves they work out for
+    the plan to keep; the plan then gives that state, as every later run's
+    final buffer before its reads, a read-only view of the memo.
+    """
     layout = circuit.layout
     # a generator, so ancilla tables are only built after the preparation's
     # qubit-cap check has passed
@@ -554,23 +537,28 @@ def _run(
     )
     if plan is None:
         buffer = StateBuffer.adopt(prepare_product_state(layout, parts, sparse=False))
-        steps = None
     else:
-        buffer = prepare_product_state(layout, parts, sparse=plan.start_run())
-        steps = plan.steps(buffer)
+        plan.runs += 1
+        support = plan.half("support", lambda: prepared_support(layout, plan.parts))
+        buffer = prepare_product_state(layout, parts, sparse=support)
     records = [] if record_steps else None
+    gate_position = 0
     for position, (label, gates) in enumerate(circuit.steps):
         if records is not None:
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
-            if steps is not None:
-                buffer.planned = next(steps)
+            if plan is not None:
+                buffer.planned = plan.half(
+                    gate_position, lambda: sparse_step(layout, buffer.indices, *plan.gates[gate_position])
+                )
             apply_gate(buffer, gate)
+            gate_position += 1
         if after_step is not None:
             after_step(label, buffer)
-    if plan is not None:
-        # they index the final support only
-        buffer.readouts = plan.readouts(buffer.indices)
+    if plan is not None and plan.runs > 1:
+        # the read halves index the final support only: the second run's
+        # reads store theirs in a dict of its own, a later run's look them up
+        buffer.readouts = {} if plan.runs == 2 else plan.halves
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
@@ -589,6 +577,11 @@ def _run(
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     amplitude = None if circuit.read is None else state.amplitude(circuit.read)
+    if plan is not None and plan.runs == 2:
+        # the plan keeps the halves the reads worked out, and the state shares them
+        for key, half in state.readouts.items():
+            plan.half(key, lambda half=half: half)
+        state.readouts = plan.halves
     return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
 
 

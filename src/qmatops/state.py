@@ -91,7 +91,6 @@ __all__ = [
     "encode_matrix",
     "prepare_product_state",
     "prepared_support",
-    "readout_halves",
     "decode_matrix",
     "post_select",
     "squared_mass",
@@ -311,21 +310,25 @@ class SparseBuffer:
     computed stays listed even when it is zero.  Both arrays are checked
     when the buffer is made.
 
-    A run's plan hands the buffer the index halves that depend on its
-    indices alone: ``planned``, the next gate's (``gates.sparse_step``),
-    which the gate uses up, leaving None, and ``readouts``, those of the
-    reads of its final support, keyed by what they read (``_index_half``).
-    Without them a gate or a read works its index half out on the spot, and
-    a Hadamard layer computes every output.  ``apply_gate`` replaces both
-    arrays with the gate's result; ``freeze`` makes them read-only, and the
-    frozen buffer is the run's final state, which ``apply_gate`` refuses.
+    A run's plan (``algorithms.IndexPlan``) hands the buffer the index
+    halves that depend on its indices alone: ``planned``, the next gate's
+    (``gates.sparse_step``), which the gate uses up, leaving None, and
+    ``readouts``, those of the reads of its final support, keyed by what
+    they read (``_index_half``).  Without them a gate or a read works its
+    index half out on the spot, and a Hadamard layer computes every output.
+    A read stores a half it worked out only in a writable dict, which a
+    circuit's second run gives its final buffer for the plan to keep;
+    ``readouts`` is otherwise read-only, and empty during a run.
+    ``apply_gate`` replaces both arrays with the gate's result; ``freeze``
+    makes them read-only, and the frozen buffer is the run's final state,
+    which ``apply_gate`` refuses.
     """
 
     layout: RegisterLayout
     indices: np.ndarray
     amplitudes: np.ndarray
     planned: object = field(default=None, repr=False)
-    readouts: Mapping[tuple, object] = field(default_factory=dict, repr=False)
+    readouts: Mapping[tuple, object] = field(default_factory=lambda: MappingProxyType({}), repr=False)
 
     def __post_init__(self):
         indices, amplitudes = self.indices, self.amplitudes
@@ -563,8 +566,8 @@ def prepare_product_state(
     every other table, however many (a run's circuit decides whether it is
     sparse, ``algorithms._plan_run``); each listed amplitude has the dense
     product's bytes.  ``sparse`` may also be those basis indices, as a
-    run's plan works them out once from the circuit (``prepared_support``),
-    so that only the amplitudes are computed.
+    run's plan works them out from the circuit alone
+    (``prepared_support``), so that only the amplitudes are computed.
     """
     require_dense_width(layout)
     names = list(layout.names)
@@ -654,16 +657,14 @@ def prepared_support(layout: RegisterLayout, parts: Iterable[tuple[Sequence[str]
     sparse product, from each part's registers and the indices of its
     table's nonzero entries in increasing order (None for the first part,
     which is listed whole), without any table: the support a run's plan
-    hands preparation.  The index is read-only, as the plan shares it."""
+    hands preparation."""
     names = list(layout.names)
     spans = []
     for part_names, entries in parts:
         width = sum(layout.width(name) for name in part_names)
         entries = None if entries is None else np.asarray(entries, dtype=np.int64)
         spans.append((names.index(part_names[0]), len(part_names), (1 << width, entries)))
-    indices = _support_indices(list(_in_layout_order(layout, spans, lambda width: (1 << width, _GROUND_ENTRY))))
-    indices.setflags(write=False)
-    return indices
+    return _support_indices(list(_in_layout_order(layout, spans, lambda width: (1 << width, _GROUND_ENTRY))))
 
 
 def _support_indices(factors: list[tuple[int, np.ndarray | None]]) -> np.ndarray:
@@ -987,41 +988,16 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 def _index_half(state: SparseBuffer, build, *args):
     """``build(state.layout, state.indices, *args)``, the index half of a
-    read of a support: the one the run's plan handed the buffer
-    (``readout_halves``), or else one worked out on the spot."""
-    half = state.readouts.get((build, *args))
-    return build(state.layout, state.indices, *args) if half is None else half
-
-
-def readout_halves(
-    layout: RegisterLayout,
-    indices: np.ndarray,
-    accept: Mapping[str, int] | None,
-    decode: tuple[str, str, Mapping[str, int]] | None,
-    read: Mapping[str, int] | None,
-) -> Mapping[tuple, object]:
-    """The index halves of a run's reads of its final support, from its
-    ``indices`` alone, as a ``SparseBuffer``'s ``readouts``: the squared mass
-    of the ``accept`` pattern (``post_select``); the block that ``decode``,
-    (row register, column register, pinned values), reads
-    (``decode_matrix``) and, without an accept pattern, the entries it pins
-    (``pinned_share``, ``SparseBuffer.lists``); and the position of the
-    basis state ``read`` (``SparseBuffer.amplitude``)."""
-    halves = {}
-
-    def add(build, *args):
-        halves[(build, *args)] = build(layout, indices, *args)
-
-    if accept is not None:
-        add(_summed, *layout.pattern(accept))
-    if decode is not None:
-        row, col, pinned = decode
-        add(_decoded, row, col, *layout.pattern(pinned))
-        if accept is None:
-            add(_selection, *layout.pattern(pinned))
-    if read is not None:
-        add(_position, layout.basis_index(read))
-    return MappingProxyType(halves)
+    read of a support, under the key ``(build, *args)`` in the buffer's
+    ``readouts``: the half found there, or else one worked out on the spot,
+    which is stored there when ``readouts`` is a writable dict."""
+    key = (build, *args)
+    half = state.readouts.get(key)
+    if half is None:
+        half = build(state.layout, state.indices, *args)
+        if isinstance(state.readouts, dict):
+            state.readouts[key] = half
+    return half
 
 
 def _selection(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -> np.ndarray | slice:

@@ -4,7 +4,6 @@ Each test carries a ``criterion`` marker; the terminal summary hook in
 conftest.py prints one PASS/FAIL line per criterion after the run.
 """
 import itertools
-import math
 import time
 
 import numpy as np

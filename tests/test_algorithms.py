@@ -773,6 +773,136 @@ def test_a_kept_plan_hands_a_caller_only_read_only_arrays(monkeypatch):
         state.readouts[None] = None
 
 
+PLANNED_BUILDERS = {
+    "row-add": row_add_circuit,
+    "row-swap": row_swap_circuit,
+    "trace": trace_circuit,
+    "transpose": transpose_circuit,
+}
+
+
+@pytest.mark.parametrize("routine", sorted(PLANNED_BUILDERS))
+def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routine):
+    # A circuit's first run keeps no index half, as most circuits run once (a
+    # fresh row pair) and a kept half outlives its run.  A copy that kept the
+    # halves from the first run made fresh-row-pair runs of the benchmark's
+    # `wide` workload slower (6 alternating process pairs of 200 cycles on a
+    # 2-core Xeon): row-add 64x64 from 1.26-1.44 to 1.55-1.70 ms, transpose
+    # 128x128 from 0.38-0.44 to 0.66-0.74 ms, from when arrays are freed, not
+    # from the arithmetic.  The second run keeps every half it works out:
+    # the support, each gate's and each read's; the third works none out
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    runner, _ = SPARSE_ROUTINES[routine]
+    plans, worked_out, asked = [], [], []
+    plain_plan, plain_support = algorithms._plan_run, algorithms.prepared_support
+    plain_step, plain_half = algorithms.sparse_step, state_module._index_half
+
+    def noted_plan(*args):
+        plans.append(plain_plan(*args))
+        return plans[-1]
+
+    def noted_support(*args):
+        worked_out.append("support")
+        return plain_support(*args)
+
+    def noted_step(*args, **kwargs):
+        worked_out.append(args[2])
+        return plain_step(*args, **kwargs)
+
+    def noted_half(state, build, *args):
+        asked.append(((build, *args), (build, *args) in state.readouts))
+        return plain_half(state, build, *args)
+
+    monkeypatch.setattr(algorithms, "_plan_run", noted_plan)
+    monkeypatch.setattr(algorithms, "prepared_support", noted_support)
+    monkeypatch.setattr(algorithms, "sparse_step", noted_step)
+    monkeypatch.setattr(gates_module, "sparse_step", noted_step)
+    monkeypatch.setattr(state_module, "_index_half", noted_half)
+    PLANNED_BUILDERS[routine].cache_clear()
+    rng = np.random.default_rng(47)
+    for run in (1, 2, 3):
+        worked_out.clear(), asked.clear()
+        runner(encode_matrix(random_matrix(rng, (8, 8))))
+        plan = plans[-1]
+        assert plan is plans[0] and plan.runs == run
+        if run == 1:
+            assert not plan.halves
+        elif run == 2:
+            reads = {key for key, _ in asked}
+            assert reads and set(plan.halves) == {"support", *range(len(plan.gates)), *reads}
+        else:
+            assert worked_out == [] and asked and all(hit for _, hit in asked)
+
+
+def test_a_replayed_run_reads_each_stage_with_that_stages_halves(monkeypatch):
+    # the memo's keys name no support, so a read during a run must neither
+    # keep a half nor find one; a rule that kept the halves of reads of a
+    # read-only support would, as a replayed run's supports are the plan's
+    # read-only arrays, and the second read would then sum the first stage's
+    # support.  Both stages only permute the prepared amplitudes, so their
+    # masses are bitwise the recorded run's
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(48), (8, 8)))
+    row_add_circuit.cache_clear()
+    circuit = row_add_circuit(3, 3, 6, 1)
+    records = algorithms.simulate(circuit, encoded.entries, record_steps=True).records
+    read_at = {"step2-mark-source-branch": 2, "step4-cswap-rows": 4}
+    for _ in range(3):
+        masses = {}
+
+        def note(label, buffer):
+            if label in read_at:
+                masses[label] = buffer.norm_squared
+
+        run = algorithms.simulate(circuit, encoded.entries, after_step=note)
+        assert isinstance(run.state, SparseBuffer)
+        assert masses == {label: records[position - 1].norm_squared for label, position in read_at.items()}
+
+
+@pytest.mark.parametrize("routine", ["row-add", "row-swap", "trace"])
+def test_reads_of_a_final_state_keep_no_half(monkeypatch, routine):
+    # after its run a state's reads look the kept halves up, or work theirs
+    # out on the spot; so a caller's reads cannot grow what a state holds
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    runner, _ = SPARSE_ROUTINES[routine]
+    PLANNED_BUILDERS[routine].cache_clear()
+    rng = np.random.default_rng(49)
+    for _ in range(3):
+        state = runner(encode_matrix(random_matrix(rng, (8, 8)))).post_selection.state
+        assert isinstance(state, SparseBuffer)
+        layout, held = state.layout, len(state.readouts)
+        for index in range(1000):
+            state.amplitude({name: (index >> layout.field_shift(name)) % (1 << width) for name, width in layout.registers})
+            state.norm_squared
+        assert len(state.readouts) == held
+        with pytest.raises(TypeError):
+            state.readouts[None] = None
+
+
+def test_an_evicted_circuit_and_its_plan_are_freed_at_once(monkeypatch):
+    # no reference cycle holds a circuit or its plan, so the builder's next
+    # circuit frees them at once, not at a later collection; when arrays are
+    # freed shows in the `wide` timings above
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(50), (8, 4)))
+    held = []
+    gc.disable()
+    try:
+        for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
+            for k, l in ((0, 1), (2, 5), (7, 3), (4, 6)):
+                for _ in range(3):
+                    report = runner(encoded, k, l)
+                circuit = build(3, 2, k, l)
+                plan = algorithms._plan_run(circuit, False)
+                assert report.gate_tally is circuit.tally and plan.halves
+                held.append((weakref.ref(circuit), weakref.ref(plan)))
+                del report, circuit, plan
+        alive = [(circuit() is not None, plan() is not None) for circuit, plan in held]
+    finally:
+        gc.enable()
+    assert alive == ([(False, False)] * 3 + [(True, True)]) * 2
+
+
 def test_a_shared_circuit_and_tally_are_read_only():
     # every run with the same arguments shares one circuit and its tally, so
     # neither a report nor a caller can change what the next run reports
