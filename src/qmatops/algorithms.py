@@ -10,7 +10,6 @@ the prepared product state.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -29,6 +28,7 @@ from .gates import (
     RegisterSwapGate,
     SwapRegisters,
     apply_gate,
+    light_cone,
     moved_bits,
     pull_back,
     sparse_step,
@@ -50,6 +50,7 @@ from .state import (
     pinned_share,
     post_select,
     prepare_product_state,
+    prepared_at,
     prepared_support,
     require_dense_width,
     row_index,
@@ -437,9 +438,10 @@ class Simulation:
     ``state`` is the final state before post-selection, sparse when the run
     was planned sparse; a sparse run's Hadamard layers compute only what the
     accept pattern reads, so its state is exact only on the accepted
-    subspace.  ``output`` is the decoded matrix, or None when nothing was
-    accepted or the circuit has no matrix output; ``amplitude`` is the
-    final amplitude of the circuit's ``read`` basis state, or None.
+    subspace, zero signs aside (``SparseBuffer.cone``).  ``output`` is the
+    decoded matrix, or None when nothing was accepted or the circuit has no
+    matrix output; ``amplitude`` is the final amplitude of the circuit's
+    ``read`` basis state, or None.
     """
 
     state: StateVector | SparseBuffer
@@ -490,11 +492,12 @@ def simulate(
     on the support computes only the outputs its planned cubes read, the
     accept pattern pulled back through the gates after it.  So the final
     state is exact only on the accepted subspace, which is all that
-    post-selection, decoding and a read amplitude look at.  When
-    ``_zero_signs_in_doubt`` finds a zero sign of those in doubt, the
-    sparse run is released and the run done again densely, so reports are
-    bitwise the dense run's.  A dense run owns one ``StateBuffer``, the
-    prepared array itself, that every gate changes in place.
+    post-selection, decoding and a read amplitude look at, and there up to
+    the signs of zero parts; the final buffer carries the dense run's light
+    cone (``SparseBuffer.cone``), from which those reads take every value
+    with an exact-zero part, so reports are bitwise the dense run's.  A
+    dense run owns one ``StateBuffer``, the prepared array itself, that
+    every gate changes in place.
     ``after_step`` gets the run's buffer after each stage, pruned as above;
     it is valid only during the callback.  With ``record_steps`` the run is
     dense and each stage's input is copied into a frozen snapshot before
@@ -503,13 +506,7 @@ def simulate(
     A circuit that discards nothing reports ``pinned_share`` of its
     read-out subspace, an exact 1.0 for a pure permutation.
     """
-    plan = _plan_run(circuit, record_steps)
-    if plan is not None:
-        run = _run(circuit, entries, False, after_step, plan)
-        if not _zero_signs_in_doubt(circuit, entries, run):
-            return run
-        del run  # before the dense run allocates its state
-    return _run(circuit, entries, record_steps, after_step, None)
+    return _run(circuit, entries, record_steps, after_step, _plan_run(circuit, record_steps))
 
 
 def _run(
@@ -523,18 +520,16 @@ def _run(
 
     A sparse run takes its support and each gate's index half from
     ``IndexPlan.half``, under ``"support"`` and the gate's position.  After
-    the last gate, the final buffer of the circuit's second run gets a
-    writable dict, in which its reads store the halves they work out for
-    the plan to keep; the plan then gives that state, as every later run's
-    final buffer before its reads, a read-only view of the memo.
+    the last gate, the final buffer of the circuit's first two runs gets a
+    writable dict, in which its reads share the halves they work out, for
+    the plan to keep on the second run; the plan then gives that state, as
+    every later run's final buffer before its reads, a read-only view of
+    the memo.  The final buffer also gets its light cone: ``gates.light_cone``
+    over the circuit's gates and its prepared tables (``state.prepared_at``).
     """
     layout = circuit.layout
-    # a generator, so ancilla tables are only built after the preparation's
-    # qubit-cap check has passed
-    parts = itertools.chain(
-        [(circuit.matrix_registers, entries.ravel())],
-        ((names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas),
-    )
+    parts = [(circuit.matrix_registers, entries.ravel())]
+    parts += [(names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas]
     if plan is None:
         buffer = StateBuffer.adopt(prepare_product_state(layout, parts, sparse=False))
     else:
@@ -555,10 +550,11 @@ def _run(
             gate_position += 1
         if after_step is not None:
             after_step(label, buffer)
-    if plan is not None and plan.runs > 1:
-        # the read halves index the final support only: the second run's
-        # reads store theirs in a dict of its own, a later run's look them up
-        buffer.readouts = {} if plan.runs == 2 else plan.halves
+    if plan is not None:
+        # the read halves index the final support only
+        buffer.readouts = {} if plan.runs <= 2 else plan.halves
+        prepared = functools.partial(prepared_at, layout, parts)
+        buffer.cone = functools.partial(light_cone, layout, tuple(gate for gate, _ in plan.gates), prepared=prepared)
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
@@ -577,61 +573,13 @@ def _run(
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     amplitude = None if circuit.read is None else state.amplitude(circuit.read)
-    if plan is not None and plan.runs == 2:
-        # the plan keeps the halves the reads worked out, and the state shares them
+    if plan is not None and plan.runs <= 2:
+        # the second run's plan keeps the halves its reads worked out; the
+        # state of either run shares the plan's, which index the same support
         for key, half in state.readouts.items():
             plan.half(key, lambda half=half: half)
         state.readouts = plan.halves
     return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
-
-
-def _zero_signs_in_doubt(circuit: Circuit, entries: np.ndarray, run: Simulation) -> bool:
-    """Whether a sparse run of the circuit on the matrix ``entries`` may
-    report an exact-zero part with another sign than the dense run's.
-
-    Where the support lists nothing the dense run holds signed zeros, which
-    change no nonzero result; so only an exact-zero part of the read
-    amplitude, or of a decoded output that ``_keeps_zero_signs`` does not
-    vouch for, can differ, and a run without one reads no sign bit.  Every
-    other table a circuit loads is real and non-negative, so the doubt is
-    read off the matrix: on both paths a real matrix keeps every imaginary
-    part +0.0 (through products, butterflies and a read-out's division by a
-    positive real), and a non-negative one every part.
-    """
-    read = [] if run.amplitude is None else [run.amplitude]
-    if run.output is not None and not _keeps_zero_signs(circuit, run.state, divided=run.selection is not None):
-        read.append(run.output)
-    zero_real = any(np.any(value.real == 0.0) for value in read)
-    zero_imaginary = any(np.any(value.imag == 0.0) for value in read)
-    if not (zero_real or zero_imaginary):
-        return False
-    imaginary = bool(np.any(np.signbit(entries.imag) | (entries.imag != 0.0)))
-    real = imaginary or bool(np.any(np.signbit(entries.real)))
-    return (zero_real and real) or (zero_imaginary and imaginary)
-
-
-def _keeps_zero_signs(circuit: Circuit, state: SparseBuffer, divided: bool) -> bool:
-    """Whether a run's decoded output has the dense run's zero signs, even
-    where its support lost a signed zero.
-
-    Without a Hadamard layer every listed amplitude is the dense one, so an
-    output is when its block is listed whole.  A Hadamard target makes
-    every amplitude ``(u +- l) * c``, a complex times ``(c, +0.0)``; such a
-    product has no real part -0.0 beside an imaginary part whose sign bit is
-    set, so no sum of two is ``(-0.0, -0.0)``, and after a second target no
-    amplitude has an imaginary part -0.0 beside a real part whose sign bit
-    is clear either.  numpy's complex division by ``(sqrt(p), +0.0)``, the
-    ratio 0/sqrt(p) being +0.0, turns every zero part of such an amplitude
-    into +0.0, on both paths.
-    """
-    targets = sum(
-        bin(moved_bits(circuit.layout, gate)).count("1")
-        for _, gate in circuit.gates()
-        if isinstance(gate, HadamardLayer)
-    )
-    if targets == 0:
-        return state.lists(circuit.decode[2])
-    return targets >= 2 and divided
 
 
 # --- the routines --------------------------------------------------------------

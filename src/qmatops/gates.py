@@ -3,7 +3,8 @@
 Each gate is checked against a layout once, by ``_plan``, which resolves it
 to basis-index bits: the projector's (mask, bits), a flip's target bit, a
 swap's two fields or a Hadamard layer's target bits.  The dense kernels, the
-sparse kernels, ``pull_back`` and ``lower`` all read that one cached plan.
+sparse kernels, ``pull_back``, ``light_cone`` and ``lower`` all read that one
+cached plan.
 
 Both gate kinds, a ``ControlledOp`` (a flip or register swap on a
 projector's subspace) and a ``HadamardLayer``, act on pairs of amplitudes.
@@ -23,8 +24,12 @@ layer can reach the run's accept pattern.  A circuit's index plan keeps
 them, so a repeated circuit works them out once, and hands each gate its
 own; the amplitude half (``_sparse_amplitudes``) gathers the amplitudes
 and combines each with its partner, +0.0 where none is listed, by the
-dense butterfly's operations.  ``lower`` turns a gate into the X, CNOT,
-Toffoli, SWAP and H ``Netlist`` that the gate tally counts.
+dense butterfly's operations.  So the one sign a support may get wrong is a
+zero's, where a +0.0 stands in for the dense run's signed zero;
+``light_cone`` gives the dense run's amplitudes at any basis indices from
+the states that reach them alone, for a sparse run's reads of exact zeros.
+``lower`` turns a gate into the X, CNOT, Toffoli, SWAP and H ``Netlist``
+that the gate tally counts.
 """
 from __future__ import annotations
 
@@ -34,7 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +76,7 @@ __all__ = [
     "support_growth",
     "moved_bits",
     "pull_back",
+    "light_cone",
     "NetworkGate",
     "Netlist",
     "decompose_mcx",
@@ -436,11 +442,7 @@ def sparse_step(layout: RegisterLayout, indices: np.ndarray, gate: Gate, reads=N
     """
     plan = _plan(layout, gate)
     if not plan.butterfly:
-        hit = (indices & plan.mask) == plan.bits
-        if plan.fields:
-            indices = indices ^ _swapped_bits(indices, plan.fields) * hit
-        else:
-            indices = indices ^ hit * plan.targets[0]
+        indices = _moved(plan, indices)
         # a flip of a low bit often keeps the support sorted; a swap moves
         # whole fields across it
         if not plan.fields and (indices[1:] > indices[:-1]).all():
@@ -512,6 +514,76 @@ def _apply_sparse(state: SparseBuffer, gate: Gate) -> None:
     if step is None:
         step = sparse_step(state.layout, state.indices, gate)
     state.indices, state.amplitudes = step.indices, _sparse_amplitudes(state.amplitudes, step)
+
+
+def _moved(plan: _Plan, indices: np.ndarray) -> np.ndarray:
+    """Where a controlled op sends basis indices: the selected ones with the
+    flip's target bit or the swap's two fields exchanged.  The op is its own
+    inverse, so these are also the indices it sends to them."""
+    hit = (indices & plan.mask) == plan.bits
+    if plan.fields:
+        return indices ^ _swapped_bits(indices, plan.fields) * hit
+    return indices ^ hit * plan.targets[0]
+
+
+def light_cone(
+    layout: RegisterLayout, gates: Sequence[Gate], at: np.ndarray, prepared: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The amplitudes at the basis indices ``at`` after ``gates`` are
+    applied densely to the state whose amplitudes ``prepared`` gives at any
+    basis indices: the dense run's bits, signed zeros included, from the
+    basis states that can reach ``at`` alone.
+
+    Each index is pulled back from the last gate to the first.  A controlled
+    op is its own inverse, so it sends the index to the one it comes from.
+    A Hadamard layer frees its targets' bits: its output at x is made of
+    the leaves that agree with x off them, which the gates before the layer
+    give, combined target by target in the layer's order (``_mixed``).  The
+    leaves go in blocks of at most BOX, the first targets' bits changing
+    fastest, so that each block is reduced through those targets before
+    the next is evaluated.
+    """
+    at = np.asarray(at, dtype=np.int64)
+    for position in reversed(range(len(gates))):
+        plan = _plan(layout, gates[position])
+        if not plan.butterfly:
+            at = _moved(plan, at)
+            continue
+        # the first ``low`` targets within a block, the others across blocks
+        low = min(len(plan.targets), BOX.bit_length() - 1)
+        inner, outer = _spread(plan.targets[:low]), _spread(plan.targets[low:])
+        starts = ((at & ~sum(plan.targets))[:, None] | outer).ravel()
+        signs = np.repeat(at, outer.size)
+        step = BOX >> low
+        sums = np.empty(starts.size, dtype=np.complex128)
+        for start in range(0, starts.size, step):
+            leaves = (starts[start : start + step, None] | inner).ravel()
+            values = light_cone(layout, gates[:position], leaves, prepared).reshape(-1, inner.size)
+            sums[start : start + step] = _mixed(values, signs[start : start + step], plan.targets[:low])
+        return _mixed(sums.reshape(at.size, outer.size), at, plan.targets[low:])
+    return prepared(at)
+
+
+def _spread(targets: tuple[int, ...]) -> np.ndarray:
+    """Each combination of the target bits, target j's bit set where bit j
+    of the combination's position is."""
+    combinations = np.zeros(1, dtype=np.int64)
+    for bit in targets:
+        combinations = np.concatenate((combinations, combinations | bit))
+    return combinations
+
+
+def _mixed(values: np.ndarray, at: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Each row of ``values``, the inputs of a Hadamard layer's ``targets``
+    at every combination of their bits (``_spread``), reduced to the output
+    at the row's index in ``at``: target by target, by the dense butterfly's
+    ``(u + l) * c`` where the index holds its bit at 0, ``(u - l) * c`` at 1."""
+    for bit in targets:
+        upper, lower = values[:, 0::2], values[:, 1::2]
+        mixed = np.add(upper, lower)
+        np.subtract(upper, lower, out=mixed, where=((at & bit) != 0)[:, None])
+        values = np.multiply(mixed, _INV_SQRT2, out=mixed)
+    return values[:, 0]
 
 
 def _swapped_bits(values, fields: tuple[int, ...]):

@@ -5,7 +5,8 @@ A state is dense, one complex128 amplitude per basis index (``StateVector``
 frozen, ``StateBuffer`` writable), or support-sparse (``SparseBuffer``):
 sorted int64 basis indices and their amplitudes, every other index holding
 +0.0.  Preparation and every readout give a sparse state the bits that the
-dense arithmetic gives the same amplitudes.
+dense arithmetic gives the same amplitudes; a run's final sparse state reads
+an exact-zero part off the dense run's light cone.
 
 Basis convention: registers are packed into the basis index
 most-significant-first in declaration order, and qubit 0 of a register is
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,6 +92,7 @@ __all__ = [
     "encode_matrix",
     "prepare_product_state",
     "prepared_support",
+    "prepared_at",
     "decode_matrix",
     "post_select",
     "squared_mass",
@@ -305,8 +307,11 @@ class StateBuffer:
 class SparseBuffer:
     """A run's state as its support: ``indices``, sorted distinct int64 basis
     indices, and ``amplitudes``, their complex128 values; every other basis
-    index holds +0.0, where a dense run may hold signed zeros
-    (``algorithms._zero_signs_in_doubt``).  An amplitude that a gate
+    index holds +0.0, where a dense run may hold signed zeros, which a
+    Hadamard layer may add into a listed zero.  So a run's final buffer
+    carries ``cone``, the dense run's amplitudes at any basis indices
+    (``gates.light_cone``), from which ``amplitude`` and ``decode_matrix``
+    take every value with an exact-zero part.  An amplitude that a gate
     computed stays listed even when it is zero.  Both arrays are checked
     when the buffer is made.
 
@@ -317,8 +322,8 @@ class SparseBuffer:
     they read (``_index_half``).  Without them a gate or a read works its
     index half out on the spot, and a Hadamard layer computes every output.
     A read stores a half it worked out only in a writable dict, which a
-    circuit's second run gives its final buffer for the plan to keep;
-    ``readouts`` is otherwise read-only, and empty during a run.
+    circuit's first two runs give their final buffers; ``readouts`` is
+    otherwise read-only, and empty during a run.
     ``apply_gate`` replaces both arrays with the gate's result; ``freeze``
     makes them read-only, and the frozen buffer is the run's final state,
     which ``apply_gate`` refuses.
@@ -329,6 +334,7 @@ class SparseBuffer:
     amplitudes: np.ndarray
     planned: object = field(default=None, repr=False)
     readouts: Mapping[tuple, object] = field(default_factory=lambda: MappingProxyType({}), repr=False)
+    cone: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         indices, amplitudes = self.indices, self.amplitudes
@@ -354,15 +360,14 @@ class SparseBuffer:
         return _sparse_mass(self.amplitudes, _index_half(self, _summed, 0, 0))
 
     def amplitude(self, values: Mapping[str, int]) -> complex:
-        """Amplitude of one fully specified basis state."""
-        at = _index_half(self, _position, self.layout.basis_index(values))
-        return 0j if at < 0 else complex(self.amplitudes[at])
-
-    def lists(self, values: Mapping[str, int]) -> bool:
-        """Whether the support lists every basis state that matches a
-        register pattern."""
-        mask, bits = self.layout.pattern(values)
-        return _count(self, _index_half(self, _selection, mask, bits)) == self.layout.size >> bin(mask).count("1")
+        """Amplitude of one fully specified basis state; the ``cone``'s, if
+        the buffer carries one, when a part of it is an exact zero."""
+        index = self.layout.basis_index(values)
+        at = _index_half(self, _position, index)
+        value = 0j if at < 0 else complex(self.amplitudes[at])
+        if self.cone is not None and (value.real == 0.0 or value.imag == 0.0):
+            value = complex(self.cone(np.array([index]))[0])
+        return value
 
     def densify(self) -> StateBuffer:
         """The state as a dense buffer: the support in place, +0.0 elsewhere."""
@@ -415,9 +420,12 @@ class EncodedMatrix:
             raise ValueError("original_rows inconsistent with entries")
         if not (0 < self.original_cols <= arr.shape[1]):
             raise ValueError("original_cols inconsistent with entries")
+        norm = float(np.linalg.norm(arr))
+        # a NaN entry makes the norm NaN, which no tolerance check refuses
+        if not math.isfinite(norm) and not np.isfinite(arr).all():
+            raise ValueError("entries must be finite")
         if np.any(arr[self.original_rows:, :] != 0) or np.any(arr[:, self.original_cols:] != 0):
             raise ValueError("padding region must be exactly zero")
-        norm = float(np.linalg.norm(arr))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"entries must have unit Frobenius norm, got {norm!r}")
         object.__setattr__(self, "entries", arr)
@@ -667,6 +675,25 @@ def prepared_support(layout: RegisterLayout, parts: Iterable[tuple[Sequence[str]
     return _support_indices(list(_in_layout_order(layout, spans, lambda width: (1 << width, _GROUND_ENTRY))))
 
 
+def prepared_at(
+    layout: RegisterLayout, parts: Sequence[tuple[Sequence[str], np.ndarray]], at: np.ndarray
+) -> np.ndarray:
+    """The amplitudes at the basis indices ``at`` of the product state that
+    ``prepare_product_state`` makes of ``parts``, which it has checked:
+    each the dense product's left-to-right chain of multiplies of its
+    factors' entries, in layout order, so its bytes are the same."""
+    names = list(layout.names)
+    spans = [(names.index(part_names[0]), len(part_names), np.asarray(table).ravel()) for part_names, table in parts]
+    shift, amplitudes = layout.total_qubits, None
+    for factor in _in_layout_order(layout, spans, _ground_table):
+        shift -= factor.size.bit_length() - 1
+        entries = factor[(at >> shift) & (factor.size - 1)]
+        # not in place: numpy rounds an in-place complex multiply of one
+        # entry otherwise than the dense product's
+        amplitudes = entries if amplitudes is None else np.multiply(amplitudes, entries)
+    return amplitudes
+
+
 def _support_indices(factors: list[tuple[int, np.ndarray | None]]) -> np.ndarray:
     """The index half of a sparse product: the basis indices over each
     (size, listed entries) factor in layout order, None listing every
@@ -761,12 +788,22 @@ def decode_matrix(
     if isinstance(state, SparseBuffer):
         # the pinned entries, renormalized in their own copy, then placed;
         # a block they fill whole needs no zeros first
-        take, put = _index_half(state, _decoded, row_register, col_register, *layout.pattern(fixed))
+        mask, bits = layout.pattern(fixed)
+        take, put = _index_half(state, _decoded, row_register, col_register, mask, bits)
         pinned = state.amplitudes[take]
         if selected_mass is not None:
             pinned = _renormalize(pinned, selected_mass)
         out = (np.empty if isinstance(put, slice) else np.zeros)((1 << n, 1 << m), dtype=np.complex128)
-        out.reshape(-1)[put] = pinned
+        flat = out.reshape(-1)
+        flat[put] = pinned
+        if state.cone is not None:
+            # every entry with an exact-zero part, from the cone
+            zero = np.flatnonzero((flat.real == 0.0) | (flat.imag == 0.0))
+            if zero.size:
+                rows, cols = zero >> m, zero & ((1 << m) - 1)
+                at = (rows << layout.field_shift(row_register)) | (cols << layout.field_shift(col_register)) | bits
+                exact = state.cone(at)
+                flat[zero] = exact if selected_mass is None else _renormalize(exact, selected_mass)
     else:
         pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
         if layout.offset(col_register) < layout.offset(row_register):
@@ -897,9 +934,9 @@ class _Sum(NamedTuple):
     at: np.ndarray | None
 
 
-def _summed(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -> _Sum:
+def _summed(state: SparseBuffer, mask: int, bits: int) -> _Sum:
     """How ``_sparse_mass`` sums the subspace that fixes the ``mask`` bits to
-    ``bits`` from a support's ``indices`` alone.
+    ``bits`` from a support's indices alone.
 
     A subspace of up to LAID_OUT amplitudes is laid out whole, zeros
     included, and summed by one np.sum, as the dense sum sums it.  A larger
@@ -914,9 +951,10 @@ def _summed(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -
     above it are laid out whole, so the cost follows the listed entries,
     not the subspace.
     """
-    take = _selection(layout, indices, mask, bits)
+    layout = state.layout
+    take = _index_half(state, _selection, mask, bits)
     subspace = layout.size >> bin(mask).count("1")
-    positions = _compress(indices[take], (layout.size - 1) & ~mask)
+    positions = _compress(state.indices[take], (layout.size - 1) & ~mask)
     if subspace <= LAID_OUT or not positions.size:
         return _Sum(take, None, (), (), subspace, positions)
     block = PAIRWISE_BLOCK.bit_length() - 1
@@ -987,24 +1025,25 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
 
 
 def _index_half(state: SparseBuffer, build, *args):
-    """``build(state.layout, state.indices, *args)``, the index half of a
-    read of a support, under the key ``(build, *args)`` in the buffer's
-    ``readouts``: the half found there, or else one worked out on the spot,
-    which is stored there when ``readouts`` is a writable dict."""
+    """``build(state, *args)``, the index half of a read of a support, which
+    reads only its layout, its indices and other halves, under the key
+    ``(build, *args)`` in the buffer's ``readouts``: the half found there,
+    or else one worked out on the spot, which is stored there when
+    ``readouts`` is a writable dict."""
     key = (build, *args)
     half = state.readouts.get(key)
     if half is None:
-        half = build(state.layout, state.indices, *args)
+        half = build(state, *args)
         if isinstance(state.readouts, dict):
             state.readouts[key] = half
     return half
 
 
-def _selection(layout: RegisterLayout, indices: np.ndarray, mask: int, bits: int) -> np.ndarray | slice:
+def _selection(state: SparseBuffer, mask: int, bits: int) -> np.ndarray | slice:
     """The positions of the listed entries whose ``mask`` bits are ``bits``,
     in increasing order; slice(None) when that is every one."""
-    at = np.flatnonzero((indices & mask) == bits)
-    return slice(None) if at.size == indices.size else at
+    at = np.flatnonzero((state.indices & mask) == bits)
+    return slice(None) if at.size == state.indices.size else at
 
 
 def _count(state: SparseBuffer, take: np.ndarray | slice) -> int:
@@ -1012,20 +1051,22 @@ def _count(state: SparseBuffer, take: np.ndarray | slice) -> int:
     return state.indices.size if isinstance(take, slice) else take.size
 
 
-def _decoded(layout: RegisterLayout, indices: np.ndarray, row: str, col: str, mask: int, bits: int):
+def _decoded(state: SparseBuffer, row: str, col: str, mask: int, bits: int):
     """The listed entries that a decode pinning the ``mask`` bits to ``bits``
-    reads, and where each goes in the flat (row, column) block;
-    slice(None) when they fill it in order."""
-    take = _selection(layout, indices, mask, bits)
-    at = indices[take]
+    reads (their ``_selection``), and where each goes in the flat (row,
+    column) block; slice(None) when they fill it in order."""
+    layout = state.layout
+    take = _index_half(state, _selection, mask, bits)
+    at = state.indices[take]
     put = (_field_values(layout, row, at) << layout.width(col)) | _field_values(layout, col, at)
     if put.size == 1 << (layout.width(row) + layout.width(col)) and (put[1:] > put[:-1]).all():
         put = slice(None)
     return take, put
 
 
-def _position(layout: RegisterLayout, indices: np.ndarray, index: int) -> int:
+def _position(state: SparseBuffer, index: int) -> int:
     """Where a support lists the basis index ``index``, or -1."""
+    indices = state.indices
     at = int(np.searchsorted(indices, index))
     return at if at < indices.size and indices[at] == index else -1
 

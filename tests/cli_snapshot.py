@@ -29,8 +29,8 @@ SHAPES = ((2, 2), (4, 4), (3, 5), (8, 8), (32, 32))
 
 def write_inputs(directory: Path) -> dict[str, str]:
     """One matrix file per shape, with negative entries, complex entries on
-    the larger inputs and one -0.0 entry each, then the inputs of the
-    zero-sign runs; returns name -> relative path."""
+    the larger inputs and one -0.0 entry each, then inputs whose read-outs
+    hold exact zeros; returns name -> relative path."""
     directory.mkdir(parents=True)
     rng = np.random.default_rng(2024)
     paths = {}
@@ -45,19 +45,19 @@ def write_inputs(directory: Path) -> dict[str, str]:
         document = {"rows": rows, "cols": cols, "data": data}
         (directory / f"{name}.json").write_text(json.dumps(document) + "\n")
         paths[name] = f"inputs/{name}.json"
-    # inputs for the zero-sign rerun, from a generator of their own so that
-    # the inputs above stay as they are
+    # inputs whose read-outs hold exact zeros, from a generator of their own
+    # so that the inputs above stay as they are
     rng = np.random.default_rng(2026)
     complex_ = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
     real = rng.standard_normal((32, 32))
     np.fill_diagonal(complex_, 0.0)
     np.fill_diagonal(real, 0.0)
     extra = {
-        # traceless, so trace reads an exact-zero amplitude whose sign only
-        # a dense run gives: both rerun densely
+        # traceless, so trace reads an exact-zero amplitude, whose signs the
+        # sparse run takes from the dense run's light cone
         "zero-diagonal-complex32x32": complex_,
         "zero-diagonal-real32x32": real,
-        # real and non-negative: no zero sign in doubt, the run stays sparse
+        # traceless too, with real, non-negative entries
         "ones-minus-eye32x32": np.ones((32, 32)) - np.eye(32),
         # 24 rows pad to 32, which decode to exact zeros whose signs the
         # sparse run keeps
@@ -101,7 +101,7 @@ def commands(inputs: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("scaling-row-swap", ["scaling", "--algorithm", "row-swap", "--widths", "1,2,3,6",
                               "--seed", "5"]),
         ("appendix1-output", ["appendix1", "--output", "{out}"]),
-        # unrecorded sparse runs, two of which the zero-sign doubt reruns densely
+        # unrecorded sparse runs, the three traces reading an exact-zero amplitude
         ("trace-zero-diagonal-complex32x32", ["trace", "--input", inputs["zero-diagonal-complex32x32"]]),
         ("trace-zero-diagonal-real32x32", ["trace", "--input", inputs["zero-diagonal-real32x32"]]),
         ("trace-ones-minus-eye32x32", ["trace", "--input", inputs["ones-minus-eye32x32"]]),

@@ -280,12 +280,10 @@ def test_trace_refuses_non_square_padded_entries_before_preparation(monkeypatch)
         run_trace(EncodedMatrix(entries, 3, 3, 1.0))
 
 
-def test_sparse_run_is_done_again_densely_only_for_an_unsure_zero_read(monkeypatch):
-    # a real matrix's imaginary parts are +0.0 on both paths, a matrix with
-    # no negative parts holds +0.0 wherever its support lists nothing, and a
-    # decoded output keeps its zero signs (algorithms._keeps_zero_signs), so
-    # only a read amplitude with an exact-zero part that a negative part may
-    # sign makes the run go again, densely
+def test_every_sparse_run_prepares_one_sparse_buffer(monkeypatch):
+    # a run planned sparse stays sparse, also when it reads an exact-zero
+    # part, as a traceless trace does: the sign of that part comes from the
+    # dense run's light cone, not from a second, dense run
     kinds = []
     plain = algorithms.prepare_product_state
 
@@ -299,26 +297,23 @@ def test_sparse_run_is_done_again_densely_only_for_an_unsure_zero_read(monkeypat
     traceless = real.copy()
     np.fill_diagonal(traceless, 0.0)
     traceless[0, 0], traceless[1, 1] = 1.0, -1.0
+    complex_traceless = random_matrix(np.random.default_rng(27), (16, 16))
+    np.fill_diagonal(complex_traceless, 0.0)
     # a complex matrix of 12 or 24 rows decodes its padding to exact zeros
     padded = random_matrix(np.random.default_rng(26), (24, 32))
     cases = [
-        (run_trace, real, ["SparseBuffer"]),
-        (run_trace, np.ones((16, 16)) - np.eye(16), ["SparseBuffer"]),
-        (run_trace, traceless, ["SparseBuffer", "StateVector"]),
-        (lambda m: run_row_add(m, 0, 1), padded[:12, :16], ["SparseBuffer"]),
-        (lambda m: run_row_swap(m, 0, 1), padded[:12, :8], ["SparseBuffer"]),
-        (run_transpose, padded, ["SparseBuffer"]),
+        (run_trace, real),
+        (run_trace, np.ones((16, 16)) - np.eye(16)),
+        (run_trace, traceless),
+        (run_trace, complex_traceless),
+        (lambda m: run_row_add(m, 0, 1), padded[:12, :16]),
+        (lambda m: run_row_swap(m, 0, 1), padded[:12, :8]),
+        (run_transpose, padded),
     ]
-    for runner, matrix, expected in cases:
+    for runner, matrix in cases:
         kinds.clear()
         runner(encode_matrix(matrix))
-        assert kinds == expected
-    # an output that might not keep them is checked like a read amplitude
-    monkeypatch.setattr(algorithms, "_keeps_zero_signs", lambda *args, **kwargs: False)
-    for runner, matrix in ((lambda m: run_row_add(m, 0, 1), padded[:12, :16]), (run_transpose, padded)):
-        kinds.clear()
-        runner(encode_matrix(matrix))
-        assert kinds == ["SparseBuffer", "StateVector"]
+        assert kinds == ["SparseBuffer"]
 
 
 @pytest.mark.parametrize(
@@ -335,6 +330,24 @@ def test_sparse_trace_keeps_the_sign_of_a_zero_part(monkeypatch, real, imag):
     sparse, dense = run_trace(matrix), run_trace(matrix, record_steps=True)
     assert np.complex128(sparse.recovered_trace).tobytes() == np.complex128(dense.recovered_trace).tobytes()
     assert sparse.success_probability.hex() == dense.success_probability.hex()
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("kind", ["complex", "real", "negative-zero-diagonal"])
+def test_sparse_traceless_trace_is_bitwise_the_recorded_one(monkeypatch, n, kind):
+    # a traceless matrix's trace amplitude is an exact zero, whose signs the
+    # sparse run reads off the light cone of the dense run
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    rng = np.random.default_rng(60 + n)
+    matrix = random_matrix(rng, (1 << n, 1 << n))
+    if kind == "real":
+        matrix = matrix.real.astype(complex)
+    np.fill_diagonal(matrix, complex(-0.0, -0.0) if kind == "negative-zero-diagonal" else 0.0)
+    encoded = hand_encoded(matrix)
+    sparse, dense = run_trace(encoded), run_trace(encoded, record_steps=True)
+    assert isinstance(sparse.post_selection.state, SparseBuffer)
+    assert sparse.recovered_trace == 0
+    assert_reports_bitwise(sparse, dense)
 
 
 def hand_encoded(matrix):
@@ -704,8 +717,8 @@ def test_replayed_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, rout
             assert worked_out == []
         if shape == SPARSE_ROUTINES[routine][1]:
             assert kinds == ({"StateBuffer"} if routine == "transpose-square" else {"SparseBuffer"})
-        # once, or twice when a zero-sign doubt makes it run again densely
-        assert bool(checked) == (routine == "trace")
+        # once: a run is never done again
+        assert len(checked) == (routine == "trace")
         assert_reports_bitwise(replayed, dense)
 
 
@@ -859,6 +872,30 @@ def test_a_replayed_run_reads_each_stage_with_that_stages_halves(monkeypatch):
         assert masses == {label: records[position - 1].norm_squared for label, position in read_at.items()}
 
 
+def test_a_run_selects_its_pinned_entries_once(monkeypatch):
+    # a transpose reads its pinned subspace twice, for its share and for its
+    # decode: the decode looks the selection up in the final buffer's halves,
+    # which a circuit's first two runs share among their reads and its later
+    # runs take from the plan
+    encoded = encode_matrix(random_matrix(np.random.default_rng(51), (128, 128)))
+    calls = []
+    plain = state_module._selection
+
+    def noted(*args):
+        calls.append(args[1:])
+        return plain(*args)
+
+    monkeypatch.setattr(state_module, "_selection", noted)
+    transpose_circuit.cache_clear()
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        report = run_transpose(encoded)
+        counts.append(len(calls))
+        assert report.success_probability == 1.0
+    assert counts == [1, 1, 0]
+
+
 @pytest.mark.parametrize("routine", ["row-add", "row-swap", "trace"])
 def test_reads_of_a_final_state_keep_no_half(monkeypatch, routine):
     # after its run a state's reads look the kept halves up, or work theirs
@@ -1001,8 +1038,7 @@ def test_a_circuit_that_discards_nothing_needs_a_decode(monkeypatch):
     monkeypatch.setattr(algorithms, "prepare_product_state", None)
     with pytest.raises(ValueError, match="discards nothing needs a decode"):
         algorithms.simulate(undecoded, entries)
-    # one that post-selects reports its selected mass, decoded or not, and a
-    # sparse run of it with no Hadamard layer reads no decode for zero signs
+    # one that post-selects reports its selected mass, decoded or not
     monkeypatch.setattr(algorithms, "prepare_product_state", plain)
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     selected = algorithms.simulate(dataclasses.replace(undecoded, accept={"B": 0}), entries)

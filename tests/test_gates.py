@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmatops import (
@@ -24,6 +25,7 @@ from qmatops import (
     dense_mcx,
     dense_unitary_of,
     lower,
+    prepare_product_state,
     tally_gates,
 )
 from qmatops import gates
@@ -36,6 +38,7 @@ from qmatops.algorithms import (
     transpose_square_circuit,
 )
 from qmatops.gates import NetworkGate
+from qmatops.state import prepared_at
 from qmatops.oracle import controlled_op_image, mcx_reference_action
 
 LAYOUT = RegisterLayout((("R", 2), ("C", 2), ("B", 1)))
@@ -317,6 +320,48 @@ def test_sparse_hadamard_computes_the_outputs_it_is_given_bitwise(circuit, data,
         read = in_cubes(layout, live)
         assert sparse.densify().amplitudes[read].tobytes() == dense.amplitudes[read].tobytes()
     assert live == (accept,)
+
+
+def planted_tables(layout, seed):
+    """A unit table over each register but, at random, a few left in |0>,
+    with signed zeros and subnormals planted among their entries."""
+    rng = np.random.default_rng(seed)
+    planted = np.array([complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 0j, complex(5e-324, -5e-324)])
+    parts = []
+    for name, width in layout.registers:
+        if rng.random() < 0.25:
+            continue
+        table = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
+        table /= np.linalg.norm(table)
+        picked = rng.random(table.size) < 0.4
+        picked[rng.integers(table.size)] = False  # a nonzero entry, so the norm stays 1
+        table[picked] = planted[rng.integers(planted.size, size=np.count_nonzero(picked))]
+        table /= np.linalg.norm(table)
+        parts.append(((name,), table))
+    return parts
+
+
+@settings(max_examples=80, deadline=None)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1), box=st.sampled_from([1, 4, 8, 1 << 12, 1 << 16]))
+def test_light_cone_is_bitwise_the_dense_run(circuit, seed, box):
+    # every position's amplitude from its light cone alone, the leaves in
+    # blocks of ``box``, has the dense run's bytes, signed zeros included;
+    # a light cone costs 2^(its Hadamard targets) leaves per position, so
+    # the small blocks read a few positions
+    layout, gate_list = circuit
+    targets = sum(bin(gates.moved_bits(layout, gate)).count("1") for gate in gate_list if isinstance(gate, HadamardLayer))
+    assume(targets <= 12)
+    parts = planted_tables(layout, seed)
+    dense = StateBuffer.adopt(prepare_product_state(layout, parts))
+    for gate in gate_list:
+        apply_gate(dense, gate)
+    at = np.arange(layout.size)
+    if box < 1 << 12:
+        at = np.random.default_rng(seed).choice(at, min(at.size, 4), replace=False)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gates, "BOX", box)
+        cone = gates.light_cone(layout, tuple(gate_list), at, partial(prepared_at, layout, parts))
+    assert cone.tobytes() == dense.amplitudes[at].tobytes()
 
 
 def test_sparse_hadamard_keeps_the_half_its_cubes_fix():

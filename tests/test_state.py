@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -19,8 +19,10 @@ from qmatops import (
     prepare_product_state,
 )
 from qmatops import algorithms
+from qmatops import gates
 from qmatops import state as state_module
 from qmatops.state import (
+    EncodedMatrix,
     SparseBuffer,
     occupied_states,
     post_select,
@@ -122,6 +124,22 @@ def test_encode_rejects_zero_and_nonfinite():
         encode_matrix([[1.0, np.nan], [0.0, 0.0]])
     with pytest.raises(ValueError):
         encode_matrix([1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "shape, part",
+    [((4, 4), "real"), ((4, 4), "imag"), ((2, 8), "real")],
+    ids=["real-part", "imaginary-part", "transpose-square"],
+)
+def test_encoded_matrix_refuses_a_nan_entry(shape, part):
+    # a NaN norm passes a tolerance check, so every routine failed later, at
+    # preparation; transpose-square's non-square input after allocating its
+    # padded square
+    entries = np.zeros(shape, dtype=complex)
+    entries[0, 0] = 1.0
+    getattr(entries, part)[1, -1] = np.nan
+    with pytest.raises(ValueError, match="entries must be finite"):
+        EncodedMatrix(entries, *shape, 1.0)
 
 
 @pytest.mark.parametrize("exponent", [665, -565])
@@ -390,24 +408,12 @@ def test_sparse_prepare_goes_dense_up_to_the_floor():
     assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
 
 
-def zero_parts_in_doubt(table, state):
-    """For the real and the imaginary part, whether a sparse run on the
-    matrix ``table`` whose read amplitude has an exact-zero part of that
-    kind is done again densely."""
-    def doubted(amplitude):
-        run = algorithms.Simulation(state, None, 0.0, None, None, amplitude, None)
-        return algorithms._zero_signs_in_doubt(None, table, run)
-
-    return doubted(1j), doubted(1 + 0j)
-
-
 @pytest.mark.parametrize("kind", ["non-negative", "real", "complex", "signed-zero-imaginary"])
-def test_sparse_prepare_knows_which_zero_parts_it_may_lose(monkeypatch, kind):
+def test_a_sparse_product_evaluates_its_unlisted_positions_as_the_dense_one(kind):
     # where the support lists nothing the dense product holds signed zeros;
-    # the doubt read off the matrix leaves a part sure only when the dense
-    # product holds +0.0 parts there, also when the matrix registers follow
-    # a |0> register, as transpose's D, R, C do
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    # the prepared product evaluated there (state.prepared_at, through a
+    # light cone of no gates) gives them byte for byte, also when the matrix
+    # registers follow a |0> register, as transpose's D, R, C do
     rng = np.random.default_rng(36)
     table = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     table[rng.random(16) < 0.3] = complex(-0.0, -0.0)
@@ -425,21 +431,13 @@ def test_sparse_prepare_knows_which_zero_parts_it_may_lose(monkeypatch, kind):
         reference = kron_reference(layout, parts)
         unlisted = np.ones(layout.size, dtype=bool)
         unlisted[state.indices] = False
-        signs = np.signbit(reference[unlisted].view(np.float64).reshape(-1, 2))
-        real, imaginary = zero_parts_in_doubt(table, state)
-        assert (real, imaginary) == {
-            "non-negative": (False, False),
-            "real": (True, False),
-            "complex": (True, True),
-            "signed-zero-imaginary": (True, True),
-        }[kind]
-        if not real:
-            assert not np.any(signs)
-        if not imaginary:
-            # every imaginary part of the dense product is +0.0, listed or not
-            assert not np.any(np.signbit(reference.imag))
-        if kind == "complex":
-            assert np.any(signs)
+        at = np.flatnonzero(unlisted)
+        cone = gates.light_cone(layout, (), at, partial(state_module.prepared_at, layout, parts))
+        assert cone.tobytes() == reference[at].tobytes()
+        assert state_module.prepared_at(layout, parts, state.indices).tobytes() == state.amplitudes.tobytes()
+        if kind != "non-negative":
+            # a negative part signs some of the zeros the support leaves out
+            assert np.any(np.signbit(reference[at].view(np.float64)))
 
 
 def random_support(rng, layout, share, inside=None):
@@ -556,6 +554,41 @@ def test_sparse_readouts_are_bitwise_the_dense_ones():
         listed = {"K": 2, "C": rows, "R": rows.T, "B": b}
         assert supported_on(sparse, listed) == supported_on(dense, listed)
         assert supported_on(block, listed) == supported_on(block_dense, listed)
+
+
+def test_sparse_reads_take_every_exact_zero_part_from_the_cone():
+    # a support whose zero parts lost their signs, as a Hadamard layer's
+    # +0.0 stand-ins lose them, and that lists only some of the pinned
+    # block: with the dense state's amplitudes as its cone, the decoded
+    # block, renormalized or not, and every amplitude are the dense bytes
+    layout = RegisterLayout((("R", 2), ("B", 1), ("C", 2)))
+    rng = np.random.default_rng(37)
+    dense = rng.standard_normal(layout.size) + 1j * rng.standard_normal(layout.size)
+    zeros = rng.random(layout.size) < 0.5
+    dense[zeros] = np.array(SIGNED_ZEROS)[rng.integers(len(SIGNED_ZEROS), size=np.count_nonzero(zeros))]
+    dense.real[rng.random(layout.size) < 0.2] = -0.0
+    dense.imag[rng.random(layout.size) < 0.2] = -0.0
+    dense /= np.linalg.norm(dense)
+    pinned = {"B": 1}
+    outside = (np.arange(layout.size) & layout.pattern(pinned)[0]) == 0
+    dense[outside] = complex(-0.0, -0.0)
+    indices = np.flatnonzero((dense != 0) | (rng.random(layout.size) < 0.5))
+    lost = dense[indices].copy()
+    lost.real[lost.real == 0], lost.imag[lost.imag == 0] = 0.0, 0.0
+    sparse = SparseBuffer(layout, indices, lost)
+    reference = StateVector(layout, dense)
+    mass = float(np.sum(np.abs(dense) ** 2))
+    reads = [(), (mass,)]
+    assert any(
+        decode_matrix(sparse, "R", "C", pinned, *read).tobytes() != decode_matrix(reference, "R", "C", pinned, *read).tobytes()
+        for read in reads
+    )
+    sparse.cone = lambda at: dense[at]
+    for read in reads:
+        assert decode_matrix(sparse, "R", "C", pinned, *read).tobytes() == decode_matrix(reference, "R", "C", pinned, *read).tobytes()
+    for index in range(layout.size):
+        values = dict(zip(layout.names, (int(v) for v in np.unravel_index(index, layout.shape))))
+        assert np.complex128(sparse.amplitude(values)).tobytes() == dense[index].tobytes()
 
 
 # --- decoding ------------------------------------------------------------
