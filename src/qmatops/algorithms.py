@@ -41,8 +41,10 @@ from .state import (
     ZERO_PROBABILITY_FLOOR,
     AncillaVector,
     EncodedMatrix,
+    LightCone,
     PostSelection,
     RegisterLayout,
+    Selections,
     SparseBuffer,
     StateBuffer,
     StateVector,
@@ -520,12 +522,14 @@ def _run(
 
     A sparse run takes its support and each gate's index half from
     ``IndexPlan.half``, under ``"support"`` and the gate's position.  After
-    the last gate, the final buffer of the circuit's first two runs gets a
-    writable dict, in which its reads share the halves they work out, for
-    the plan to keep on the second run; the plan then gives that state, as
+    the last gate, the final buffer of the circuit's second run gets a
+    writable dict, in which its reads store the halves they work out for
+    the plan to keep, and that of its first run a ``Selections``, in which
+    its reads share their selections; the plan then gives that state, as
     every later run's final buffer before its reads, a read-only view of
-    the memo.  The final buffer also gets its light cone: ``gates.light_cone``
-    over the circuit's gates and its prepared tables (``state.prepared_at``).
+    the memo.  The final buffer also gets its ``LightCone``:
+    ``gates.light_cone`` over the circuit's gates and its prepared tables
+    (``state.prepared_at``).
     """
     layout = circuit.layout
     parts = [(circuit.matrix_registers, entries.ravel())]
@@ -552,9 +556,10 @@ def _run(
             after_step(label, buffer)
     if plan is not None:
         # the read halves index the final support only
-        buffer.readouts = {} if plan.runs <= 2 else plan.halves
+        buffer.readouts = Selections() if plan.runs == 1 else {} if plan.runs == 2 else plan.halves
         prepared = functools.partial(prepared_at, layout, parts)
-        buffer.cone = functools.partial(light_cone, layout, tuple(gate for gate, _ in plan.gates), prepared=prepared)
+        values = functools.partial(light_cone, layout, tuple(gate for gate, _ in plan.gates), prepared=prepared)
+        buffer.cone = LightCone(values, tuple(table for _, table in parts))
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
@@ -575,9 +580,10 @@ def _run(
     amplitude = None if circuit.read is None else state.amplitude(circuit.read)
     if plan is not None and plan.runs <= 2:
         # the second run's plan keeps the halves its reads worked out; the
-        # state of either run shares the plan's, which index the same support
-        for key, half in state.readouts.items():
-            plan.half(key, lambda half=half: half)
+        # state of either run then shares the plan's, which index the same support
+        if plan.runs == 2:
+            for key, half in state.readouts.items():
+                plan.half(key, lambda half=half: half)
         state.readouts = plan.halves
     return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
 

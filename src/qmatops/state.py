@@ -60,7 +60,8 @@ LAID_OUT = 1 << 16
 
 # prepare_product_state writes the product block by block of its leading
 # factor, each block about this many amplitudes (2^15 complex128, 512 KiB),
-# so the partial products of a block stay in L2 cache
+# so the partial products of a block stay in L2 cache; decode_matrix
+# evaluates a light cone at as many entries at a time
 PREPARE_BLOCK = 1 << 15
 
 # A run is sparse only when its circuit bounds its support within this share
@@ -85,6 +86,7 @@ __all__ = [
     "StateVector",
     "StateBuffer",
     "SparseBuffer",
+    "LightCone",
     "EncodedMatrix",
     "AncillaVector",
     "PostSelection",
@@ -309,11 +311,11 @@ class SparseBuffer:
     indices, and ``amplitudes``, their complex128 values; every other basis
     index holds +0.0, where a dense run may hold signed zeros, which a
     Hadamard layer may add into a listed zero.  So a run's final buffer
-    carries ``cone``, the dense run's amplitudes at any basis indices
-    (``gates.light_cone``), from which ``amplitude`` and ``decode_matrix``
-    take every value with an exact-zero part.  An amplitude that a gate
-    computed stays listed even when it is zero.  Both arrays are checked
-    when the buffer is made.
+    carries its ``cone`` (``LightCone``), from which ``amplitude`` and
+    ``decode_matrix`` take every value with an exact-zero part whose sign
+    the support may have lost.  An amplitude that a gate computed stays
+    listed even when it is zero.  Both arrays are checked when the buffer
+    is made.
 
     A run's plan (``algorithms.IndexPlan``) hands the buffer the index
     halves that depend on its indices alone: ``planned``, the next gate's
@@ -322,8 +324,9 @@ class SparseBuffer:
     they read (``_index_half``).  Without them a gate or a read works its
     index half out on the spot, and a Hadamard layer computes every output.
     A read stores a half it worked out only in a writable dict, which a
-    circuit's first two runs give their final buffers; ``readouts`` is
-    otherwise read-only, and empty during a run.
+    circuit's second run gives its final buffer (its first run a
+    ``Selections``); ``readouts`` is otherwise read-only, and empty during
+    a run.
     ``apply_gate`` replaces both arrays with the gate's result; ``freeze``
     makes them read-only, and the frozen buffer is the run's final state,
     which ``apply_gate`` refuses.
@@ -334,7 +337,7 @@ class SparseBuffer:
     amplitudes: np.ndarray
     planned: object = field(default=None, repr=False)
     readouts: Mapping[tuple, object] = field(default_factory=lambda: MappingProxyType({}), repr=False)
-    cone: Callable[[np.ndarray], np.ndarray] | None = field(default=None, repr=False)
+    cone: LightCone | None = field(default=None, repr=False)
 
     def __post_init__(self):
         indices, amplitudes = self.indices, self.amplitudes
@@ -361,12 +364,13 @@ class SparseBuffer:
 
     def amplitude(self, values: Mapping[str, int]) -> complex:
         """Amplitude of one fully specified basis state; the ``cone``'s, if
-        the buffer carries one, when a part of it is an exact zero."""
+        the buffer carries one, when it has a part that may have lost its
+        sign."""
         index = self.layout.basis_index(values)
         at = _index_half(self, _position, index)
         value = 0j if at < 0 else complex(self.amplitudes[at])
-        if self.cone is not None and (value.real == 0.0 or value.imag == 0.0):
-            value = complex(self.cone(np.array([index]))[0])
+        if self.cone is not None and self.cone.unsure(np.array([value])).size:
+            value = complex(self.cone.values(np.array([index]))[0])
         return value
 
     def densify(self) -> StateBuffer:
@@ -380,6 +384,42 @@ class SparseBuffer:
         self.indices.setflags(write=False)
         self.amplitudes.setflags(write=False)
         return self
+
+
+class LightCone(NamedTuple):
+    """A sparse run's way to the dense run's signed zeros: ``values(at)``,
+    the dense run's amplitudes at the basis indices ``at``
+    (``gates.light_cone``), and ``tables``, the tables the run prepared its
+    product from, whose sign bits tell which exact-zero parts are sure.
+
+    Both paths make every amplitude from the tables' entries by products of
+    two complex numbers, sums and differences of two, products by
+    (c, +0.0) with c > 0, moves and a division by a positive real; a sparse
+    run adds +0.0 in place of an amplitude it does not list.  So when every
+    imaginary part of the tables is +0.0 and at most one table has a real
+    part whose sign bit is set, every imaginary part stays +0.0 on both
+    paths: a product's is the sum of two zeros, one of them +0.0, and so
+    is +0.0, as are (+0.0) + (+0.0) and (+0.0) - (+0.0).  When besides no
+    real part has its sign bit set, no zero real part does either, since
+    only a -0.0 operand or a negative factor makes a -0.0.  Only the
+    other exact-zero parts can differ, and ``unsure`` marks them.
+    """
+
+    values: Callable[[np.ndarray], np.ndarray]
+    tables: tuple[np.ndarray, ...]
+
+    def unsure(self, values: np.ndarray) -> np.ndarray:
+        """The positions in ``values``, a contiguous complex128 array of
+        amplitudes that a sparse read found, of those with an exact-zero
+        part whose sign the dense run may have set otherwise."""
+        zero = values.view(np.float64).reshape(-1, 2) == 0.0
+        if not zero.any():
+            return np.empty(0, dtype=np.int64)
+        # the tables' sign bits, read as integers
+        signed = sum(bool(table.real.view(np.int64).min() < 0) for table in self.tables)
+        if signed > 1 or any(table.imag.view(np.uint64).any() for table in self.tables):
+            return np.flatnonzero(np.logical_or(zero[:, 0], zero[:, 1]))
+        return np.flatnonzero(zero[:, 0]) if signed else np.empty(0, dtype=np.int64)
 
 
 def _pow2_at_least(x: int) -> int:
@@ -760,9 +800,12 @@ def decode_matrix(
     post-selected on (``PostSelection.probability``), and the pinned block
     is divided by its square root, bitwise as the renormalized state holds
     it.  Without it the block is copied out as it is, with no
-    renormalization.  Either way the pinned block is the only array
+    renormalization.  Either way the pinned block is the only complex array
     allocated the size of the returned matrix; a sparse state's block holds
-    its pinned entries and +0.0 elsewhere.
+    its pinned entries and +0.0 elsewhere.  The entries a sparse state
+    takes from its cone (``LightCone.unsure``) take besides an int64 array
+    of their positions, and the cone's arrays for PREPARE_BLOCK of them at
+    a time.
 
     Rejects the read when more than DECODE_MASS_TOL of the squared
     amplitude mass lies outside the pinned subspace: outside it but inside
@@ -797,13 +840,14 @@ def decode_matrix(
         flat = out.reshape(-1)
         flat[put] = pinned
         if state.cone is not None:
-            # every entry with an exact-zero part, from the cone
-            zero = np.flatnonzero((flat.real == 0.0) | (flat.imag == 0.0))
-            if zero.size:
-                rows, cols = zero >> m, zero & ((1 << m) - 1)
-                at = (rows << layout.field_shift(row_register)) | (cols << layout.field_shift(col_register)) | bits
-                exact = state.cone(at)
-                flat[zero] = exact if selected_mass is None else _renormalize(exact, selected_mass)
+            # every entry with a zero part that may have lost its sign, from
+            # the cone, PREPARE_BLOCK entries at a time
+            zero = state.cone.unsure(flat)
+            row_shift, col_shift = layout.field_shift(row_register), layout.field_shift(col_register)
+            for start in range(0, zero.size, PREPARE_BLOCK):
+                block = zero[start : start + PREPARE_BLOCK]
+                exact = state.cone.values(((block >> m) << row_shift) | ((block & ((1 << m) - 1)) << col_shift) | bits)
+                flat[block] = exact if selected_mass is None else _renormalize(exact, selected_mass)
     else:
         pinned = qubit_view(state.amplitudes, layout)[qubit_index(layout, fixed)]
         if layout.offset(col_register) < layout.offset(row_register):
@@ -1037,6 +1081,16 @@ def _index_half(state: SparseBuffer, build, *args):
         if isinstance(state.readouts, dict):
             state.readouts[key] = half
     return half
+
+
+class Selections(dict):
+    """A writable ``readouts`` that stores only ``_selection`` halves, the
+    ones that several reads of one final support share: a circuit's first
+    run's, whose plan keeps no half."""
+
+    def __setitem__(self, key, half):
+        if key[0] is _selection:
+            super().__setitem__(key, half)
 
 
 def _selection(state: SparseBuffer, mask: int, bits: int) -> np.ndarray | slice:

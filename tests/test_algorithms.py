@@ -350,6 +350,62 @@ def test_sparse_traceless_trace_is_bitwise_the_recorded_one(monkeypatch, n, kind
     assert_reports_bitwise(sparse, dense)
 
 
+@pytest.mark.parametrize("routine", ["row-add", "row-swap", "trace", "transpose"])
+def test_a_read_takes_from_the_light_cone_only_zero_parts_its_inputs_leave_unsure(monkeypatch, routine):
+    # every imaginary part of a real input is +0.0 on both paths, and every
+    # zero part of a non-negative one; so at the wide shapes only a real
+    # signed input with an exact-zero real part among its reads, as a
+    # traceless trace's, evaluates a light cone
+    runner, shape = SPARSE_ROUTINES[routine]
+    made, evaluated = [], []
+    plain = algorithms.LightCone
+
+    def noted(values, tables):
+        def noted_values(at):
+            evaluated.append(len(at))
+            return values(at)
+
+        made.append(len(tables))
+        return plain(noted_values, tables)
+
+    monkeypatch.setattr(algorithms, "LightCone", noted)
+    rng = np.random.default_rng(61)
+    signed = rng.standard_normal(shape)
+    cases = [(signed, []), (np.abs(signed), []), (random_matrix(rng, shape), [])]
+    if routine == "trace":
+        traceless = signed.copy()
+        np.fill_diagonal(traceless, 0.0)
+        traceless[0, 0], traceless[1, 1] = 1.0, -1.0
+        cases.append((traceless, [1]))
+    for matrix, expected in cases:
+        made.clear(), evaluated.clear()
+        runner(encode_matrix(matrix))
+        assert len(made) == 1
+        assert evaluated == expected
+
+
+@pytest.mark.parametrize(
+    "routine, shape",
+    [(routine, shape) for routine in ("row-add", "row-swap", "trace", "transpose") for shape in ((4, 4), (8, 8), (4, 8))
+     if routine != "trace" or shape[0] == shape[1]],
+)
+@pytest.mark.parametrize("kind", ["signed", "non-negative"])
+def test_real_reports_with_signed_zeros_are_bitwise_the_recorded_ones(monkeypatch, routine, shape, kind):
+    # a real input's zero parts that its reads take from the support, not
+    # from the light cone, are the dense run's: with -0.0 entries, which
+    # encode_matrix would turn into +0.0, negative ones and a zero row
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    runner, _ = SPARSE_ROUTINES[routine]
+    rng = np.random.default_rng(sum(shape))
+    matrix = rng.standard_normal(shape)
+    matrix[rng.random(shape) < 0.3] = -0.0 if kind == "signed" else 0.0
+    matrix[1] = 0.0
+    if kind == "non-negative":
+        matrix = np.abs(matrix)
+    encoded = hand_encoded(matrix)
+    assert_reports_bitwise(runner(encoded), runner(encoded, record_steps=True))
+
+
 def hand_encoded(matrix):
     """``matrix`` as an EncodedMatrix that keeps the signs of its zero parts,
     which encode_matrix's complex division would not."""
@@ -611,12 +667,19 @@ def awkward_matrix(rng, shape, variant):
     a diagonal whose sum is exactly zero.  "negative" has a -0.0 diagonal
     and negative real parts elsewhere, so its dense trace reads -0.0, a
     sign that no sparse stage holds.  "real" and "real-traceless" are real
-    matrices with -0.0 entries."""
+    matrices with -0.0 entries, and "non-negative" a real matrix with no
+    sign bit set, whose zero parts no read takes from the light cone."""
     if variant == "negative":
         matrix = np.empty(shape, dtype=complex)
         matrix.real = -(rng.random(shape) + 0.5)
         matrix.imag = -0.0
         np.fill_diagonal(matrix, complex(-0.0, -0.0))
+        return matrix
+    if variant == "non-negative":
+        matrix = np.abs(rng.standard_normal(shape))
+        matrix[rng.random(shape) < 0.3] = 0.0
+        matrix[shape[0] - 1] = 0.0
+        matrix[0, 0] = 1.0
         return matrix
     if variant in ("real", "real-traceless"):
         matrix = rng.standard_normal(shape)
@@ -649,7 +712,7 @@ def _sparse_cases():
             square = shape[0] == shape[1]
             if routine == "trace" and not square:
                 continue
-            variants = ["plain", "real"]
+            variants = ["plain", "real", "non-negative"]
             if square and shape != wide:
                 variants += ["traceless", "cancelling", "negative", "real-traceless"]
             cases += [pytest.param(routine, shape, v, id=f"{routine}-{shape[0]}x{shape[1]}-{v}") for v in variants]

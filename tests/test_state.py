@@ -23,6 +23,7 @@ from qmatops import gates
 from qmatops import state as state_module
 from qmatops.state import (
     EncodedMatrix,
+    LightCone,
     SparseBuffer,
     occupied_states,
     post_select,
@@ -583,12 +584,69 @@ def test_sparse_reads_take_every_exact_zero_part_from_the_cone():
         decode_matrix(sparse, "R", "C", pinned, *read).tobytes() != decode_matrix(reference, "R", "C", pinned, *read).tobytes()
         for read in reads
     )
-    sparse.cone = lambda at: dense[at]
+    sparse.cone = LightCone(lambda at: dense[at], (dense,))
     for read in reads:
         assert decode_matrix(sparse, "R", "C", pinned, *read).tobytes() == decode_matrix(reference, "R", "C", pinned, *read).tobytes()
     for index in range(layout.size):
         values = dict(zip(layout.names, (int(v) for v in np.unravel_index(index, layout.shape))))
         assert np.complex128(sparse.amplitude(values)).tobytes() == dense[index].tobytes()
+
+
+@pytest.mark.parametrize(
+    "tables, real, imaginary",
+    [
+        # real tables with one signed among them: only zero real parts
+        ([[1.0, -2.0, 0.0, 1.0], [0.5, 0.0]], True, False),
+        # no sign bit set at all: no zero part
+        ([[1.0, 2.0, 0.0, 1.0], [0.5, 0.0]], False, False),
+        # two signed tables multiply into -0.0 imaginary parts
+        ([[1.0, -2.0, 0.0, 1.0], [-0.0, 0.5]], True, True),
+        # a -0.0 or a nonzero imaginary part: both
+        ([[1.0, complex(2.0, -0.0), 0.0, 1.0], [0.5, 0.0]], True, True),
+        ([[1.0, 2.0j, 0.0, 1.0], [0.5, 0.0]], True, True),
+    ],
+)
+def test_a_light_cone_marks_the_zero_parts_its_tables_leave_unsure(tables, real, imaginary):
+    tables = tuple(np.array(table, dtype=complex) for table in tables)
+    values = np.array([1 + 1j, 1.0, 1j, 0.0, complex(-0.0, 2.0), complex(2.0, -0.0), -1 - 1j])
+    zero_real = np.flatnonzero(values.real == 0.0)
+    zero_imaginary = np.flatnonzero(values.imag == 0.0)
+    expected = np.union1d(zero_real if real else [], zero_imaginary if imaginary else []).astype(np.int64)
+    cone = LightCone(None, tables)
+    assert cone.unsure(values).tolist() == expected.tolist()
+    assert cone.unsure(np.array([1 + 1j, -2 - 0.5j])).size == 0
+    assert cone.unsure(np.array([0j])).size == (1 if real else 0)
+
+
+def test_a_decode_evaluates_its_cone_a_block_at_a_time(monkeypatch):
+    # a transpose of one nonzero complex entry takes every other decoded
+    # entry from its cone: in blocks, besides the returned matrix, a decode
+    # holds only their positions (int64, half the matrix's bytes) and one
+    # block's arrays, and each entry is the one a single block gives
+    matrix = np.zeros((256, 256), dtype=complex)
+    matrix[1, 2] = 1 - 1j
+    encoded = encode_matrix(matrix)
+    reads = []
+    plain = algorithms.decode_matrix
+
+    def noted(state, *args):
+        reads.append((state, args))
+        return plain(state, *args)
+
+    monkeypatch.setattr(algorithms, "decode_matrix", noted)
+    whole = algorithms.run_transpose(encoded).output_matrix
+    state, args = reads[0]
+    assert isinstance(state, SparseBuffer)
+    monkeypatch.setattr(state_module, "PREPARE_BLOCK", 1 << 10)
+    tracemalloc.start()
+    try:
+        blocked = plain(state, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.cone.unsure(blocked.reshape(-1)).size == blocked.size - 1
+    assert peak <= 2.0 * blocked.nbytes
+    assert blocked.tobytes() == whole.tobytes()
 
 
 # --- decoding ------------------------------------------------------------
