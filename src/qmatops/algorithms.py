@@ -10,9 +10,10 @@ the prepared product state.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping
 
@@ -136,7 +137,16 @@ class Circuit:
     A builder hands back the circuit it built last, and holds no other,
     when called again with the same arguments, so its steps and patterns
     are read-only, and what depends on the circuit alone is worked out once
-    and kept with it: its tally, a sparse run's support bound and index plan.
+    and kept with it: its tally, a sparse run's support bound and index
+    plan, and a row pair's memo.
+
+    ``canonical``, which the row-add and row-swap builders set, gives the
+    same circuit for the rows (k, l) = (0, 1) of its one ancilla table,
+    held apart from the builder's last circuit.  Such a circuit holds row
+    values in its matrix row register and in that table's registers, and
+    tests them only against k or l, or swaps them whole, so a sparse run of
+    any row pair replays the canonical circuit's index plan in relabeled
+    rows (``_Rows``).
     """
 
     layout: RegisterLayout
@@ -146,6 +156,7 @@ class Circuit:
     accept: Mapping[str, int] | None
     decode: tuple[str, str, Mapping[str, int]] | None
     read: Mapping[str, int] | None = None
+    canonical: Callable[[], Circuit] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((label, tuple(gates)) for label, gates in self.steps))
@@ -190,7 +201,15 @@ class Circuit:
                 support *= support_growth(layout, gate, reads[position], zeros)
             zeros &= ~moved_bits(layout, gate)
         parts = ((self.matrix_registers, None), *((names, ancilla.listed()) for names, ancilla in self.ancillas))
-        return support, IndexPlan(layout, parts, tuple(zip(gates, reads)))
+        lasts = set(itertools.accumulate(len(step) for _, step in self.steps))
+        inner = frozenset(position for position in range(len(gates)) if position + 1 not in lasts)
+        return support, IndexPlan(layout, parts, tuple(zip(gates, reads)), inner)
+
+    @functools.cached_property
+    def _rows(self) -> _Rows:
+        """How a sparse run relabels the circuit into its ``canonical`` one,
+        with the pair's own memo."""
+        return _Rows(self)
 
 
 class IndexPlan:
@@ -201,31 +220,39 @@ class IndexPlan:
     computing only the outputs its read cubes hold); and a read's
     ``(build, *args)``, the half of a read of the final support
     (``state._index_half``).  ``_plan_run`` hands out a circuit's plan
-    before any half is worked out.  ``half`` applies one rule: the
-    circuit's first run keeps nothing, as most circuits run once; its
-    second keeps every half it works out, read-only, as later runs and
-    their callers share them; every later run only looks them up, and
-    gathers and combines amplitudes.  ``halves`` is a read-only view of
-    the memo.  ``parts`` are the (registers, listed entries) that
-    ``prepared_support`` reads, and ``gates`` pairs each gate with its read
-    cubes, None but for a Hadamard layer of a circuit that post-selects.
+    before any half is worked out.  Every row pair of a row-add or row-swap
+    shape shares the plan of its ``Circuit.canonical`` circuit, and keeps
+    its reads, whose support is the pair's, in a plan of its own without
+    gates (``_Rows.plan``).
+
+    ``half`` applies one rule: the plan's first run keeps nothing, as most
+    plans run once (a fresh row pair's); its second keeps every half it
+    works out, read-only, as later runs and their callers share them; every
+    later run only looks them up, and gathers and combines amplitudes.  The
+    half of a gate in ``inner``, one that a later gate of its stage
+    follows, is kept without its support, as only a stage's last support
+    is read outside the run.  ``halves`` is a read-only view of the memo.
+    ``parts`` are the (registers, listed entries) that ``prepared_support``
+    reads, and ``gates`` pairs each gate with its read cubes, None but for
+    a Hadamard layer of a circuit that post-selects.
     """
 
-    def __init__(self, layout: RegisterLayout, parts: tuple, gates: tuple):
-        self.layout, self.parts, self.gates = layout, parts, gates
+    def __init__(self, layout: RegisterLayout, parts: tuple, gates: tuple, inner: frozenset = frozenset()):
+        self.layout, self.parts, self.gates, self.inner = layout, parts, gates, inner
         self.runs = 0
         self._halves: dict = {}
         self.halves = MappingProxyType(self._halves)
 
     def half(self, key, work: Callable[[], object]):
         """The half under ``key``: the one kept, or else ``work()``, which
-        is kept, read-only, when this is the circuit's second run."""
+        is kept, read-only, when this is the plan's second run."""
         half = self._halves.get(key)
         if half is None:
             half = work()
             if self.runs == 2:
-                _read_only_arrays(half)
-                self._halves[key] = half
+                kept = half._replace(indices=None) if key in self.inner else half
+                _read_only_arrays(kept)
+                self._halves[key] = kept
         return half
 
 
@@ -251,9 +278,68 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _plan_run(circuit: Circuit, record_steps: bool) -> IndexPlan | None:
+class _Rows:
+    """A permutation σ of row values that sends a row circuit's rows k and
+    l to 0 and 1, for the registers that hold row values: the matrix row
+    register and the ancilla table's registers.  ``inverse`` is σ^-1 as an
+    array: k, l, then every other row in increasing order.
+
+    σ commutes with every gate of the circuit, as each gate tests those
+    registers only against k or l, or swaps them whole, and no Hadamard
+    target is one of them.  So the canonical circuit, run on the tables
+    with their rows gathered through σ (``tables``), combines each
+    amplitude with the same partner by the same operations as the circuit
+    on the true tables, at the relabeled index; ``back`` maps a support to
+    the true indices.  ``plan`` is the pair's own memo, for what depends on
+    the pair: the final support in true rows, under ``"back"``, and the
+    halves of its reads, kept as ``IndexPlan.half`` keeps them, so that a
+    repeated pair replays them too.
+    """
+
+    def __init__(self, circuit: Circuit):
+        ((names, ancilla),) = circuit.ancillas
+        k, l = ancilla.k, ancilla.l
+        rows = np.arange(1 << ancilla.num_row_qubits)
+        self.registers = (circuit.matrix_registers[0], *names)
+        self.inverse = np.concatenate(([k, l], rows[(rows != k) & (rows != l)]))
+        self.plan = IndexPlan(circuit.layout, (), ())
+
+    def tables(self, layout: RegisterLayout, parts: list) -> list:
+        """The (registers, table) parts with each table's rows relabeled:
+        ``table'[σ(r)] = table[r]`` along every row register."""
+        relabeled = []
+        for names, table in parts:
+            grid = table.reshape([1 << layout.width(name) for name in names])
+            for axis, name in enumerate(names):
+                if name in self.registers:
+                    grid = grid.take(self.inverse, axis=axis)
+            relabeled.append((names, grid.ravel()))
+        return relabeled
+
+    def back(self, buffer: SparseBuffer, memo: IndexPlan | None = None) -> SparseBuffer:
+        """A buffer in relabeled rows as a new one in true rows: each row
+        field of its indices through σ^-1, and the support sorted again,
+        a half kept under ``"back"`` in ``memo`` if one is given."""
+
+        def work():
+            layout, indices = buffer.layout, buffer.indices
+            for name in self.registers:
+                shift = layout.field_shift(name)
+                values = (indices >> shift) & (self.inverse.size - 1)
+                indices = indices ^ ((values ^ self.inverse[values]) << shift)
+            # a stable sort merges the few sorted runs the relabeling leaves
+            order = np.argsort(indices, kind="stable")
+            return indices[order], order
+
+        indices, order = work() if memo is None else memo.half("back", work)
+        return SparseBuffer(buffer.layout, indices, buffer.amplitudes[order])
+
+
+def _plan_run(circuit: Circuit, record_steps: bool) -> tuple[IndexPlan, _Rows | None] | None:
     """How ``simulate`` holds a run, from the circuit alone before anything
-    is allocated: None if dense, else the circuit's ``IndexPlan``.
+    is allocated: None if dense, else the ``IndexPlan`` the run replays and,
+    for a circuit with a ``canonical`` one, the ``_Rows`` that relabel it
+    into that circuit, whose plan it replays.
 
     It refuses a circuit with neither an accept pattern nor a decode, a
     layout beyond the qubit cap, and a recorded run whose states (a
@@ -261,8 +347,9 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> IndexPlan | None:
     fit in physical memory.  Recorded runs and layouts of at most
     ``state.SPARSE_FLOOR`` amplitudes are dense; any other run is sparse
     when its support stays within ``state.DENSE_SHARE`` of the layout
-    (``Circuit._sparse_plan``).  The bound is worked out once per
-    circuit; the limits and physical memory are read on every call.
+    (``Circuit._sparse_plan``, the same for every row pair).  The bound is
+    worked out once per circuit; the limits and physical memory are read
+    on every call.
     """
     layout = circuit.layout
     if circuit.accept is None and circuit.decode is None:
@@ -278,8 +365,10 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> IndexPlan | None:
             )
     if record_steps or layout.size <= state_module.SPARSE_FLOOR:
         return None
-    bound, plan = circuit._sparse_plan
-    return plan if bound <= state_module.DENSE_SHARE * layout.size else None
+    bound, plan = (circuit if circuit.canonical is None else circuit.canonical())._sparse_plan
+    if bound > state_module.DENSE_SHARE * layout.size:
+        return None
+    return plan, None if circuit.canonical is None else circuit._rows
 
 
 # --- circuit builders ----------------------------------------------------------
@@ -318,7 +407,14 @@ def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
         ),
         accept={"B1": 0, "B2": 0, "B3": 0},
         decode=("R1", "C1", {"R2": k, "B1": 0, "B2": 0, "B3": 0}),
+        canonical=functools.partial(_canonical_row_add, n, m),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_row_add(n: int, m: int) -> Circuit:
+    """The row-add circuit for rows (0, 1), held apart from the builder's."""
+    return row_add_circuit.__wrapped__(n, m, 0, 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -365,7 +461,14 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
         ),
         accept={"B1": 0, "B2": 0, "B3": 1},
         decode=("R1", "C1", {"R2": l, "C2": k, "B1": 0, "B2": 0, "B3": 1}),
+        canonical=functools.partial(_canonical_row_swap, n, m),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_row_swap(n: int, m: int) -> Circuit:
+    """The row-swap circuit for rows (0, 1), held apart from the builder's."""
+    return row_swap_circuit.__wrapped__(n, m, 0, 1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -490,7 +593,10 @@ def simulate(
     the end.  The basis indices it lists depend on the circuit alone, so
     the index halves of its preparation, gates and reads go into one memo,
     the circuit's ``IndexPlan``, which its second run fills and later runs
-    look up.  Each Hadamard layer
+    look up.  A row-add or row-swap run relabels its rows so that every
+    row pair of a shape replays one plan, its ``Circuit.canonical``
+    circuit's, and maps its support back to the true rows before any read
+    or callback sees it.  Each Hadamard layer
     on the support computes only the outputs its planned cubes read, the
     accept pattern pulled back through the gates after it.  So the final
     state is exact only on the accepted subspace, which is all that
@@ -500,8 +606,9 @@ def simulate(
     with an exact-zero part, so reports are bitwise the dense run's.  A
     dense run owns one ``StateBuffer``, the prepared array itself, that
     every gate changes in place.
-    ``after_step`` gets the run's buffer after each stage, pruned as above;
-    it is valid only during the callback.  With ``record_steps`` the run is
+    ``after_step`` gets the run's buffer after each stage, pruned as above
+    (a relabeled run's mapped back, in a new buffer); it is valid only
+    during the callback.  With ``record_steps`` the run is
     dense and each stage's input is copied into a frozen snapshot before
     the stage runs, and the final snapshot is the frozen buffer itself.
 
@@ -516,30 +623,36 @@ def _run(
     entries: np.ndarray,
     record_steps: bool,
     after_step: Callable[[str, StateBuffer | SparseBuffer], None] | None,
-    plan: IndexPlan | None,
+    planned: tuple[IndexPlan, _Rows | None] | None,
 ) -> Simulation:
-    """One run of ``simulate``, sparse given the circuit's index plan.
+    """One run of ``simulate``, sparse given an index plan.
 
     A sparse run takes its support and each gate's index half from
-    ``IndexPlan.half``, under ``"support"`` and the gate's position.  After
-    the last gate, the final buffer of the circuit's second run gets a
-    writable dict, in which its reads store the halves they work out for
-    the plan to keep, and that of its first run a ``Selections``, in which
-    its reads share their selections; the plan then gives that state, as
-    every later run's final buffer before its reads, a read-only view of
-    the memo.  The final buffer also gets its ``LightCone``:
-    ``gates.light_cone`` over the circuit's gates and its prepared tables
-    (``state.prepared_at``).
+    ``IndexPlan.half``, under ``"support"`` and the gate's position, and
+    applies the plan's gates.  A relabeled run (``_Rows``) loads its tables
+    with their rows gathered through σ, so that the plan's gates, the
+    canonical circuit's, act on them, and maps its final buffer back to the
+    true rows; a callback gets each stage's buffer mapped back.  Its reads
+    then go to the pair's memo (``_Rows.plan``), any other run's to its
+    plan.  On the memo's second run the final buffer gets a writable dict,
+    in which its reads store the halves they work out for the memo to
+    keep, and on its first run a ``Selections``, in which they share their
+    selections; the memo then gives that state, as every later run's final
+    buffer before its reads, a read-only view of its halves.  The final
+    buffer also gets its ``LightCone`` from the true circuit's gates and
+    tables: ``gates.light_cone`` over their product state
+    (``state.prepared_at``).  The tally is the true circuit's.
     """
     layout = circuit.layout
     parts = [(circuit.matrix_registers, entries.ravel())]
     parts += [(names, ancilla.amplitudes()) for names, ancilla in circuit.ancillas]
+    plan, rows = planned or (None, None)
     if plan is None:
         buffer = StateBuffer.adopt(prepare_product_state(layout, parts, sparse=False))
     else:
         plan.runs += 1
         support = plan.half("support", lambda: prepared_support(layout, plan.parts))
-        buffer = prepare_product_state(layout, parts, sparse=support)
+        buffer = prepare_product_state(layout, parts if rows is None else rows.tables(layout, parts), sparse=support)
     records = [] if record_steps else None
     gate_position = 0
     for position, (label, gates) in enumerate(circuit.steps):
@@ -547,19 +660,23 @@ def _run(
             records.append(_snapshot(f"phi_{position}", StateVector(layout, buffer.amplitudes)))
         for _, gate in gates:
             if plan is not None:
-                buffer.planned = plan.half(
-                    gate_position, lambda: sparse_step(layout, buffer.indices, *plan.gates[gate_position])
-                )
+                gate, reads = plan.gates[gate_position]
+                buffer.planned = plan.half(gate_position, lambda: sparse_step(layout, buffer.indices, gate, reads))
             apply_gate(buffer, gate)
             gate_position += 1
         if after_step is not None:
-            after_step(label, buffer)
+            after_step(label, buffer if rows is None else rows.back(buffer))
     if plan is not None:
+        memo = plan
+        if rows is not None:
+            # what depends on the pair goes into its own memo
+            memo = rows.plan
+            memo.runs += 1
+            buffer = rows.back(buffer, memo)
         # the read halves index the final support only
-        buffer.readouts = Selections() if plan.runs == 1 else {} if plan.runs == 2 else plan.halves
-        prepared = functools.partial(prepared_at, layout, parts)
-        values = functools.partial(light_cone, layout, tuple(gate for gate, _ in plan.gates), prepared=prepared)
-        buffer.cone = LightCone(values, tuple(table for _, table in parts))
+        buffer.readouts = Selections() if memo.runs == 1 else {} if memo.runs == 2 else memo.halves
+        cone_gates = tuple(gate for _, gate in circuit.gates())
+        buffer.cone = LightCone(functools.partial(_dense_at, layout, cone_gates, parts), tuple(table for _, table in parts))
     state = buffer.freeze()
     if records is not None:
         records.append(_snapshot(f"phi_{len(circuit.steps)}", state))
@@ -578,14 +695,21 @@ def _run(
         if records is not None and selection is not None:
             records.append(_snapshot(f"phi_{len(circuit.steps) + 1}", selection.renormalized_state))
     amplitude = None if circuit.read is None else state.amplitude(circuit.read)
-    if plan is not None and plan.runs <= 2:
-        # the second run's plan keeps the halves its reads worked out; the
-        # state of either run then shares the plan's, which index the same support
-        if plan.runs == 2:
+    if plan is not None and memo.runs <= 2:
+        # the second run's memo keeps the halves its reads worked out; the
+        # state of either run then shares the memo's, which index the same support
+        if memo.runs == 2:
             for key, half in state.readouts.items():
-                plan.half(key, lambda half=half: half)
-        state.readouts = plan.halves
+                memo.half(key, lambda half=half: half)
+        state.readouts = memo.halves
     return Simulation(state, circuit.tally, probability, selection, output, amplitude, records)
+
+
+def _dense_at(layout: RegisterLayout, gates: tuple[Gate, ...], parts: list, at: np.ndarray) -> np.ndarray:
+    """The dense run's amplitudes at the basis indices ``at``: the light
+    cone of ``gates`` over the product state of ``parts``, whose factors
+    are laid out once per call."""
+    return light_cone(layout, gates, at, prepared_at(layout, parts))
 
 
 # --- the routines --------------------------------------------------------------

@@ -21,8 +21,8 @@ permutes and re-sorts them, and how a Hadamard layer pairs them, target
 by target, computing only the outputs in the (mask, bits) cubes that
 ``pull_back`` gives, the basis states from which the gates after the
 layer can reach the run's accept pattern.  A circuit's index plan keeps
-them, so a repeated circuit works them out once, and hands each gate its
-own; the amplitude half (``_sparse_amplitudes``) gathers the amplitudes
+them, so a repeated circuit, or a row pair of a shape that has run, works
+them out once, and hands each gate its own; the amplitude half (``_sparse_amplitudes``) gathers the amplitudes
 and combines each with its partner, +0.0 where none is listed, by the
 dense butterfly's operations.  So the one sign a support may get wrong is a
 zero's, where a +0.0 stands in for the dense run's signed zero;
@@ -541,11 +541,15 @@ def light_cone(
     give, combined target by target in the layer's order (``_mixed``).  The
     leaves go in blocks of at most BOX, the first targets' bits changing
     fastest, so that each block is reduced through those targets before
-    the next is evaluated.
+    the next is evaluated.  Each gate's plan is looked up once per call.
     """
-    at = np.asarray(at, dtype=np.int64)
-    for position in reversed(range(len(gates))):
-        plan = _plan(layout, gates[position])
+    return _cone(tuple(_plan(layout, gate) for gate in gates), np.asarray(at, dtype=np.int64), prepared)
+
+
+def _cone(plans: tuple[_Plan, ...], at: np.ndarray, prepared: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``light_cone`` over the gates' plans."""
+    for position in reversed(range(len(plans))):
+        plan = plans[position]
         if not plan.butterfly:
             at = _moved(plan, at)
             continue
@@ -558,7 +562,7 @@ def light_cone(
         sums = np.empty(starts.size, dtype=np.complex128)
         for start in range(0, starts.size, step):
             leaves = (starts[start : start + step, None] | inner).ravel()
-            values = light_cone(layout, gates[:position], leaves, prepared).reshape(-1, inner.size)
+            values = _cone(plans[:position], leaves, prepared).reshape(-1, inner.size)
             sums[start : start + step] = _mixed(values, signs[start : start + step], plan.targets[:low])
         return _mixed(sums.reshape(at.size, outer.size), at, plan.targets[low:])
     return prepared(at)

@@ -323,10 +323,13 @@ class SparseBuffer:
     ``readouts``, those of the reads of its final support, keyed by what
     they read (``_index_half``).  Without them a gate or a read works its
     index half out on the spot, and a Hadamard layer computes every output.
+    A replayed plan keeps only each stage's last support, so between two
+    gates of one stage ``indices`` may be None; only the stage's gates see
+    the buffer then.
     A read stores a half it worked out only in a writable dict, which a
-    circuit's second run gives its final buffer (its first run a
-    ``Selections``); ``readouts`` is otherwise read-only, and empty during
-    a run.
+    circuit's second run gives its final buffer (its first run, and a
+    relabeled row run, a ``Selections``); ``readouts`` is otherwise
+    read-only, and empty during a run.
     ``apply_gate`` replaces both arrays with the gate's result; ``freeze``
     makes them read-only, and the frozen buffer is the run's final state,
     which ``apply_gate`` refuses.
@@ -716,22 +719,31 @@ def prepared_support(layout: RegisterLayout, parts: Iterable[tuple[Sequence[str]
 
 
 def prepared_at(
-    layout: RegisterLayout, parts: Sequence[tuple[Sequence[str], np.ndarray]], at: np.ndarray
-) -> np.ndarray:
-    """The amplitudes at the basis indices ``at`` of the product state that
+    layout: RegisterLayout, parts: Sequence[tuple[Sequence[str], np.ndarray]]
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The amplitudes at any basis indices of the product state that
     ``prepare_product_state`` makes of ``parts``, which it has checked:
     each the dense product's left-to-right chain of multiplies of its
-    factors' entries, in layout order, so its bytes are the same."""
+    factors' entries, in layout order, so its bytes are the same.  The
+    factors and their shifts are laid out once, here, for every call of
+    the returned function."""
     names = list(layout.names)
     spans = [(names.index(part_names[0]), len(part_names), np.asarray(table).ravel()) for part_names, table in parts]
-    shift, amplitudes = layout.total_qubits, None
+    shift, factors = layout.total_qubits, []
     for factor in _in_layout_order(layout, spans, _ground_table):
         shift -= factor.size.bit_length() - 1
-        entries = factor[(at >> shift) & (factor.size - 1)]
-        # not in place: numpy rounds an in-place complex multiply of one
-        # entry otherwise than the dense product's
-        amplitudes = entries if amplitudes is None else np.multiply(amplitudes, entries)
-    return amplitudes
+        factors.append((shift, factor))
+
+    def evaluate(at: np.ndarray) -> np.ndarray:
+        amplitudes = None
+        for shift, factor in factors:
+            entries = factor[(at >> shift) & (factor.size - 1)]
+            # not in place: numpy rounds an in-place complex multiply of one
+            # entry otherwise than the dense product's
+            amplitudes = entries if amplitudes is None else np.multiply(amplitudes, entries)
+        return amplitudes
+
+    return evaluate
 
 
 def _support_indices(factors: list[tuple[int, np.ndarray | None]]) -> np.ndarray:

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmatops import (
@@ -811,6 +811,9 @@ def test_each_builder_holds_only_the_circuit_it_built_last(name):
 
 
 def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder(monkeypatch):
+    # every row pair of a shape replays the plan of the builder's canonical
+    # circuit, which is held apart from the circuit it built last; of the
+    # pairs' circuits, each with its pair's own memo, only the last stays
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(44), (8, 4)))
     for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
@@ -819,14 +822,14 @@ def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder(monkeypatch):
             report = runner(encoded, k, l)
             circuit = build(3, 2, k, l)
             assert report.gate_tally is circuit.tally
-            plan = algorithms._plan_run(circuit, False)
-            assert plan is not None
+            plan, rows = algorithms._plan_run(circuit, False)
+            assert rows is circuit._rows
             circuits.append(weakref.ref(circuit))
             plans.append(weakref.ref(plan))
-            del report, circuit, plan
+            del report, circuit, plan, rows
         gc.collect()
         assert sum(ref() is not None for ref in circuits) == 1 and circuits[-1]() is not None
-        assert sum(ref() is not None for ref in plans) == 1 and plans[-1]() is not None
+        assert plans[0]() is not None and all(ref() is plans[0]() for ref in plans)
 
 
 def test_a_kept_plan_hands_a_caller_only_read_only_arrays(monkeypatch):
@@ -857,6 +860,9 @@ PLANNED_BUILDERS = {
 }
 
 
+CANONICAL_BUILDERS = {"row-add": algorithms._canonical_row_add, "row-swap": algorithms._canonical_row_swap}
+
+
 @pytest.mark.parametrize("routine", sorted(PLANNED_BUILDERS))
 def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routine):
     # A circuit's first run keeps no index half, as most circuits run once (a
@@ -866,7 +872,10 @@ def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routin
     # 2-core Xeon): row-add 64x64 from 1.26-1.44 to 1.55-1.70 ms, transpose
     # 128x128 from 0.38-0.44 to 0.66-0.74 ms, from when arrays are freed, not
     # from the arithmetic.  The second run keeps every half it works out:
-    # the support, each gate's and each read's; the third works none out
+    # the support, each gate's and each read's; the third works none out.
+    # A row pair keeps its support and gates' halves in the plan of its
+    # shape's canonical circuit, and its mapped-back support and reads'
+    # halves in its own memo
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
     plans, worked_out, asked = [], [], []
@@ -895,17 +904,27 @@ def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routin
     monkeypatch.setattr(gates_module, "sparse_step", noted_step)
     monkeypatch.setattr(state_module, "_index_half", noted_half)
     PLANNED_BUILDERS[routine].cache_clear()
+    if routine in CANONICAL_BUILDERS:
+        CANONICAL_BUILDERS[routine].cache_clear()
     rng = np.random.default_rng(47)
     for run in (1, 2, 3):
         worked_out.clear(), asked.clear()
         runner(encode_matrix(random_matrix(rng, (8, 8))))
-        plan = plans[-1]
-        assert plan is plans[0] and plan.runs == run
+        plan, rows = plans[-1]
+        assert plan is plans[0][0] and rows is plans[0][1]
+        assert (rows is None) == (routine not in CANONICAL_BUILDERS)
+        memo = plan if rows is None else rows.plan
+        assert plan.runs == memo.runs == run
         if run == 1:
-            assert not plan.halves
+            assert not plan.halves and not memo.halves
         elif run == 2:
             reads = {key for key, _ in asked}
-            assert reads and set(plan.halves) == {"support", *range(len(plan.gates)), *reads}
+            gates = {"support", *range(len(plan.gates))}
+            assert reads
+            if rows is None:
+                assert set(plan.halves) == gates | reads
+            else:
+                assert set(plan.halves) == gates and set(memo.halves) == {"back", *reads}
         else:
             assert worked_out == [] and asked and all(hit for _, hit in asked)
 
@@ -982,25 +1001,119 @@ def test_reads_of_a_final_state_keep_no_half(monkeypatch, routine):
 def test_an_evicted_circuit_and_its_plan_are_freed_at_once(monkeypatch):
     # no reference cycle holds a circuit or its plan, so the builder's next
     # circuit frees them at once, not at a later collection; when arrays are
-    # freed shows in the `wide` timings above
+    # freed shows in the `wide` timings above.  Every row pair of a shape
+    # shares the canonical circuit's plan, which a run of another shape frees
     monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(50), (8, 4)))
-    held = []
+    other = encode_matrix(random_matrix(np.random.default_rng(50), (4, 4)))
     gc.disable()
     try:
         for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
+            held = []
             for k, l in ((0, 1), (2, 5), (7, 3), (4, 6)):
                 for _ in range(3):
                     report = runner(encoded, k, l)
                 circuit = build(3, 2, k, l)
-                plan = algorithms._plan_run(circuit, False)
-                assert report.gate_tally is circuit.tally and plan.halves
-                held.append((weakref.ref(circuit), weakref.ref(plan)))
-                del report, circuit, plan
-        alive = [(circuit() is not None, plan() is not None) for circuit, plan in held]
+                plan, rows = algorithms._plan_run(circuit, False)
+                assert report.gate_tally is circuit.tally and plan.halves and rows.plan.halves
+                held.append((weakref.ref(circuit), weakref.ref(plan), weakref.ref(rows)))
+                del report, circuit, plan, rows
+            alive = [tuple(ref() is not None for ref in refs) for refs in held]
+            assert alive == [(False, True, False)] * 3 + [(True, True, True)]
+            runner(other, 0, 1)
+            assert [tuple(ref() is not None for ref in refs) for refs in held] == [(False, False, False)] * 4
     finally:
         gc.enable()
-    assert alive == ([(False, False)] * 3 + [(True, True)]) * 2
+
+
+@pytest.mark.parametrize("runner, shape", [(run_row_add, (64, 64)), (run_row_swap, (16, 32))], ids=["row-add", "row-swap"])
+def test_fresh_row_pairs_replay_their_shapes_plan(monkeypatch, runner, shape):
+    # every row pair of a shape relabels its rows into the canonical pair
+    # (0, 1), so once a shape has run twice a fresh pair works out no index
+    # half of its preparation or its gates
+    worked_out = []
+    plain_step, plain_support = algorithms.sparse_step, algorithms.prepared_support
+
+    def noted_step(*args, **kwargs):
+        worked_out.append("step")
+        return plain_step(*args, **kwargs)
+
+    def noted_support(*args):
+        worked_out.append("support")
+        return plain_support(*args)
+
+    monkeypatch.setattr(algorithms, "sparse_step", noted_step)
+    monkeypatch.setattr(gates_module, "sparse_step", noted_step)
+    monkeypatch.setattr(algorithms, "prepared_support", noted_support)
+    for canonical in CANONICAL_BUILDERS.values():
+        canonical.cache_clear()
+    rng = np.random.default_rng(52)
+    pairs = [(k, l) for k in range(shape[0]) for l in range(shape[0]) if k != l]
+    for run, at in enumerate(rng.permutation(len(pairs))[:8]):
+        worked_out.clear()
+        report = runner(encode_matrix(random_matrix(rng, shape)), *pairs[at])
+        assert isinstance(report.post_selection.state, SparseBuffer)
+        assert (worked_out == []) == (run >= 2), run
+
+
+def test_a_relabeled_run_shows_its_callers_the_true_rows(monkeypatch):
+    # a row pair runs in relabeled rows, but each stage's buffer that
+    # after_step gets and the renormalized state list the true indices:
+    # before the mixing layer a support holds the whole state, so each
+    # stage's holds the recorded run's amplitudes; on the circuit's first,
+    # second and a replayed run
+    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    encoded = encode_matrix(random_matrix(np.random.default_rng(53), (8, 8)))
+    for build in (row_add_circuit, row_swap_circuit):
+        circuit = build(3, 3, 6, 2)
+        assert algorithms._plan_run(circuit, False)[1] is not None
+        records = algorithms.simulate(circuit, encoded.entries, record_steps=True).records
+        seen = {}
+
+        def note(label, buffer):
+            assert isinstance(buffer, SparseBuffer)
+            seen[label] = buffer.densify().amplitudes
+
+        for _ in range(3):
+            seen.clear()
+            run = algorithms.simulate(circuit, encoded.entries, after_step=note)
+            for position, (label, _) in enumerate(circuit.steps[:-1]):
+                assert np.array_equal(seen[label], records[position + 1].state.amplitudes), label
+            renormalized = run.selection.renormalized_state.amplitudes
+            assert np.array_equal(renormalized, records[-1].state.amplitudes)
+            assert np.array_equal(run.state.densify().amplitudes[renormalized != 0], records[-2].state.amplitudes[renormalized != 0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    routine=st.sampled_from(["row-add", "row-swap"]),
+    kind=st.sampled_from(["real", "complex"]),
+    rows=st.integers(2, 64),
+    cols=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_relabeled_row_run_is_bitwise_the_recorded_run(routine, kind, rows, cols, seed):
+    # any row pair of any shape up to 22 qubits, padded or not, real or
+    # complex, with signed zeros among its entries: the run in relabeled
+    # rows reports what the dense recorded run does, bit for bit
+    n, m = max(1, (rows - 1).bit_length()), max(1, (cols - 1).bit_length())
+    assume((2 * n + m + 3 if routine == "row-add" else 3 * n + m + 4) <= 22)
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, cols)) + (1j * rng.standard_normal((rows, cols)) if kind == "complex" else 0)
+    picked = rng.random((rows, cols))
+    matrix[picked < 0.2] = -0.0
+    matrix[(picked >= 0.2) & (picked < 0.3)] = complex(0.0, -0.0) if kind == "complex" else 0.0
+    assume(np.any(matrix != 0))
+    k, l = (int(v) for v in rng.choice(rows, 2, replace=False))
+    runner = run_row_add if routine == "row-add" else run_row_swap
+    encoded = hand_encoded(matrix)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(state_module, "SPARSE_FLOOR", 0)
+        relabeled = runner(encoded, k, l)
+    assert isinstance(relabeled.post_selection.state, SparseBuffer)
+    recorded = runner(encoded, k, l, record_steps=True)
+    assert_reports_bitwise(relabeled, recorded)
+    assert relabeled.gate_tally.to_dict() == recorded.gate_tally.to_dict()
 
 
 def test_a_shared_circuit_and_tally_are_read_only():

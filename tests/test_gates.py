@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -360,7 +359,7 @@ def test_light_cone_is_bitwise_the_dense_run(circuit, seed, box):
         at = np.random.default_rng(seed).choice(at, min(at.size, 4), replace=False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gates, "BOX", box)
-        cone = gates.light_cone(layout, tuple(gate_list), at, partial(prepared_at, layout, parts))
+        cone = gates.light_cone(layout, tuple(gate_list), at, prepared_at(layout, parts))
     assert cone.tobytes() == dense.amplitudes[at].tobytes()
 
 

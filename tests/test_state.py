@@ -1,7 +1,7 @@
 import hashlib
 import math
 import tracemalloc
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -433,9 +433,9 @@ def test_a_sparse_product_evaluates_its_unlisted_positions_as_the_dense_one(kind
         unlisted = np.ones(layout.size, dtype=bool)
         unlisted[state.indices] = False
         at = np.flatnonzero(unlisted)
-        cone = gates.light_cone(layout, (), at, partial(state_module.prepared_at, layout, parts))
+        cone = gates.light_cone(layout, (), at, state_module.prepared_at(layout, parts))
         assert cone.tobytes() == reference[at].tobytes()
-        assert state_module.prepared_at(layout, parts, state.indices).tobytes() == state.amplitudes.tobytes()
+        assert state_module.prepared_at(layout, parts)(state.indices).tobytes() == state.amplitudes.tobytes()
         if kind != "non-negative":
             # a negative part signs some of the zeros the support leaves out
             assert np.any(np.signbit(reference[at].view(np.float64)))
