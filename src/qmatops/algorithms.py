@@ -411,10 +411,9 @@ def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _canonical_row_add(n: int, m: int) -> Circuit:
-    """The row-add circuit for rows (0, 1), held apart from the builder's."""
-    return row_add_circuit.__wrapped__(n, m, 0, 1)
+# the row-add circuit for rows (0, 1), held apart from the builder's last
+# circuit; it calls the undecorated builder, bound when the module loads
+_canonical_row_add = functools.lru_cache(maxsize=1)(functools.partial(row_add_circuit.__wrapped__, k=0, l=1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -465,10 +464,8 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _canonical_row_swap(n: int, m: int) -> Circuit:
-    """The row-swap circuit for rows (0, 1), held apart from the builder's."""
-    return row_swap_circuit.__wrapped__(n, m, 0, 1)
+# the row-swap circuit for rows (0, 1), likewise
+_canonical_row_swap = functools.lru_cache(maxsize=1)(functools.partial(row_swap_circuit.__wrapped__, k=0, l=1))
 
 
 @functools.lru_cache(maxsize=1)

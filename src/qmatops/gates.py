@@ -22,9 +22,10 @@ by target, computing only the outputs in the (mask, bits) cubes that
 ``pull_back`` gives, the basis states from which the gates after the
 layer can reach the run's accept pattern.  A circuit's index plan keeps
 them, so a repeated circuit, or a row pair of a shape that has run, works
-them out once, and hands each gate its own; the amplitude half (``_sparse_amplitudes``) gathers the amplitudes
-and combines each with its partner, +0.0 where none is listed, by the
-dense butterfly's operations.  So the one sign a support may get wrong is a
+them out once, and hands each gate its own; the amplitude half
+(``_sparse_amplitudes``) gathers the amplitudes and combines each with
+its partner, +0.0 where none is listed, by the dense butterfly's
+operations.  So the one sign a support may get wrong is a
 zero's, where a +0.0 stands in for the dense run's signed zero;
 ``light_cone`` gives the dense run's amplitudes at any basis indices from
 the states that reach them alone, for a sparse run's reads of exact zeros.

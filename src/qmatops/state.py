@@ -326,10 +326,10 @@ class SparseBuffer:
     A replayed plan keeps only each stage's last support, so between two
     gates of one stage ``indices`` may be None; only the stage's gates see
     the buffer then.
-    A read stores a half it worked out only in a writable dict, which a
-    circuit's second run gives its final buffer (its first run, and a
-    relabeled row run, a ``Selections``); ``readouts`` is otherwise
-    read-only, and empty during a run.
+    A read stores a half it worked out only in a writable dict, which the
+    second run of a circuit's plan, or of a row pair's memo, gives its
+    final buffer (its first run a ``Selections``); ``readouts`` is
+    otherwise read-only, and empty during a run.
     ``apply_gate`` replaces both arrays with the gate's result; ``freeze``
     makes them read-only, and the frozen buffer is the run's final state,
     which ``apply_gate`` refuses.
