@@ -59,7 +59,7 @@ from .state import (
     row_index,
     supported_on,
 )
-from . import state as state_module  # for SPARSE_FLOOR and DENSE_SHARE as they are at a call
+from . import state as state_module  # for DENSE_SHARE as it is at a call
 
 __all__ = [
     "StepState",
@@ -134,19 +134,20 @@ class Circuit:
     output matrix is read from, or None when the output is not a matrix.
     ``read`` is the basis state whose final amplitude a run reads, or None.
 
-    A builder hands back the circuit it built last, and holds no other,
-    when called again with the same arguments, so its steps and patterns
-    are read-only, and what depends on the circuit alone is worked out once
-    and kept with it: its tally, a sparse run's support bound and index
-    plan, and a row pair's memo.
+    A builder hands back a circuit it holds when called again with the
+    same arguments (its last ``SHAPES_HELD`` if keyed by shape alone, a row
+    pair's builder its last one), so its steps and patterns are read-only,
+    and what depends on the circuit alone is worked out once and kept with
+    it: its tally, a sparse run's support bound and index plan, and a row
+    pair's memo.
 
     ``canonical``, which the row-add and row-swap builders set, gives the
     same circuit for the rows (k, l) = (0, 1) of its one ancilla table,
-    held apart from the builder's last circuit.  Such a circuit holds row
-    values in its matrix row register and in that table's registers, and
-    tests them only against k or l, or swaps them whole, so a sparse run of
-    any row pair replays the canonical circuit's index plan in relabeled
-    rows (``_Rows``).
+    held per shape apart from the builder's last circuit.  Such a circuit
+    holds row values in its matrix row register and in that table's
+    registers, and tests them only against k or l, or swaps them whole, so
+    a sparse run of any row pair replays the canonical circuit's index plan
+    in relabeled rows (``_Rows``).
     """
 
     layout: RegisterLayout
@@ -225,8 +226,8 @@ class IndexPlan:
     its reads, whose support is the pair's, in a plan of its own without
     gates (``_Rows.plan``).
 
-    ``half`` applies one rule: the plan's first run keeps nothing, as most
-    plans run once (a fresh row pair's); its second keeps every half it
+    ``half`` applies one rule: the plan's first run keeps nothing, as a
+    fresh row pair's memo runs once; its second keeps every half it
     works out, read-only, as later runs and their callers share them; every
     later run only looks them up, and gathers and combines amplitudes.  The
     half of a gate in ``inner``, one that a later gate of its stage
@@ -302,19 +303,16 @@ class _Rows:
         rows = np.arange(1 << ancilla.num_row_qubits)
         self.registers = (circuit.matrix_registers[0], *names)
         self.inverse = np.concatenate(([k, l], rows[(rows != k) & (rows != l)]))
+        # the true ancilla table relabeled: the canonical one, bit for bit
+        self.ancilla = (names, circuit.canonical().ancillas[0][1].amplitudes())
+        self.ancilla[1].setflags(write=False)
         self.plan = IndexPlan(circuit.layout, (), ())
 
-    def tables(self, layout: RegisterLayout, parts: list) -> list:
-        """The (registers, table) parts with each table's rows relabeled:
-        ``table'[σ(r)] = table[r]`` along every row register."""
-        relabeled = []
-        for names, table in parts:
-            grid = table.reshape([1 << layout.width(name) for name in names])
-            for axis, name in enumerate(names):
-                if name in self.registers:
-                    grid = grid.take(self.inverse, axis=axis)
-            relabeled.append((names, grid.ravel()))
-        return relabeled
+    def tables(self, parts: list) -> list:
+        """The (registers, table) parts in relabeled rows, ``table'[σ(r)] =
+        table[r]``: the matrix's rows gathered, then ``ancilla``."""
+        (matrix, entries), _ = parts
+        return [(matrix, entries.reshape(self.inverse.size, -1).take(self.inverse, axis=0).ravel()), self.ancilla]
 
     def back(self, buffer: SparseBuffer, memo: IndexPlan | None = None) -> SparseBuffer:
         """A buffer in relabeled rows as a new one in true rows: each row
@@ -344,12 +342,11 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple[IndexPlan, _Rows | 
     It refuses a circuit with neither an accept pattern nor a decode, a
     layout beyond the qubit cap, and a recorded run whose states (a
     snapshot per step, the final state and the renormalized one) would not
-    fit in physical memory.  Recorded runs and layouts of at most
-    ``state.SPARSE_FLOOR`` amplitudes are dense; any other run is sparse
-    when its support stays within ``state.DENSE_SHARE`` of the layout
-    (``Circuit._sparse_plan``, the same for every row pair).  The bound is
-    worked out once per circuit; the limits and physical memory are read
-    on every call.
+    fit in physical memory.  A recorded run is dense; any other run is
+    sparse exactly when its support stays within ``state.DENSE_SHARE`` of
+    the layout (``Circuit._sparse_plan``, the same for every row pair), at
+    any width.  The bound is worked out once per circuit; the limits and
+    physical memory are read on every call.
     """
     layout = circuit.layout
     if circuit.accept is None and circuit.decode is None:
@@ -363,7 +360,6 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple[IndexPlan, _Rows | 
                 f"a recorded run of {layout.total_qubits} qubits keeps {states} states of {state_bytes} B, "
                 f"{states * state_bytes} B in all, more than the {physical} B of physical memory"
             )
-    if record_steps or layout.size <= state_module.SPARSE_FLOOR:
         return None
     bound, plan = (circuit if circuit.canonical is None else circuit.canonical())._sparse_plan
     if bound > state_module.DENSE_SHARE * layout.size:
@@ -372,6 +368,14 @@ def _plan_run(circuit: Circuit, record_steps: bool) -> tuple[IndexPlan, _Rows | 
 
 
 # --- circuit builders ----------------------------------------------------------
+
+# A builder keyed by shape alone holds its last this many circuits with their
+# plans, so runs that cycle through a few shapes (small-batch: at most 6 per
+# builder) replay them.  A plan keeps arrays from its second run on, at the
+# qubit cap at most 640 MiB (row-add 2x2^21's canonical plan; transpose
+# 2^20x8: 192 MiB; trace 256x256: 1.5 MiB), so eight of those hold 5 GiB
+SHAPES_HELD = 8
+
 
 @functools.lru_cache(maxsize=1)
 def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
@@ -411,9 +415,9 @@ def row_add_circuit(n: int, m: int, k: int, l: int) -> Circuit:
     )
 
 
-# the row-add circuit for rows (0, 1), held apart from the builder's last
-# circuit; it calls the undecorated builder, bound when the module loads
-_canonical_row_add = functools.lru_cache(maxsize=1)(functools.partial(row_add_circuit.__wrapped__, k=0, l=1))
+# the row-add circuit for rows (0, 1), held per shape; it calls the
+# undecorated builder, bound when the module loads
+_canonical_row_add = functools.lru_cache(maxsize=SHAPES_HELD)(functools.partial(row_add_circuit.__wrapped__, k=0, l=1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -465,10 +469,10 @@ def row_swap_circuit(n: int, m: int, k: int, l: int) -> Circuit:
 
 
 # the row-swap circuit for rows (0, 1), likewise
-_canonical_row_swap = functools.lru_cache(maxsize=1)(functools.partial(row_swap_circuit.__wrapped__, k=0, l=1))
+_canonical_row_swap = functools.lru_cache(maxsize=SHAPES_HELD)(functools.partial(row_swap_circuit.__wrapped__, k=0, l=1))
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=SHAPES_HELD)
 def trace_circuit(n: int) -> Circuit:
     """Move the trace of a 2^n x 2^n matrix into one amplitude."""
     marks = [
@@ -504,7 +508,7 @@ def trace_circuit(n: int) -> Circuit:
     )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=SHAPES_HELD)
 def transpose_circuit(n: int, m: int) -> Circuit:
     """Transpose a 2^n x 2^m matrix by exchanging its column register with a
     destination register."""
@@ -518,7 +522,7 @@ def transpose_circuit(n: int, m: int) -> Circuit:
     )
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=SHAPES_HELD)
 def transpose_square_circuit(side_qubits: int) -> Circuit:
     """Transpose a 2^s x 2^s matrix by exchanging its two registers."""
     return Circuit(
@@ -626,10 +630,11 @@ def _run(
 
     A sparse run takes its support and each gate's index half from
     ``IndexPlan.half``, under ``"support"`` and the gate's position, and
-    applies the plan's gates.  A relabeled run (``_Rows``) loads its tables
-    with their rows gathered through σ, so that the plan's gates, the
-    canonical circuit's, act on them, and maps its final buffer back to the
-    true rows; a callback gets each stage's buffer mapped back.  Its reads
+    applies the plan's gates.  A relabeled run (``_Rows``) loads its matrix
+    with its rows gathered through σ and the canonical circuit's ancilla
+    table, so that the plan's gates, the canonical circuit's, act on them,
+    and maps its final buffer back to the true rows; a callback gets each
+    stage's buffer mapped back.  Its reads
     then go to the pair's memo (``_Rows.plan``), any other run's to its
     plan.  On the memo's second run the final buffer gets a writable dict,
     in which its reads store the halves they work out for the memo to
@@ -649,7 +654,7 @@ def _run(
     else:
         plan.runs += 1
         support = plan.half("support", lambda: prepared_support(layout, plan.parts))
-        buffer = prepare_product_state(layout, parts if rows is None else rows.tables(layout, parts), sparse=support)
+        buffer = prepare_product_state(layout, parts if rows is None else rows.tables(parts), sparse=support)
     records = [] if record_steps else None
     gate_position = 0
     for position, (label, gates) in enumerate(circuit.steps):

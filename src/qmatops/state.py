@@ -69,12 +69,6 @@ PREPARE_BLOCK = 1 << 15
 # is dense from preparation on, so no run holds a support and a dense copy
 DENSE_SHARE = 1 / 8
 
-# A layout of at most this many amplitudes (64 KiB) runs dense from the start:
-# there a whole dense run takes 0.05-0.4 ms, and a sparse one, paying numpy's
-# per-call cost on every kernel, is at best a sixth faster and at the smallest
-# shapes slower
-SPARSE_FLOOR = 1 << 12
-
 # range of the largest matrix component in which encode_matrix takes the
 # Frobenius norm directly: inside it the squared entries of any matrix that
 # fits in memory neither overflow nor lose precision to underflow

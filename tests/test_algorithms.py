@@ -324,8 +324,7 @@ def test_every_sparse_run_prepares_one_sparse_buffer(monkeypatch):
         ([[-0.0, -1.0], [-1.0, -0.0]], [[-0.0, -0.0], [-0.0, -0.0]]),
     ],
 )
-def test_sparse_trace_keeps_the_sign_of_a_zero_part(monkeypatch, real, imag):
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+def test_sparse_trace_keeps_the_sign_of_a_zero_part(real, imag):
     matrix = hand_encoded(np.array(real) + 1j * np.array(imag))
     sparse, dense = run_trace(matrix), run_trace(matrix, record_steps=True)
     assert np.complex128(sparse.recovered_trace).tobytes() == np.complex128(dense.recovered_trace).tobytes()
@@ -334,10 +333,9 @@ def test_sparse_trace_keeps_the_sign_of_a_zero_part(monkeypatch, real, imag):
 
 @pytest.mark.parametrize("n", range(1, 6))
 @pytest.mark.parametrize("kind", ["complex", "real", "negative-zero-diagonal"])
-def test_sparse_traceless_trace_is_bitwise_the_recorded_one(monkeypatch, n, kind):
+def test_sparse_traceless_trace_is_bitwise_the_recorded_one(n, kind):
     # a traceless matrix's trace amplitude is an exact zero, whose signs the
     # sparse run reads off the light cone of the dense run
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     rng = np.random.default_rng(60 + n)
     matrix = random_matrix(rng, (1 << n, 1 << n))
     if kind == "real":
@@ -390,11 +388,10 @@ def test_a_read_takes_from_the_light_cone_only_zero_parts_its_inputs_leave_unsur
      if routine != "trace" or shape[0] == shape[1]],
 )
 @pytest.mark.parametrize("kind", ["signed", "non-negative"])
-def test_real_reports_with_signed_zeros_are_bitwise_the_recorded_ones(monkeypatch, routine, shape, kind):
+def test_real_reports_with_signed_zeros_are_bitwise_the_recorded_ones(routine, shape, kind):
     # a real input's zero parts that its reads take from the support, not
     # from the light cone, are the dense run's: with -0.0 entries, which
     # encode_matrix would turn into +0.0, negative ones and a zero row
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
     rng = np.random.default_rng(sum(shape))
     matrix = rng.standard_normal(shape)
@@ -503,18 +500,17 @@ ROUTINES = {
 @pytest.mark.parametrize("routine", sorted(ROUTINES))
 def test_runs_call_apply_gate_with_state_and_gate_only(monkeypatch, routine, record_steps):
     # perfbench/spans.py wraps algorithms.apply_gate with exactly this
-    # signature, reading the layout and the state's bytes after each call:
-    # 16 B per amplitude the state holds, every amplitude of a dense state
-    # and at most DENSE_SHARE of them of a sparse one; these small layouts
-    # run sparse only below the floor
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+    # signature, reading the layout and the state's amplitudes after each
+    # call: 16 B per amplitude the state holds, every amplitude of a dense
+    # state and at most DENSE_SHARE of them of a sparse one.  A replayed
+    # stage leaves a sparse state's indices None between its gates
     calls = []
     plain = algorithms.apply_gate
 
     def probed(state, gate):
         result = plain(state, gate)
         sparse = isinstance(state, SparseBuffer)
-        held = state.indices.size if sparse else state.amplitudes.size
+        held = state.amplitudes.size
         calls.append((sparse, held, state.layout.size, state.amplitudes.nbytes))
         return result
 
@@ -579,7 +575,7 @@ def test_dense_run_peak_memory_is_one_state_and_one_subspace(monkeypatch, runner
     # The largest fixed arrays, preparation's block products (up to 384 KiB)
     # and a Hadamard layer's scratch (192 KiB), are under 3% of these 16 MiB
     # states
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 1 << 30)
+    monkeypatch.setattr(state_module, "DENSE_SHARE", 0)  # no support fits a share of 0
     kinds = set()
     plain = algorithms.apply_gate
 
@@ -628,8 +624,7 @@ def test_unrecorded_row_add_holds_only_its_support():
     assert peak < 0.1 * (16 << 21)
 
 
-def test_sparse_final_state_lists_the_occupied_states_of_its_dense_form(monkeypatch):
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+def test_sparse_final_state_lists_the_occupied_states_of_its_dense_form():
     encoded = encode_matrix(random_matrix(np.random.default_rng(25), (16, 16)))
     state = run_row_add(encoded, 1, 2).post_selection.state
     assert isinstance(state, SparseBuffer)
@@ -721,8 +716,6 @@ def _sparse_cases():
 
 @pytest.mark.parametrize("routine, shape, variant", _sparse_cases())
 def test_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, routine, shape, variant):
-    # the suite's small shapes run sparse only below the floor
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
     encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, variant))
     dense = runner(encoded, record_steps=True)
@@ -748,7 +741,6 @@ def test_replayed_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, rout
     # run keeps the index halves it works out and the third replays them,
     # working none out; both on another matrix than the first, and trace
     # still checks its marking and reads its amplitude on each
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
     first = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape) + 1), shape, "plain"))
     encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, variant))
@@ -788,18 +780,24 @@ def test_replayed_sparse_reports_are_bitwise_the_dense_reports(monkeypatch, rout
 def _builders_and_arguments(count):
     """Each builder with ``count`` distinct argument tuples."""
     pairs = [(k, l) for k in range(8) for l in range(8) if k != l][:count]
+    shapes = range(1, count + 1)
     return {
         "row_add_circuit": [(3, 2, k, l) for k, l in pairs],
         "row_swap_circuit": [(3, 1, k, l) for k, l in pairs],
-        "trace_circuit": [(n,) for n in range(1, count + 1)],
-        "transpose_circuit": [(n, 3) for n in range(1, count + 1)],
-        "transpose_square_circuit": [(n,) for n in range(1, count + 1)],
+        "_canonical_row_add": [(n, 2) for n in shapes],
+        "_canonical_row_swap": [(n, 1) for n in shapes],
+        "trace_circuit": [(n,) for n in shapes],
+        "transpose_circuit": [(n, 3) for n in shapes],
+        "transpose_square_circuit": [(n,) for n in shapes],
     }
 
 
 @pytest.mark.parametrize("name", sorted(_builders_and_arguments(1)))
-def test_each_builder_holds_only_the_circuit_it_built_last(name):
+def test_each_builder_holds_the_circuits_it_built_last(name):
+    # a builder keyed by shape alone holds its last SHAPES_HELD circuits; a
+    # row builder, keyed by the row pair too, holds only its last
     builder = getattr(algorithms, name)
+    kept = 1 if name in ("row_add_circuit", "row_swap_circuit") else algorithms.SHAPES_HELD
     held = []
     for arguments in _builders_and_arguments(12)[name]:
         circuit = builder(*arguments)
@@ -807,14 +805,13 @@ def test_each_builder_holds_only_the_circuit_it_built_last(name):
         held.append(weakref.ref(circuit))
         del circuit
     gc.collect()
-    assert [ref() is not None for ref in held] == [False] * 11 + [True]
+    assert [ref() is not None for ref in held] == [False] * (12 - kept) + [True] * kept
 
 
-def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder(monkeypatch):
+def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder():
     # every row pair of a shape replays the plan of the builder's canonical
-    # circuit, which is held apart from the circuit it built last; of the
+    # circuit, which is held per shape apart from its last circuit; of the
     # pairs' circuits, each with its pair's own memo, only the last stays
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(44), (8, 4)))
     for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
         circuits, plans = [], []
@@ -832,10 +829,9 @@ def test_runs_over_fresh_row_pairs_hold_one_plan_per_builder(monkeypatch):
         assert plans[0]() is not None and all(ref() is plans[0]() for ref in plans)
 
 
-def test_a_kept_plan_hands_a_caller_only_read_only_arrays(monkeypatch):
+def test_a_kept_plan_hands_a_caller_only_read_only_arrays():
     # a report's final state holds the plan's support and read-out halves,
     # which the circuit's later runs share
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(46), (8, 8)))
     for _ in range(3):
         state = run_row_add(encoded, 1, 2).post_selection.state
@@ -852,31 +848,25 @@ def test_a_kept_plan_hands_a_caller_only_read_only_arrays(monkeypatch):
         state.readouts[None] = None
 
 
-PLANNED_BUILDERS = {
-    "row-add": row_add_circuit,
-    "row-swap": row_swap_circuit,
-    "trace": trace_circuit,
-    "transpose": transpose_circuit,
-}
+PLANNED_ROUTINES = ["row-add", "row-swap", "trace", "transpose"]
+ROW_ROUTINES = ("row-add", "row-swap")
 
 
-CANONICAL_BUILDERS = {"row-add": algorithms._canonical_row_add, "row-swap": algorithms._canonical_row_swap}
-
-
-@pytest.mark.parametrize("routine", sorted(PLANNED_BUILDERS))
+@pytest.mark.parametrize("routine", PLANNED_ROUTINES)
 def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routine):
-    # A circuit's first run keeps no index half, as most circuits run once (a
-    # fresh row pair) and a kept half outlives its run.  A copy that kept the
-    # halves from the first run made fresh-row-pair runs of the benchmark's
-    # `wide` workload slower (6 alternating process pairs of 200 cycles on a
-    # 2-core Xeon): row-add 64x64 from 1.26-1.44 to 1.55-1.70 ms, transpose
-    # 128x128 from 0.38-0.44 to 0.66-0.74 ms, from when arrays are freed, not
-    # from the arithmetic.  The second run keeps every half it works out:
-    # the support, each gate's and each read's; the third works none out.
+    # A circuit's first run keeps no index half, as a fresh row pair's memo
+    # runs once and a kept half outlives its run.  A copy that kept the
+    # halves from the first run made the benchmark's `wide` cycle slower, as
+    # every fresh pair's memo then stayed held across runs (5 alternating
+    # processes on a 2-core Xeon): transpose 128x128 from 174 to 257 us and
+    # row-add 64x64 from 710 to 787 us per run.  Dropping the pair's memo
+    # instead made a repeated pair 2x slower: row-add 64x64 from 341 to 675
+    # us, row-swap 16x32 from 189 to 294 us.  So the second run keeps every
+    # half it works out: the support, each gate's and each read's; the third
+    # works none out.
     # A row pair keeps its support and gates' halves in the plan of its
     # shape's canonical circuit, and its mapped-back support and reads'
     # halves in its own memo
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
     plans, worked_out, asked = [], [], []
     plain_plan, plain_support = algorithms._plan_run, algorithms.prepared_support
@@ -903,16 +893,13 @@ def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routin
     monkeypatch.setattr(algorithms, "sparse_step", noted_step)
     monkeypatch.setattr(gates_module, "sparse_step", noted_step)
     monkeypatch.setattr(state_module, "_index_half", noted_half)
-    PLANNED_BUILDERS[routine].cache_clear()
-    if routine in CANONICAL_BUILDERS:
-        CANONICAL_BUILDERS[routine].cache_clear()
     rng = np.random.default_rng(47)
     for run in (1, 2, 3):
         worked_out.clear(), asked.clear()
         runner(encode_matrix(random_matrix(rng, (8, 8))))
         plan, rows = plans[-1]
         assert plan is plans[0][0] and rows is plans[0][1]
-        assert (rows is None) == (routine not in CANONICAL_BUILDERS)
+        assert (rows is None) == (routine not in ROW_ROUTINES)
         memo = plan if rows is None else rows.plan
         assert plan.runs == memo.runs == run
         if run == 1:
@@ -929,16 +916,14 @@ def test_a_plan_keeps_what_its_circuits_second_run_works_out(monkeypatch, routin
             assert worked_out == [] and asked and all(hit for _, hit in asked)
 
 
-def test_a_replayed_run_reads_each_stage_with_that_stages_halves(monkeypatch):
+def test_a_replayed_run_reads_each_stage_with_that_stages_halves():
     # the memo's keys name no support, so a read during a run must neither
     # keep a half nor find one; a rule that kept the halves of reads of a
     # read-only support would, as a replayed run's supports are the plan's
     # read-only arrays, and the second read would then sum the first stage's
     # support.  Both stages only permute the prepared amplitudes, so their
     # masses are bitwise the recorded run's
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(48), (8, 8)))
-    row_add_circuit.cache_clear()
     circuit = row_add_circuit(3, 3, 6, 1)
     records = algorithms.simulate(circuit, encoded.entries, record_steps=True).records
     read_at = {"step2-mark-source-branch": 2, "step4-cswap-rows": 4}
@@ -968,7 +953,6 @@ def test_a_run_selects_its_pinned_entries_once(monkeypatch):
         return plain(*args)
 
     monkeypatch.setattr(state_module, "_selection", noted)
-    transpose_circuit.cache_clear()
     counts = []
     for _ in range(3):
         calls.clear()
@@ -979,12 +963,10 @@ def test_a_run_selects_its_pinned_entries_once(monkeypatch):
 
 
 @pytest.mark.parametrize("routine", ["row-add", "row-swap", "trace"])
-def test_reads_of_a_final_state_keep_no_half(monkeypatch, routine):
+def test_reads_of_a_final_state_keep_no_half(routine):
     # after its run a state's reads look the kept halves up, or work theirs
     # out on the spot; so a caller's reads cannot grow what a state holds
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     runner, _ = SPARSE_ROUTINES[routine]
-    PLANNED_BUILDERS[routine].cache_clear()
     rng = np.random.default_rng(49)
     for _ in range(3):
         state = runner(encode_matrix(random_matrix(rng, (8, 8)))).post_selection.state
@@ -998,17 +980,22 @@ def test_reads_of_a_final_state_keep_no_half(monkeypatch, routine):
             state.readouts[None] = None
 
 
-def test_an_evicted_circuit_and_its_plan_are_freed_at_once(monkeypatch):
-    # no reference cycle holds a circuit or its plan, so the builder's next
-    # circuit frees them at once, not at a later collection; when arrays are
-    # freed shows in the `wide` timings above.  Every row pair of a shape
-    # shares the canonical circuit's plan, which a run of another shape frees
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+def test_an_evicted_circuit_and_its_plan_are_freed_at_once():
+    # no reference cycle holds a circuit or its plan, so the builder that
+    # evicts them frees them at once, not at a later collection; when arrays
+    # are freed shows in the `wide` timings above.  A row pair's circuit and
+    # memo go with the next pair's circuit; the plan of its shape's canonical
+    # circuit, which every pair shares, and a trace or transpose circuit
+    # with its plan go once SHAPES_HELD other shapes are built
     encoded = encode_matrix(random_matrix(np.random.default_rng(50), (8, 4)))
-    other = encode_matrix(random_matrix(np.random.default_rng(50), (4, 4)))
+    square = encode_matrix(random_matrix(np.random.default_rng(50), (8, 8)))
+    others = range(4, 4 + algorithms.SHAPES_HELD)
     gc.disable()
     try:
-        for runner, build in ((run_row_add, row_add_circuit), (run_row_swap, row_swap_circuit)):
+        for runner, build, canonical in (
+            (run_row_add, row_add_circuit, algorithms._canonical_row_add),
+            (run_row_swap, row_swap_circuit, algorithms._canonical_row_swap),
+        ):
             held = []
             for k, l in ((0, 1), (2, 5), (7, 3), (4, 6)):
                 for _ in range(3):
@@ -1020,8 +1007,22 @@ def test_an_evicted_circuit_and_its_plan_are_freed_at_once(monkeypatch):
                 del report, circuit, plan, rows
             alive = [tuple(ref() is not None for ref in refs) for refs in held]
             assert alive == [(False, True, False)] * 3 + [(True, True, True)]
-            runner(other, 0, 1)
+            build(3, 2, 0, 2)
+            assert [tuple(ref() is not None for ref in refs) for refs in held] == [(False, True, False)] * 4
+            for n in others:
+                canonical(n, 2)
             assert [tuple(ref() is not None for ref in refs) for refs in held] == [(False, False, False)] * 4
+        for runner, build, arguments in ((run_trace, trace_circuit, (3,)), (run_transpose, transpose_circuit, (3, 3))):
+            for _ in range(3):
+                report = runner(square)
+            circuit = build(*arguments)
+            plan, _ = algorithms._plan_run(circuit, False)
+            assert plan.halves
+            held = (weakref.ref(circuit), weakref.ref(plan))
+            del report, circuit, plan
+            for n in others:
+                build(n, *arguments[1:])
+            assert [ref() for ref in held] == [None, None]
     finally:
         gc.enable()
 
@@ -1045,8 +1046,6 @@ def test_fresh_row_pairs_replay_their_shapes_plan(monkeypatch, runner, shape):
     monkeypatch.setattr(algorithms, "sparse_step", noted_step)
     monkeypatch.setattr(gates_module, "sparse_step", noted_step)
     monkeypatch.setattr(algorithms, "prepared_support", noted_support)
-    for canonical in CANONICAL_BUILDERS.values():
-        canonical.cache_clear()
     rng = np.random.default_rng(52)
     pairs = [(k, l) for k in range(shape[0]) for l in range(shape[0]) if k != l]
     for run, at in enumerate(rng.permutation(len(pairs))[:8]):
@@ -1056,13 +1055,12 @@ def test_fresh_row_pairs_replay_their_shapes_plan(monkeypatch, runner, shape):
         assert (worked_out == []) == (run >= 2), run
 
 
-def test_a_relabeled_run_shows_its_callers_the_true_rows(monkeypatch):
+def test_a_relabeled_run_shows_its_callers_the_true_rows():
     # a row pair runs in relabeled rows, but each stage's buffer that
     # after_step gets and the renormalized state list the true indices:
     # before the mixing layer a support holds the whole state, so each
     # stage's holds the recorded run's amplitudes; on the circuit's first,
     # second and a replayed run
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     encoded = encode_matrix(random_matrix(np.random.default_rng(53), (8, 8)))
     for build in (row_add_circuit, row_swap_circuit):
         circuit = build(3, 3, 6, 2)
@@ -1082,6 +1080,24 @@ def test_a_relabeled_run_shows_its_callers_the_true_rows(monkeypatch):
             renormalized = run.selection.renormalized_state.amplitudes
             assert np.array_equal(renormalized, records[-1].state.amplitudes)
             assert np.array_equal(run.state.densify().amplitudes[renormalized != 0], records[-2].state.amplitudes[renormalized != 0])
+
+
+@pytest.mark.parametrize("build, rows", [(row_add_circuit, 16), (row_swap_circuit, 8)], ids=["row-add", "row-swap"])
+def test_a_relabeled_ancilla_table_is_the_canonical_ones(build, rows):
+    # a relabeled run loads the canonical circuit's ancilla table as it is:
+    # for every row pair, the true table with its rows gathered through σ
+    # (k, l to 0, 1, the other rows in order) along each of its registers is
+    # that table, bit for bit
+    n = rows.bit_length() - 1
+    for k, l in itertools.permutations(range(rows), 2):
+        circuit = build(n, 1, k, l)
+        ((names, ancilla),) = circuit.ancillas
+        ((_, canonical),) = circuit.canonical().ancillas
+        inverse = [k, l, *(row for row in range(rows) if row not in (k, l))]
+        grid = ancilla.amplitudes().reshape([rows] * len(names))
+        for axis in range(len(names)):
+            grid = grid.take(inverse, axis=axis)
+        assert grid.tobytes() == canonical.amplitudes().tobytes(), (k, l)
 
 
 @settings(max_examples=30, deadline=None)
@@ -1107,9 +1123,7 @@ def test_a_relabeled_row_run_is_bitwise_the_recorded_run(routine, kind, rows, co
     k, l = (int(v) for v in rng.choice(rows, 2, replace=False))
     runner = run_row_add if routine == "row-add" else run_row_swap
     encoded = hand_encoded(matrix)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(state_module, "SPARSE_FLOOR", 0)
-        relabeled = runner(encoded, k, l)
+    relabeled = runner(encoded, k, l)
     assert isinstance(relabeled.post_selection.state, SparseBuffer)
     recorded = runner(encoded, k, l, record_steps=True)
     assert_reports_bitwise(relabeled, recorded)
@@ -1148,13 +1162,12 @@ def test_a_shared_circuit_and_tally_are_read_only():
     ],
     ids=["row-add-4-rows", "row-swap-2-rows"],
 )
-def test_narrow_row_ops_stay_sparse_above_the_floor(monkeypatch, runner, shape):
+def test_narrow_row_ops_stay_sparse(monkeypatch, runner, shape):
     # their mixing layer could grow the support past DENSE_SHARE (4 times
     # 1/16 and 8 times 3/64 of the layout), but the accept pattern reads
     # one of its outputs in 4 and in 8
     encoded = encode_matrix(awkward_matrix(np.random.default_rng(sum(shape)), shape, "plain"))
     dense = runner(encoded, record_steps=True)
-    assert dense.post_selection.state.layout.size > state_module.SPARSE_FLOOR
     kinds = set()
     plain = algorithms.apply_gate
 
@@ -1170,7 +1183,7 @@ def test_narrow_row_ops_stay_sparse_above_the_floor(monkeypatch, runner, shape):
 
 def planned_circuits():
     """Every routine's circuit at each shape of at most MAX_QUBITS, the
-    sparse floor's layout and those below it included."""
+    smallest included."""
     for n, m in itertools.product(range(1, 25), repeat=2):
         yield "row-add", row_add_circuit(n, m, 0, 1)
         yield "row-swap", row_swap_circuit(n, m, 0, 1)
@@ -1182,25 +1195,28 @@ def planned_circuits():
 
 @pytest.mark.parametrize("record_steps", [False, True])
 def test_run_plan_holds_each_routine_as_it_always_has(monkeypatch, record_steps):
-    # the plan reads the circuit alone, so it is cheap at any width.  Row-add,
-    # row-swap and trace read outputs with every mixing target fixed, and
-    # trace's other read cube needs B2 = 1 where B2 is still |0>, so they
-    # stay sparse; transpose holds a 2^-m share of its layout; transpose-square's
-    # matrix fills its whole layout
+    # the plan reads the circuit alone, so it is cheap at any width, and
+    # applies one rule at every width.  Row-add, row-swap and trace read
+    # outputs with every mixing target fixed, and trace's other read cube
+    # needs B2 = 1 where B2 is still |0>, so they stay sparse; transpose
+    # holds a 2^-m share of its layout; transpose-square's matrix fills its
+    # whole layout
     monkeypatch.setattr(algorithms, "_physical_memory", lambda: 1 << 60)
-    seen = set()
+    widths = {}
     for routine, circuit in planned_circuits():
         layout = circuit.layout
         if layout.total_qubits > state_module.MAX_QUBITS:
             continue
-        above_floor = layout.size > state_module.SPARSE_FLOOR
-        expected = above_floor and not record_steps and (
+        expected = not record_steps and (
             routine in ("row-add", "row-swap", "trace")
             or routine == "transpose" and layout.width("C") >= 3
         )
         assert (algorithms._plan_run(circuit, record_steps) is not None) == expected, (routine, layout)
-        seen.add((routine, above_floor, layout.total_qubits == state_module.MAX_QUBITS))
-    assert len(seen) == 15
+        widths.setdefault(routine, set()).add(layout.total_qubits)
+    cap = state_module.MAX_QUBITS
+    assert {routine: (min(w), max(w)) for routine, w in widths.items()} == {
+        "row-add": (6, cap), "row-swap": (8, cap), "trace": (5, cap), "transpose": (3, cap), "transpose-square": (2, cap)
+    }
 
 
 def test_a_circuit_that_discards_nothing_needs_a_decode(monkeypatch):
@@ -1216,7 +1232,6 @@ def test_a_circuit_that_discards_nothing_needs_a_decode(monkeypatch):
         algorithms.simulate(undecoded, entries)
     # one that post-selects reports its selected mass, decoded or not
     monkeypatch.setattr(algorithms, "prepare_product_state", plain)
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     selected = algorithms.simulate(dataclasses.replace(undecoded, accept={"B": 0}), entries)
     assert isinstance(selected.state, SparseBuffer) and selected.output is None
     assert selected.probability == pytest.approx(np.sum(np.abs(entries[0]) ** 2))
@@ -1300,7 +1315,6 @@ def test_sparse_outputs_keep_zero_signs_without_a_second_run(monkeypatch, seed):
     # hand-built matrices whose parts are signed zeros, +-1, +-0.5 and
     # subnormals: the decoded outputs are bitwise the recorded runs' after
     # a single preparation, so with no dense rerun behind them
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     prepared = []
     plain = algorithms.prepare_product_state
 
@@ -1330,11 +1344,10 @@ def test_sparse_outputs_keep_zero_signs_without_a_second_run(monkeypatch, seed):
 @pytest.mark.parametrize("k, l", [(0, 1), (0, 2)])
 @pytest.mark.parametrize("shape", [None, (4, 4), (5, 3), (8, 8), (12, 16), (16, 16)])
 @pytest.mark.parametrize("runner", [run_row_add, run_row_swap], ids=["row-add", "row-swap"])
-def test_sparse_row_ops_match_dense_with_a_negative_row_k(monkeypatch, runner, shape, k, l, hand_built):
+def test_sparse_row_ops_match_dense_with_a_negative_row_k(runner, shape, k, l, hand_built):
     # the dense state holds row 0's entries times zero ancilla entries, zeros
     # signed by row 0's parts where the support lists nothing; row 2's
     # -0-0j entries are exact zeros that the row ops move and mix with them
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
     if shape is None:
         matrix = np.array(NEGATIVE_ROW_K, dtype=complex)
     else:
@@ -1368,9 +1381,7 @@ READOUTS = {
 
 
 @pytest.mark.parametrize("routine", sorted(READOUTS))
-def test_readout_is_bitwise_the_renormalized_state(monkeypatch, routine):
-    # below the floor, so that a run whose read-out is sure stays sparse
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+def test_readout_is_bitwise_the_renormalized_state(routine):
     build, runner = READOUTS[routine]
     matrix = random_matrix(np.random.default_rng(23), (4, 4))
     matrix[0, 1] = complex(-0.0, 0.0)

@@ -355,8 +355,7 @@ SPARSE_PREPARATIONS = {
 
 
 @pytest.mark.parametrize("name", sorted(SPARSE_PREPARATIONS))
-def test_sparse_prepare_is_bitwise_the_kron_fold_on_its_support(monkeypatch, name):
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
+def test_sparse_prepare_is_bitwise_the_kron_fold_on_its_support(name):
     registers, tables = SPARSE_PREPARATIONS[name]
     layout = RegisterLayout(registers)
     rng = np.random.default_rng(33)
@@ -388,25 +387,15 @@ def held_sparse(ground_qubits):
     return algorithms._plan_run(circuit, record_steps=False) is not None
 
 
-def test_sparse_prepare_goes_dense_past_the_dense_share(monkeypatch):
+def test_sparse_prepare_goes_dense_past_the_dense_share():
     # the run plan holds a support of 4 of 32 amplitudes, the share itself,
-    # sparse, and 4 of 16, past it, dense; asked for a sparse product,
-    # preparation builds one either way
-    monkeypatch.setattr(state_module, "SPARSE_FLOOR", 0)
-    assert held_sparse(3) and not held_sparse(2)
+    # sparse, as it does 4 of 2^12, and 4 of 16, past it, dense; asked for a
+    # sparse product, preparation builds one either way
+    assert held_sparse(3) and held_sparse(10) and not held_sparse(2)
     table = random_unit(np.random.default_rng(34), 4)
     for ground_qubits in (3, 2):
         layout = RegisterLayout((("R", 1), ("C", 1), ("B", ground_qubits)))
         assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
-
-
-def test_sparse_prepare_goes_dense_up_to_the_floor():
-    # 4 of 2^12 and 4 of 2^13 amplitudes are far inside the share, but a
-    # layout of at most SPARSE_FLOOR amplitudes runs dense
-    assert not held_sparse(10) and held_sparse(11)
-    table = random_unit(np.random.default_rng(34), 4)
-    layout = RegisterLayout((("R", 1), ("C", 1), ("B", 10)))
-    assert isinstance(prepare_product_state(layout, [(("R", "C"), table)], sparse=True), SparseBuffer)
 
 
 @pytest.mark.parametrize("kind", ["non-negative", "real", "complex", "signed-zero-imaginary"])
